@@ -17,11 +17,10 @@ from .additive import (
     Subspace,
     enumerate_all_maps,
     enumerate_hyperplanes,
-    eval_map,
     hyperplane_functionals,
     trace_functional,
 )
-from .caps import DEFAULT_FIELD_CAP, DEFAULT_ORACLE_CAP, field_cap, oracle_cap
+from .caps import DEFAULT_FIELD_CAP, DEFAULT_ORACLE_CAP, effective_cap
 from .cover import (
     AnalysisReport,
     BoundReport,
@@ -59,17 +58,15 @@ from .errors import (
     Inconsistent,
     ParseError,
 )
-from .fields import FqContext, FqElement, embed, is_prime, make_context
+from .fields import FqContext, FqElement, embed, is_prime
 from .poly import (
     QQ,
     RationalFunction,
     SparsePoly,
     UniPoly,
-    bipoly_eval,
     field_domain,
     parse_bipoly,
     parse_poly,
-    partial_derivative,
 )
 from .valuation import (
     INFINITY,
@@ -113,7 +110,6 @@ __all__ = [
     "affine_points",
     "analyze",
     "axis_parallel_lines",
-    "bipoly_eval",
     "check_x_or_inverse",
     "conic_bound",
     "conic_claimed",
@@ -123,12 +119,11 @@ __all__ = [
     "degree_valuation",
     "elliptic_bound",
     "elliptic_claimed",
+    "effective_cap",
     "embed",
     "enumerate_all_maps",
     "enumerate_hyperplanes",
-    "eval_map",
     "ext2_family_check",
-    "field_cap",
     "field_domain",
     "h_additive",
     "hasse_weil_window",
@@ -136,15 +131,12 @@ __all__ = [
     "in_valuation_ring",
     "is_prime",
     "load_curve_file",
-    "make_context",
-    "oracle_cap",
     "padic_valuation",
     "random_rational_function",
     "random_unipoly",
     "parse_bipoly",
     "parse_curve_file",
     "parse_poly",
-    "partial_derivative",
     "points_at_infinity_count",
     "singular_points",
     "slice_degree_profile",

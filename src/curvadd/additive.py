@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .caps import field_cap, oracle_cap
+from .caps import DEFAULT_ORACLE_CAP, effective_cap
 from .errors import CapExceeded, ContextMismatch
 
 
@@ -128,9 +128,6 @@ class Subspace:
                 for i, v in enumerate(row):
                     coeffs[i] = (coeffs[i] + c * v) % p
             yield self.ctx.element(coeffs)
-
-    def basis_elements(self):
-        return [self.ctx.element(row) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -271,11 +268,6 @@ class LinearizedMap:
         return f"LinearizedMap({' + '.join(parts)})"
 
 
-def eval_map(f, x):
-    """Apply a linearized map to a field element."""
-    return f(x)
-
-
 def trace_functional(a):
     """The map x -> Tr(a x) as a linearized polynomial: a_i = a^(p^i).
 
@@ -296,7 +288,7 @@ def trace_functional(a):
 def hyperplane_functionals(ctx, cap=None):
     """One trace functional per hyperplane, in code order of the
     scalar-class representative a (highest nonzero coordinate = 1)."""
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     count = (ctx.order - 1) // (ctx.p - 1)
     if count > limit:
         raise CapExceeded("hyperplane enumeration", count, limit)
@@ -318,7 +310,7 @@ def enumerate_hyperplanes(ctx, cap=None):
 
 def enumerate_all_maps(ctx, cap=None, include_zero=True):
     """Every linearized map, coefficient vectors in code order."""
-    limit = oracle_cap(cap)
+    limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
     total = ctx.order**ctx.k
     if total > limit:
         raise CapExceeded("exhaustive map enumeration", total, limit)

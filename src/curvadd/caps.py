@@ -16,10 +16,15 @@ DEFAULT_ORACLE_CAP = 1 << 24
 _ENV_VAR = "CURVADD_CAP"
 
 
-def _env_cap():
+def effective_cap(cap=None, default=DEFAULT_FIELD_CAP):
+    """The cap in force: an explicit cap wins, then CURVADD_CAP, then
+    the default (DEFAULT_FIELD_CAP for field, hyperplane and point
+    enumeration, DEFAULT_ORACLE_CAP for the exhaustive all-maps scan)."""
+    if cap is not None:
+        return int(cap)
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -29,23 +34,3 @@ def _env_cap():
     if value <= 0:
         raise ValueError(f"{_ENV_VAR} must be positive, got {value}")
     return value
-
-
-def field_cap(cap=None):
-    """Effective cap for field / hyperplane / point enumeration."""
-    if cap is not None:
-        return int(cap)
-    env = _env_cap()
-    if env is not None:
-        return env
-    return DEFAULT_FIELD_CAP
-
-
-def oracle_cap(cap=None):
-    """Effective cap for the exhaustive all-maps scan."""
-    if cap is not None:
-        return int(cap)
-    env = _env_cap()
-    if env is not None:
-        return env
-    return DEFAULT_ORACLE_CAP

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
-from .caps import field_cap, oracle_cap
+from .caps import DEFAULT_ORACLE_CAP, effective_cap
 from .errors import CapExceeded, ContextMismatch, Inconsistent
 from .curve import (
     affine_points,
@@ -36,8 +36,9 @@ from .curve import (
     hasse_weil_window,
     points_at_infinity_count,
     singular_points,
+    singular_subset,
 )
-from .fields import is_prime
+from .fields import check_pk
 
 
 @dataclass(frozen=True)
@@ -70,22 +71,13 @@ class BoundReport:
     claimed_by_statement: bool = None
 
 
-def _check_pk(p, k):
-    p, k = int(p), int(k)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return p, k
-
-
 def zero_forcing_inequality(p, k, d):
     """The main bound: (q + 1 - (d-1)(d-2) sqrt(q) - d) / d > 2 p^(k-1).
 
     Rearranged to A > B * sqrt(q) with A = q + 1 - d - 2 d p^(k-1) and
     B = (d-1)(d-2), then squared: holds iff A > 0 and A^2 > B^2 * q.
     """
-    p, k = _check_pk(p, k)
+    p, k = check_pk(p, k)
     d = int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -111,7 +103,7 @@ def zero_forcing_inequality(p, k, d):
 def zero_forcing_by_count(m, d, p, k):
     """Count form of the bound: m/d > 2 p^(k-1) with the true affine
     point count m, compared as exact rationals."""
-    p, k = _check_pk(p, k)
+    p, k = check_pk(p, k)
     m, d = int(m), int(d)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -132,7 +124,7 @@ def zero_forcing_by_count(m, d, p, k):
 def conjectural_by_count(m, d, p, k):
     """The conjectured sharper threshold m/d > p^(k-1), with the factor
     2 dropped.  Reported only; never used to force a verdict."""
-    p, k = _check_pk(p, k)
+    p, k = check_pk(p, k)
     return Fraction(int(m), int(d)) > p ** (k - 1)
 
 
@@ -148,7 +140,7 @@ def conic_bound(p, k):
     itself fails (4 > 4), so claimed_by_statement and forced_zero can
     disagree there.
     """
-    p, k = _check_pk(p, k)
+    p, k = check_pk(p, k)
     q = p**k
     lhs = q - 1
     rhs = 4 * p ** (k - 1)
@@ -170,7 +162,7 @@ def elliptic_bound(p, k):
     """Smooth cubic specialization: forced iff
     (p - 6) p^(k-1) > 2 p^(k/2), squared to
     p > 6 and (p - 6)^2 p^(k-1) > 4 p."""
-    p, k = _check_pk(p, k)
+    p, k = check_pk(p, k)
     lhs = (p - 6) ** 2 * p ** (k - 1)
     rhs = 4 * p
     forced = p > 6 and lhs > rhs
@@ -303,7 +295,7 @@ def decide_by_exhaustion(points, ctx, cap=None):
     map in that order.  Arithmetic runs on integer codes via discrete
     log tables, a code path disjoint from the hyperplane search.
     """
-    limit = oracle_cap(cap)
+    limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
     total = ctx.order**ctx.k
     if total > limit:
         raise CapExceeded("exhaustive map scan", total, limit)
@@ -426,17 +418,30 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
     """Run the whole pipeline on one curve.
 
     oracle: "auto" runs the exhaustive scan when p^(k^2) fits the
-    oracle cap, "on" demands it, "off" skips it.  Raises Inconsistent
-    when an applicable forcing bound contradicts the search verdict or
-    the two deciders disagree; the message carries every hypothesis
-    problem detected (singular points, window violation, axis lines),
-    since a violated hypothesis is the usual cause.
+    oracle cap, "on" demands it, "off" skips it.  Bad arguments, and an
+    "on" oracle over its cap, are refused before any scan starts.
+
+    Raises Inconsistent when an applicable forcing bound contradicts
+    the search verdict or the two deciders disagree; the message
+    carries every hypothesis problem detected (singular points, window
+    violation, axis lines), since a violated hypothesis is the usual
+    cause.
     """
     if oracle not in ("auto", "on", "off"):
         raise ValueError(f"oracle must be auto|on|off, got {oracle!r}")
+    requested_ext = int(singular_ext)
+    if requested_ext < 0:
+        raise ValueError(f"singular_ext must be >= 0, got {requested_ext}")
     ctx = c.ctx
     p, k, d = ctx.p, ctx.k, c.degree
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
+    run_oracle = False
+    if oracle != "off":
+        total = ctx.order**ctx.k
+        olimit = effective_cap(ocap, DEFAULT_ORACLE_CAP)
+        if oracle == "on" and total > olimit:
+            raise CapExceeded("exhaustive map scan", total, olimit)
+        run_oracle = total <= olimit
 
     points = affine_points(c, cap=limit)
     inf_count = points_at_infinity_count(c, cap=limit)
@@ -444,11 +449,14 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
         c, cap=limit, affine_count=points.count, infinity_count=inf_count
     )
 
-    requested_ext = int(singular_ext)
-    if requested_ext < 0:
-        raise ValueError(f"singular_ext must be >= 0, got {requested_ext}")
     ext_used = _feasible_singular_ext(ctx, requested_ext, limit)
-    singular = singular_points(c, ext_used, cap=limit) if ext_used else None
+    if ext_used == 1:
+        # over F_q itself the singular points are among the affine points
+        singular = singular_subset(c, points)
+    elif ext_used:
+        singular = singular_points(c, ext_used, cap=limit)
+    else:
+        singular = None
 
     ineq1 = zero_forcing_inequality(p, k, d)
     by_count = zero_forcing_by_count(points.count, d, p, k)
@@ -460,11 +468,9 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
 
     oracle_verdict = None
     agreement = "skipped"
-    if oracle != "off":
-        total = ctx.order**ctx.k
-        if oracle == "on" or total <= oracle_cap(ocap):
-            oracle_verdict = decide_by_exhaustion(points, ctx, cap=ocap)
-            agreement = "agree"
+    if run_oracle:
+        oracle_verdict = decide_by_exhaustion(points, ctx, cap=ocap)
+        agreement = "agree"
 
     notes = []
     if singular is not None and singular.count:

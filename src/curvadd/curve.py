@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .caps import field_cap
+from .caps import effective_cap
 from .errors import CapExceeded, ParseError
 from .fields import FqContext, embed
 from .poly import NEG_INF, SparsePoly, parse_bipoly
@@ -68,78 +68,90 @@ class PointSet:
         return len(self.points)
 
 
-def _sorted_points(pairs):
-    return PointSet(tuple(sorted(pairs, key=lambda pt: (int(pt[0]), int(pt[1])))))
+def _roots(row, elements):
+    """The roots, in code order, of a univariate polynomial `row`, where
+    `elements` lists every field element in code order.  The zero row
+    vanishes everywhere, so its roots are all of `elements`.
 
-
-def _dense_row(row, ctx):
-    """Univariate SparsePoly -> dense low-to-high coefficient list,
-    or None for the zero polynomial.  Rows come from substituting x,
-    so degrees stay at most the curve degree; dense Horner evaluation
-    beats per-term powering inside the q^2 scans."""
+    This is the module's one point scan: affine points, singular points
+    and points at infinity are all read off it.  Rows come from
+    substituting one variable, so degrees stay at most the curve
+    degree; dense Horner evaluation beats per-term powering here.
+    """
     if row.is_zero():
-        return None
-    out = [ctx.zero()] * (row.degree_in(0) + 1)
+        return elements
+    coeffs = [row.ctx.zero()] * (row.degree_in(0) + 1)
     for (e,), coeff in row.terms.items():
-        out[e] = coeff
-    return out
-
-
-def _horner_is_zero(coeffs, y):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * y + c
-    return acc.is_zero()
+        coeffs[e] = coeff
+    top = coeffs.pop()
+    coeffs.reverse()
+    roots = []
+    for y in elements:
+        acc = top
+        for coeff in coeffs:
+            acc = acc * y + coeff
+        if acc.is_zero():
+            roots.append(y)
+    return roots
 
 
 def affine_points(c, cap=None):
-    """All (x, y) with defining(x, y) = 0, sorted.
+    """All (x, y) with defining(x, y) = 0, in code order.
 
-    A plain double scan: substitute each x, then test every y.  The
+    For each x, the fibre's points are the roots of the row f(x, .); a
+    zero row means the vertical line x = const lies on the curve.  The
     scan size p^{2k} is checked against the cap before starting.
     """
     ctx = c.ctx
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     if ctx.order**2 > limit:
         raise CapExceeded("affine point scan", ctx.order**2, limit)
     elements = [ctx.decode(code) for code in range(ctx.order)]
-    found = []
-    for x in elements:
-        row = _dense_row(c.defining.substitute(0, x), ctx)
-        if row is None:
-            # the vertical line x = const lies on the curve
-            found.extend((x, y) for y in elements)
-            continue
-        for y in elements:
-            if _horner_is_zero(row, y):
-                found.append((x, y))
-    return _sorted_points(found)
+    return PointSet(
+        tuple(
+            (x, y)
+            for x in elements
+            for y in _roots(c.defining.substitute(0, x), elements)
+        )
+    )
 
 
 def points_at_infinity_count(c, cap=None):
-    """Projective roots of the leading form on the line at infinity.
+    """Projective roots of the leading form L on the line at infinity.
 
-    Roots are (a : 1) for a in the field, plus (1 : 0) when the pure
-    x^d term is absent; the count never exceeds d.
+    Roots are (a : 1) for the roots a of L(., 1), plus (1 : 0) when the
+    pure x^d term is absent; the count never exceeds d.
     """
     ctx = c.ctx
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     if ctx.order > limit:
         raise CapExceeded("infinity root scan", ctx.order, limit)
     lead = c.defining.leading_form()
-    count = 0
-    one = ctx.one()
-    for code in range(ctx.order):
-        if lead.evaluate((ctx.decode(code), one)).is_zero():
-            count += 1
-    if lead.evaluate((one, ctx.zero())).is_zero():
+    elements = [ctx.decode(code) for code in range(ctx.order)]
+    count = len(_roots(lead.substitute(1, ctx.one()), elements))
+    if (c.degree, 0) not in lead.terms:
         count += 1
     return count
 
 
+def singular_subset(c, points):
+    """The points among `points` (on c) where both partials of the
+    defining polynomial vanish too, in the same order."""
+    fx = c.defining.partial(0)
+    fy = c.defining.partial(1)
+    return PointSet(
+        tuple(
+            pt
+            for pt in points
+            if fx.evaluate(pt).is_zero() and fy.evaluate(pt).is_zero()
+        )
+    )
+
+
 def singular_points(c, ext_degree=2, cap=None):
     """Points over F_{p^(k*ext_degree)} where the defining polynomial
-    and both partials vanish.
+    and both partials vanish: the affine points of c lifted to that
+    field, passed through singular_subset.
 
     An empty result only means no singular point was found up to this
     extension degree; it is not a smoothness certificate.
@@ -152,38 +164,15 @@ def singular_points(c, ext_degree=2, cap=None):
         ext = ctx
     else:
         ext = FqContext(ctx.p, ctx.k * ext_degree)
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     if ext.order**2 > limit:
         raise CapExceeded(
             f"singular scan over F_{ctx.p}^{ext.k}", ext.order**2, limit
         )
-
-    def lift(poly):
-        if ext is ctx:
-            return poly
-        return SparsePoly(
-            ext, 2, {e: embed(v, ext, cap=limit) for e, v in poly.terms.items()}
-        )
-
-    f = lift(c.defining)
-    fx = lift(c.defining.partial(0))
-    fy = lift(c.defining.partial(1))
-    elements = [ext.decode(code) for code in range(ext.order)]
-    zero_row = (ext.zero(),)
-    found = []
-    for x in elements:
-        rows = [
-            _dense_row(poly.substitute(0, x), ext) or zero_row
-            for poly in (f, fx, fy)
-        ]
-        for y in elements:
-            if (
-                _horner_is_zero(rows[0], y)
-                and _horner_is_zero(rows[1], y)
-                and _horner_is_zero(rows[2], y)
-            ):
-                found.append((x, y))
-    return _sorted_points(found)
+    if ext is not ctx:
+        lifted = {e: embed(v, ext, cap=limit) for e, v in c.defining.terms.items()}
+        c = Curve(SparsePoly(ext, 2, lifted))
+    return singular_subset(c, affine_points(c, cap=limit))
 
 
 @dataclass(frozen=True)
@@ -245,7 +234,7 @@ def axis_parallel_lines(c, cap=None):
     counting argument, so analyze surfaces them as hypothesis notes.
     """
     ctx = c.ctx
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     if ctx.order > limit:
         raise CapExceeded("axis line scan", ctx.order, limit)
     lines = []
@@ -317,7 +306,7 @@ def slice_degree_profile(surface, cap=None):
     if surface.is_zero():
         raise ValueError("zero polynomial has no slices")
     ctx = surface.ctx
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     if 3 * ctx.order > limit:
         raise CapExceeded("slice degree scan", 3 * ctx.order, limit)
     d = surface.total_degree

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .caps import field_cap
+from .caps import effective_cap
 from .errors import CapExceeded, ContextMismatch
 
 # Largest prime accepted for p.  Keeps p inside the range where the
@@ -58,6 +58,21 @@ def is_prime(n):
     return True
 
 
+def check_pk(p, k):
+    """Validate field parameters: p an odd prime <= MAX_PRIME, k >= 1.
+    Returns them as ints; raises ValueError otherwise."""
+    p, k = int(p), int(k)
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if p > MAX_PRIME:
+        raise ValueError(f"p too large: {p} > {MAX_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return p, k
+
+
 # ---------------------------------------------------------------------------
 # Coefficient-list polynomial helpers over F_p.  Lists are low-to-high
 # and trimmed; [] is the zero polynomial.  These are private plumbing
@@ -68,16 +83,6 @@ def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _trim(out)
 
 
 def _psub(a, b, p):
@@ -196,16 +201,7 @@ class FqContext:
     __slots__ = ("p", "k", "modulus", "order", "_hash")
 
     def __init__(self, p, k=1, modulus=None):
-        p = int(p)
-        k = int(k)
-        if p < 3 or p % 2 == 0:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if p > MAX_PRIME:
-            raise ValueError(f"p too large: {p} > {MAX_PRIME}")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        p, k = check_pk(p, k)
         if modulus is None:
             modulus = _find_modulus(p, k)
         else:
@@ -295,7 +291,7 @@ class FqContext:
 
     def elements(self, cap=None):
         """All field elements in code order (0, 1, ..., p-1, g, 1+g, ...)."""
-        limit = field_cap(cap)
+        limit = effective_cap(cap)
         if self.order > limit:
             raise CapExceeded(f"enumerating F_{self.p}^{self.k}", self.order, limit)
         for code in range(self.order):
@@ -312,8 +308,9 @@ class FqElement:
     """An element of an FqContext.  Immutable.
 
     Integers coerce to constants on the prime subfield, so ``x + 1`` and
-    ``3 * x`` work.  int(x) returns the code sum(c_i * p^i), which also
-    defines the canonical enumeration order.
+    ``3 * x`` work; comparison does not coerce, so ``x == 1`` is always
+    False (use ``x == ctx.one()``).  int(x) returns the code
+    sum(c_i * p^i), which also defines the canonical enumeration order.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -340,8 +337,8 @@ class FqElement:
         return code
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.constant(other)
+        # Ints never compare equal: 1 and p + 1 both map to one, so no
+        # hash could agree with an int-coercing equality.
         if not isinstance(other, FqElement):
             return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
@@ -525,7 +522,7 @@ def embed(a, dst, cap=None):
     """
     if a.ctx == dst:
         return a
-    limit = field_cap(cap)
+    limit = effective_cap(cap)
     if dst.order > limit:
         raise CapExceeded("embedding root scan", dst.order, limit)
     root = _embedding_root(a.ctx, dst)
@@ -533,48 +530,3 @@ def embed(a, dst, cap=None):
     for c in reversed(a.coeffs):
         acc = acc * root + c
     return acc
-
-
-def make_context(p, k=1, modulus=None):
-    """Convenience constructor mirroring FqContext(p, k, modulus)."""
-    return FqContext(p, k, modulus)
-
-
-# ---------------------------------------------------------------------------
-# Functional spellings.  The element methods above are the primary API;
-# these wrappers exist for callers that prefer explicit operations.
-
-
-def fq_add(a, b):
-    return a + b
-
-
-def fq_sub(a, b):
-    return a - b
-
-
-def fq_mul(a, b):
-    return a * b
-
-
-def fq_neg(a):
-    return -a
-
-
-def fq_inv(a):
-    return a.inverse()
-
-
-def frobenius(a, i=1):
-    """a^(p^i), the i-th power of the Frobenius automorphism."""
-    return a.frobenius(i)
-
-
-def trace(a):
-    """Trace down to the prime field: sum of a^(p^i) for 0 <= i < k."""
-    return a.trace()
-
-
-def enumerate_elements(ctx, cap=None):
-    """All elements of the field in code order, as a list, capped."""
-    return list(ctx.elements(cap))

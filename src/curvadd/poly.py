@@ -38,11 +38,6 @@ from .fields import FqContext, FqElement
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
-# Exact rational numbers: stdlib Fraction already maintains the
-# canonical form (reduced, positive denominator).
-BigRational = Fraction
-
-
 # ---------------------------------------------------------------------------
 # Coefficient domains.  A domain knows how to coerce raw values and
 # supplies its zero and one; polynomial code is otherwise generic.
@@ -355,11 +350,6 @@ class UniPoly:
         return self.render()
 
 
-def unipoly_divmod(a, b):
-    """Quotient and remainder with deg r < deg b; exact arithmetic."""
-    return divmod(a, b)
-
-
 def unipoly_gcd(a, b):
     """Monic gcd; gcd(0, 0) = 0."""
     if a.domain != b.domain:
@@ -521,23 +511,6 @@ class RationalFunction:
         if self.den.degree == 0:
             return self.num.render()
         return f"({self.num.render()})/({self.den.render()})"
-
-
-def rf_normalize(num, den):
-    """Canonical rational function num/den (reduced, monic denominator)."""
-    return RationalFunction(num, den)
-
-
-def rf_add(a, b):
-    return a + b
-
-
-def rf_mul(a, b):
-    return a * b
-
-
-def rf_inv(a):
-    return a.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -803,21 +776,6 @@ class SparsePoly:
 
     def __repr__(self):
         return self.render()
-
-
-def bipoly_eval(f, x, y):
-    """Evaluate a bivariate polynomial at a point."""
-    return f.evaluate((x, y))
-
-
-def partial_derivative(f, var):
-    """Formal partial derivative; var is an index or a default name."""
-    if isinstance(var, str):
-        try:
-            var = _DEFAULT_NAMES[: f.nvars].index(var)
-        except ValueError:
-            raise ValueError(f"unknown variable {var!r}") from None
-    return f.partial(var)
 
 
 # ---------------------------------------------------------------------------

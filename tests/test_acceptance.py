@@ -15,7 +15,6 @@ from curvadd import (
     QQ,
     analyze,
     affine_points,
-    bipoly_eval,
     conic_bound,
     conic_claimed,
     decide_by_exhaustion,
@@ -260,7 +259,7 @@ def test_criterion_8_parser_corpus():
     x, y = ctx.constant(2), ctx.constant(3)
     for expr, expected in valid:
         poly = parse_bipoly(expr, ctx)
-        assert bipoly_eval(poly, x, y) == ctx.constant(expected), expr
+        assert poly.evaluate((x, y)) == ctx.constant(expected), expr
         # render/parse idempotence
         rendered = poly.render()
         again = parse_bipoly(rendered, ctx)

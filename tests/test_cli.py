@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from curvadd import cover
 from curvadd.cli import main
 
 HYPERBOLA_F7 = "p = 7\nk = 1\nf = x*y - 1\n"
@@ -123,6 +124,12 @@ def test_bound_subcommand(capsys):
 
 def test_bound_validation(capsys):
     assert main(["bound", "--p", "4", "--k", "1", "--d", "2"]) == 2
+    assert main(["bound", "--p", "7", "--k", "0", "--d", "2"]) == 2
+    # 2^63 + 29 is prime but above MAX_PRIME, which FqContext refuses too
+    for shape in (["--d", "2"], ["--class", "conic"], ["--class", "elliptic"]):
+        argv = ["bound", "--p", "9223372036854775837", "--k", "1"] + shape
+        assert main(argv) == 2
+        assert "p too large" in capsys.readouterr().err
     # neither or both of --d / --class
     assert main(["bound", "--p", "7", "--k", "1"]) == 2
     assert main(["bound", "--p", "7", "--k", "1", "--d", "2",
@@ -219,3 +226,16 @@ def test_no_subcommand_usage(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_analyze_refusals_exit_2_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a point scan started before the refusal")
+
+    monkeypatch.setattr(cover, "affine_points", no_scan)
+    path = write_curve(tmp_path, "p = 7\nk = 3\nf = x*y - 1\n")
+    assert main(["analyze", "--curve", path, "--singular-ext", "-1"]) == 2
+    assert "singular_ext must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["analyze", "--curve", path, "--oracle", "on"]) == 2
+    err = capsys.readouterr().err
+    assert "exhaustive map scan needs 40353607 steps, cap is 16777216" in err

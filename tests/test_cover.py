@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from curvadd import (
+    CapExceeded,
     ContextMismatch,
     FqContext,
     Inconsistent,
@@ -22,7 +23,8 @@ from curvadd import (
     zero_forcing_by_count,
     zero_forcing_inequality,
 )
-from curvadd.caps import field_cap, oracle_cap
+from curvadd import cover
+from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 
 from conftest import build_curve, random_point_set
 
@@ -66,6 +68,17 @@ def test_inequality_validation():
         zero_forcing_inequality(5, 0, 2)
     with pytest.raises(ValueError):
         zero_forcing_inequality(5, 1, 0)
+    # the FqContext limits apply: 2^63 + 29 is prime but too large
+    too_big = (1 << 63) + 29
+    for check in (
+        lambda: zero_forcing_inequality(too_big, 1, 2),
+        lambda: zero_forcing_by_count(3, 2, too_big, 1),
+        lambda: conic_bound(too_big, 1),
+        lambda: elliptic_bound(too_big, 1),
+        lambda: FqContext(too_big),
+    ):
+        with pytest.raises(ValueError, match="p too large"):
+            check()
 
 
 def test_by_count_exact_rational_comparison():
@@ -277,12 +290,32 @@ def test_analyze_forced_without_witness_is_consistent():
 
 def test_caps_env_override(monkeypatch):
     monkeypatch.setenv("CURVADD_CAP", "99")
-    assert field_cap() == 99
-    assert oracle_cap() == 99
-    assert field_cap(7) == 7  # explicit argument wins
+    assert effective_cap() == 99
+    assert effective_cap(None, DEFAULT_ORACLE_CAP) == 99
+    assert effective_cap(7) == 7  # explicit argument wins
+    assert effective_cap(7, DEFAULT_ORACLE_CAP) == 7
     monkeypatch.delenv("CURVADD_CAP")
-    assert field_cap() == 1 << 20
-    assert oracle_cap() == 1 << 24
+    assert effective_cap() == 1 << 20
+    assert effective_cap(None, DEFAULT_ORACLE_CAP) == 1 << 24
     monkeypatch.setenv("CURVADD_CAP", "not a number")
     with pytest.raises(ValueError):
-        field_cap()
+        effective_cap()
+    with pytest.raises(ValueError):
+        effective_cap(None, DEFAULT_ORACLE_CAP)
+
+
+def test_analyze_refuses_before_any_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a point scan started before the refusal")
+
+    monkeypatch.setattr(cover, "affine_points", no_scan)
+    monkeypatch.setattr(cover, "points_at_infinity_count", no_scan)
+    c = build_curve(7, 3, "x*y - 1")
+    with pytest.raises(ValueError, match=r"^singular_ext must be >= 0, got -1$"):
+        analyze(c, singular_ext=-1)
+    # 343^3 maps against the default oracle cap 2^24
+    with pytest.raises(CapExceeded) as err:
+        analyze(c, oracle="on")
+    assert str(err.value) == "exhaustive map scan needs 40353607 steps, cap is 16777216"
+    with pytest.raises(CapExceeded):
+        analyze(c, oracle="on", ocap=3)

@@ -8,10 +8,10 @@ from curvadd import (
     CapExceeded,
     Curve,
     FqContext,
+    Inconsistent,
     ParseError,
     axis_parallel_lines,
     affine_points,
-    bipoly_eval,
     hasse_weil_window,
     parse_bipoly,
     parse_curve_file,
@@ -20,9 +20,11 @@ from curvadd import (
     slice_degree_profile,
     slice_surface,
 )
+from curvadd import cover
+from curvadd.fields import embed
 from curvadd.poly import SparsePoly, parse_poly
 
-from conftest import build_curve
+from conftest import CORPUS, build_curve
 
 
 def naive_affine_points(c):
@@ -30,7 +32,7 @@ def naive_affine_points(c):
     ctx = c.ctx
     out = []
     for a, b in itertools.product(ctx.elements(), repeat=2):
-        if bipoly_eval(c.defining, a, b).is_zero():
+        if c.defining.evaluate((a, b)).is_zero():
             out.append((a, b))
     return out
 
@@ -211,3 +213,93 @@ def test_affine_scan_cap():
     c = build_curve(2147483647, 1, "x*y - 1")
     with pytest.raises(CapExceeded):
         affine_points(c)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the single fibre scan against direct evaluation.
+
+# Beyond the corpus: a node, a cusp, a curve with a vertical line
+# component, a pair of parabolas over F_3 that cross only over F_9,
+# and an F_9 curve under the non-default modulus g^2 + g + 2, whose
+# singular points (x^2 = g, y = 0) lie over F_81 only, so the lifted
+# scan has to go through embed.
+EXTRA_CURVES = (
+    ((7, 1), "y^2 - x^3 - x^2"),
+    ((7, 1), "y^2 - x^3"),
+    ((5, 1), "(x - 2)*(y - x^2)"),
+    ((3, 1), "y^2 - (x^2 + 1)^2"),
+    ((3, 2, (2, 1, 1)), "y^2 - (x^2 - g)^2"),
+)
+
+
+def differential_curves():
+    curves = [build_curve(*entry) for entry in CORPUS]
+    for field_args, expr in EXTRA_CURVES:
+        curves.append(Curve(parse_bipoly(expr, FqContext(*field_args))))
+    return curves
+
+
+def brute_singular(c, ext_degree):
+    """Every pair over F_{q^m} where f, f_x and f_y all evaluate to 0."""
+    ctx = c.ctx
+    ext = ctx if ext_degree == 1 else FqContext(ctx.p, ctx.k * ext_degree)
+
+    def lift(poly):
+        return SparsePoly(ext, 2, {e: embed(v, ext) for e, v in poly.terms.items()})
+
+    polys = [lift(c.defining), lift(c.defining.partial(0)), lift(c.defining.partial(1))]
+    return [
+        (a, b)
+        for a, b in itertools.product(ext.elements(), repeat=2)
+        if all(poly.evaluate((a, b)).is_zero() for poly in polys)
+    ]
+
+
+def brute_infinity_count(c):
+    ctx = c.ctx
+    lead = c.defining.leading_form()
+    count = sum(lead.evaluate((a, ctx.one())).is_zero() for a in ctx.elements())
+    return count + lead.evaluate((ctx.one(), ctx.zero())).is_zero()
+
+
+@pytest.mark.parametrize("c", differential_curves(), ids=repr)
+def test_single_scan_matches_direct_evaluation(c):
+    assert list(affine_points(c)) == naive_affine_points(c)
+    assert points_at_infinity_count(c) == brute_infinity_count(c)
+    exts = (1, 2) if c.ctx.order <= 9 else (1,)
+    for m in exts:
+        assert list(singular_points(c, m)) == brute_singular(c, m), m
+
+
+@pytest.mark.parametrize("c", differential_curves(), ids=repr)
+def test_analyze_reads_singular_points_off_affine_scan(c, monkeypatch):
+    expected = singular_points(c, 1)
+    scans = []
+
+    def counted_affine_points(*args, **kwargs):
+        scans.append(args)
+        return affine_points(*args, **kwargs)
+
+    def no_second_scan(*args, **kwargs):
+        raise AssertionError("analyze ran a separate singular scan")
+
+    monkeypatch.setattr(cover, "affine_points", counted_affine_points)
+    monkeypatch.setattr(cover, "singular_points", no_second_scan)
+    report = cover.analyze(c, singular_ext=1, oracle="off")
+    assert report.singular_ext_used == 1
+    assert report.singular == expected
+    assert len(scans) == 1
+
+
+def test_singular_points_over_extension_only():
+    # the parabolas y = +-(x^2 + 1) cross at x^2 = -1, which has no
+    # root in F_3 but two in F_9
+    c = build_curve(3, 1, "y^2 - (x^2 + 1)^2")
+    assert singular_points(c, 1).count == 0
+    # F_9 = F_3[g]/(g^2 + 1): the crossings are x = g, 2g (codes 3, 6)
+    assert [(int(x), int(y)) for x, y in singular_points(c, 2)] == [(3, 0), (6, 0)]
+    # under g^2 + g + 2, g generates F_9^*, so it has no square root in
+    # F_9: the two crossings x = +-sqrt(g) appear only over F_81
+    c = Curve(parse_bipoly("y^2 - (x^2 - g)^2", FqContext(3, 2, [2, 1, 1])))
+    assert singular_points(c, 1).count == 0
+    assert singular_points(c, 2).count == 2

@@ -5,16 +5,6 @@ import itertools
 import pytest
 
 from curvadd import CapExceeded, ContextMismatch, FqContext, embed, is_prime
-from curvadd.fields import (
-    enumerate_elements,
-    fq_add,
-    fq_inv,
-    fq_mul,
-    fq_neg,
-    fq_sub,
-    frobenius,
-    trace,
-)
 
 
 def test_is_prime_small():
@@ -206,14 +196,30 @@ def test_elements_cap():
         list(ctx.elements())
 
 
-def test_functional_aliases():
+def test_element_methods():
+    # The operations behind the removed fq_* / frobenius / trace /
+    # enumerate_elements spellings, on values worked by hand in
+    # F_9 = F_3[g]/(g^2 + 1) with a = 2 + g (code 5), b = 1 + 2g (code 7).
     ctx = FqContext(3, 2)
     a, b = ctx.decode(5), ctx.decode(7)
-    assert fq_add(a, b) == a + b
-    assert fq_sub(a, b) == a - b
-    assert fq_mul(a, b) == a * b
-    assert fq_neg(a) == -a
-    assert fq_mul(a, fq_inv(a)) == ctx.one()
-    assert frobenius(a) == a**3
-    assert trace(a) == a.trace()
-    assert [int(e) for e in enumerate_elements(ctx)] == list(range(9))
+    assert (a + b).coeffs == (0, 0)
+    assert (a - b).coeffs == (1, 2)
+    assert (a * b).coeffs == (0, 2)  # 2 + 5g + 2g^2 = 2g
+    assert (-a).coeffs == (1, 2)
+    assert a.inverse().coeffs == (1, 1)  # (2 + g)(1 + g) = 1 + 3g = 1
+    assert a * a.inverse() == ctx.one()
+    assert a.frobenius().coeffs == (2, 2)  # (2 + g)^3 = 8 + g^3 = 2 - g
+    assert a.frobenius() == a**3
+    assert a.trace() == ctx.one()  # (2 + g) + (2 - g) = 4
+    assert [int(e) for e in ctx.elements()] == list(range(9))
+
+
+def test_eq_hash_contract_with_ints():
+    # 1 and 6 both map to one in F_5, so no hash could agree with an
+    # int-coercing ==; elements never equal ints
+    ctx = FqContext(5)
+    assert ctx.one() != 1
+    assert not (ctx.one() == 1)
+    assert ctx.one() not in {1}
+    assert len({ctx.one(), ctx.constant(6)}) == 1
+    assert ctx.constant(6) == ctx.one()
