@@ -8,8 +8,9 @@ Two independent deciders answer it:
   So it suffices to test the (p^k - 1)/(p - 1) trace-functional
   hyperplanes.  Membership tests run on exact field elements.
 * decide_by_exhaustion: scan every one of the p^(k^2) nonzero
-  linearized maps against every point, using integer discrete-log
-  tables for the inner products.  Kept deliberately brute-force as an
+  linearized maps against every point, with the inner products taken
+  on discrete logs and Zech's logarithms (fields.code_tables, the
+  tables the point scans run on).  Kept deliberately brute-force as an
   oracle for the first decider.
 
 The zero-forcing bound and its conic/elliptic specializations are
@@ -24,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
@@ -38,7 +38,7 @@ from .curve import (
     singular_points,
     singular_subset,
 )
-from .fields import check_pk
+from .fields import check_pk, code_tables
 
 
 @dataclass(frozen=True)
@@ -247,100 +247,65 @@ def decide_by_hyperplanes(points, ctx, cap=None):
     return CoverVerdict(exists_nonzero=False, method="hyperplane-search")
 
 
-@lru_cache(maxsize=None)
-def _log_tables(ctx):
-    """Discrete log/exp tables over element codes, for the scan loop."""
-    q = ctx.order
-    n = q - 1
-    factors = []
-    rest = n
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            factors.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        factors.append(rest)
-    one = ctx.one()
-    gen = None
-    for code in range(2, q):
-        el = ctx.decode(code)
-        if all(el ** (n // r) != one for r in factors):
-            gen = el
-            break
-    if gen is None:  # q = 3: the only candidate is 2
-        gen = ctx.decode(q - 1)
-    exp = [0] * (2 * n)
-    log = [0] * q
-    cur = one
-    for i in range(n):
-        code = int(cur)
-        exp[i] = code
-        exp[i + n] = code
-        log[code] = i
-        cur = cur * gen
-    digits = []
-    for code in range(q):
-        digits.append(tuple(ctx.decode(code).coeffs))
-    return exp, log, digits
-
-
 def decide_by_exhaustion(points, ctx, cap=None):
     """Brute-force oracle: test every nonzero linearized map directly.
 
     Scans coefficient vectors in the same lexicographic order as
     enumerate_all_maps, so the reported witness is the first working
-    map in that order.  Arithmetic runs on integer codes via discrete
-    log tables, a code path disjoint from the hyperplane search.
+    map in that order.  Arithmetic runs on the logs of element codes
+    (fields.code_tables): each product is a sum of logs and each
+    addition a Zech-table lookup, a code path disjoint from the
+    hyperplane search.
     """
     limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
     total = ctx.order**ctx.k
     if total > limit:
         raise CapExceeded("exhaustive map scan", total, limit)
     pts = _point_pairs(points, ctx)
-    p, k, q = ctx.p, ctx.k, ctx.order
-    exp, log, digits = _log_tables(ctx)
+    exp, log, zech = code_tables(ctx)
+    n = len(zech)
 
-    orbit_codes = {}
+    orbit_logs = {}
 
     def orbit(e):
         code = int(e)
-        got = orbit_codes.get(code)
+        got = orbit_logs.get(code)
         if got is None:
-            got = orbit_codes[code] = tuple(int(v) for v in _frobenius_orbit(e))
+            got = orbit_logs[code] = tuple(log[int(v)] for v in _frobenius_orbit(e))
         return got
 
     pairs = [(orbit(x), orbit(y)) for x, y in pts]
-    buf = [0] * k
 
-    def vanishes(avec, xf):
-        for j in range(k):
-            buf[j] = 0
-        for a, b in zip(avec, xf):
-            if a and b:
-                t = digits[exp[log[a] + log[b]]]
-                for j in range(k):
-                    buf[j] += t[j]
-        for j in range(k):
-            if buf[j] % p:
-                return False
-        return True
+    def vanishes(alogs, xlogs):
+        acc = None
+        for a, b in zip(alogs, xlogs):
+            if a is None or b is None:
+                continue
+            t = a + b
+            if acc is None:
+                acc = t
+            else:
+                z = zech[(t - acc) % n]
+                acc = None if z is None else acc + z
+        return acc is None
 
-    for avec in itertools.product(range(q), repeat=k):
-        if not any(avec):
-            continue
+    # log lists the logs in code order, so this is code order too; the
+    # first vector is the zero map
+    maps = itertools.product(log, repeat=ctx.k)
+    next(maps)
+    for alogs in maps:
         ok = True
         for fx, fy in pairs:
-            if vanishes(avec, fx):
+            if vanishes(alogs, fx):
                 continue
-            if vanishes(avec, fy):
+            if vanishes(alogs, fy):
                 continue
             ok = False
             break
         if ok:
-            witness = LinearizedMap(ctx, [ctx.decode(a) for a in avec])
+            witness = LinearizedMap(
+                ctx, [ctx.decode(0 if a is None else exp[a]) for a in alogs]
+            )
             return CoverVerdict(
                 exists_nonzero=True,
                 witness_map=witness,
@@ -406,11 +371,15 @@ class AnalysisReport:
 
 def _feasible_singular_ext(ctx, requested, limit):
     """Largest extension degree <= requested whose pair scan fits the
-    cap (0 when even degree 1 does not fit)."""
+    cap (0 when even degree 1 does not fit).  The scan size q^(2m)
+    grows with m, so the search stops at the first m that does not
+    fit, however large `requested` is."""
     best = 0
-    for m in range(1, requested + 1):
-        if (ctx.order**m) ** 2 <= limit:
-            best = m
+    step = ctx.order**2
+    scan = step
+    while best < requested and scan <= limit:
+        best += 1
+        scan *= step
     return best
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .caps import effective_cap
 from .errors import CapExceeded, ParseError
-from .fields import FqContext, embed
+from .fields import FqContext, code_tables, embed
 from .poly import NEG_INF, SparsePoly, parse_bipoly
 
 
@@ -68,31 +68,74 @@ class PointSet:
         return len(self.points)
 
 
-def _roots(row, elements):
-    """The roots, in code order, of a univariate polynomial `row`, where
-    `elements` lists every field element in code order.  The zero row
-    vanishes everywhere, so its roots are all of `elements`.
+def _rows(poly, index, tables, codes):
+    """Yield the rows of the bivariate `poly` with variable `index` set
+    to each value (by code) in `codes`: the coefficient logs (see
+    fields.CodeTables) of the other variable, highest power first.
+    None is a zero coefficient, so an all-None row means poly vanishes
+    on the whole line.
+
+    Each coefficient sum(a_i * v^i) is built in logs, a product being
+    a sum of logs and each addition one Zech-table lookup; no field
+    element is created.
+    """
+    log, zech = tables.log, tables.zech
+    n = len(zech)
+    other = 1 - index
+    top = poly.degree_in(other)
+    groups = [[] for _ in range(top + 1)]
+    for exps, coeff in poly.terms.items():
+        groups[top - exps[other]].append((exps[index], log[int(coeff)]))
+    for code in codes:
+        lv = log[code]
+        if lv is None:  # v = 0 keeps the terms free of the variable
+            yield [next((lc for e, lc in g if e == 0), None) for g in groups]
+            continue
+        row = []
+        for group in groups:
+            acc = None
+            for e, lc in group:
+                t = lc + e * lv
+                if acc is None:
+                    acc = t
+                else:
+                    z = zech[(t - acc) % n]
+                    acc = None if z is None else acc + z
+            row.append(acc if acc is None else acc % n)
+        yield row
+
+
+def _row_roots(row, tables):
+    """The codes of the roots, in code order, of one row from _rows.
+    The zero row vanishes everywhere, so its roots are all codes.
 
     This is the module's one point scan: affine points, singular points
-    and points at infinity are all read off it.  Rows come from
-    substituting one variable, so degrees stay at most the curve
-    degree; dense Horner evaluation beats per-term powering here.
+    and points at infinity are all read off it.  Each nonzero value is
+    tried by Horner's rule on logs, one Zech lookup per step.
     """
-    if row.is_zero():
-        return elements
-    coeffs = [row.ctx.zero()] * (row.degree_in(0) + 1)
-    for (e,), coeff in row.terms.items():
-        coeffs[e] = coeff
-    top = coeffs.pop()
-    coeffs.reverse()
-    roots = []
-    for y in elements:
+    exp, zech = tables.exp, tables.zech
+    n = len(zech)
+    start = 0
+    while start < len(row) and row[start] is None:
+        start += 1
+    if start == len(row):
+        return range(n + 1)
+    top, rest = row[start], row[start + 1 :]
+    found = []
+    for ly in range(n):
         acc = top
-        for coeff in coeffs:
-            acc = acc * y + coeff
-        if acc.is_zero():
-            roots.append(y)
-    return roots
+        for c in rest:
+            if acc is None:
+                acc = c
+                continue
+            acc += ly
+            if c is not None:
+                z = zech[(c - acc) % n]
+                acc = None if z is None else acc + z
+        if acc is None:
+            found.append(exp[ly])
+    found.sort()
+    return [0] + found if row[-1] is None else found
 
 
 def affine_points(c, cap=None):
@@ -106,12 +149,14 @@ def affine_points(c, cap=None):
     limit = effective_cap(cap)
     if ctx.order**2 > limit:
         raise CapExceeded("affine point scan", ctx.order**2, limit)
-    elements = [ctx.decode(code) for code in range(ctx.order)]
+    tables = code_tables(ctx)
+    codes = range(ctx.order)
+    elements = [ctx.decode(code) for code in codes]
     return PointSet(
         tuple(
-            (x, y)
-            for x in elements
-            for y in _roots(c.defining.substitute(0, x), elements)
+            (x, elements[y])
+            for x, row in zip(elements, _rows(c.defining, 0, tables, codes))
+            for y in _row_roots(row, tables)
         )
     )
 
@@ -127,8 +172,9 @@ def points_at_infinity_count(c, cap=None):
     if ctx.order > limit:
         raise CapExceeded("infinity root scan", ctx.order, limit)
     lead = c.defining.leading_form()
-    elements = [ctx.decode(code) for code in range(ctx.order)]
-    count = len(_roots(lead.substitute(1, ctx.one()), elements))
+    tables = code_tables(ctx)
+    (row,) = _rows(lead, 1, tables, (1,))
+    count = len(_row_roots(row, tables))
     if (c.degree, 0) not in lead.terms:
         count += 1
     return count
@@ -237,13 +283,16 @@ def axis_parallel_lines(c, cap=None):
     limit = effective_cap(cap)
     if ctx.order > limit:
         raise CapExceeded("axis line scan", ctx.order, limit)
+    tables = code_tables(ctx)
+    codes = range(ctx.order)
+    rows = _rows(c.defining, 0, tables, codes)
+    columns = _rows(c.defining, 1, tables, codes)
     lines = []
-    for code in range(ctx.order):
-        v = ctx.decode(code)
-        if c.defining.substitute(0, v).is_zero():
-            lines.append(f"x = {v!r}")
-        if c.defining.substitute(1, v).is_zero():
-            lines.append(f"y = {v!r}")
+    for code, row, column in zip(codes, rows, columns):
+        if all(v is None for v in row):
+            lines.append(f"x = {ctx.decode(code)!r}")
+        if all(v is None for v in column):
+            lines.append(f"y = {ctx.decode(code)!r}")
     return lines
 
 

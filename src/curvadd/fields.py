@@ -19,6 +19,7 @@ guessing an embedding.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .caps import effective_cap
 from .errors import CapExceeded, ContextMismatch
@@ -484,6 +485,77 @@ class FqElement:
 
     def in_prime_field(self):
         return not any(self.coeffs[1:])
+
+
+# ---------------------------------------------------------------------------
+# Integer code tables: the one arithmetic kernel of the point scans and
+# the exhaustive oracle.
+
+
+class CodeTables(NamedTuple):
+    """Discrete-log tables of a context over element codes.
+
+    With g the first primitive element in code order and n = q - 1:
+    exp[i] is the code of g^(i mod n) for 0 <= i < 2n (doubled, so a
+    sum of two logs indexes it directly); log[c] is the log of the
+    element with code c; zech[i] is Zech's logarithm log(1 + g^i).
+    None stands for the log of zero: log[0] is None, and zech[i] is
+    None exactly at i = n/2, where g^i = -1.
+
+    In logs, a product is a sum, and g^a + g^b = g^a * (1 + g^(b-a))
+    has log a + zech[(b - a) % n], so polynomials evaluate on logs with
+    no element arithmetic at all (Huber, "Some comments on Zech's
+    logarithms", IEEE Trans. IT 36(4), 1990).
+    """
+
+    exp: tuple
+    log: tuple
+    zech: tuple
+
+
+def _first_primitive(ctx):
+    """The first element in code order whose powers fill F_q^*."""
+    n = ctx.order - 1
+    factors = []
+    rest = n
+    f = 2
+    while f * f <= rest:
+        if rest % f == 0:
+            factors.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        factors.append(rest)
+    one = ctx.one()
+    for code in range(2, ctx.order):
+        el = ctx.decode(code)
+        if all(el ** (n // r) != one for r in factors):
+            return el
+    raise RuntimeError(f"no primitive element in {ctx!r}")
+
+
+@lru_cache(maxsize=None)
+def code_tables(ctx):
+    """The CodeTables of ctx, built on first use and cached per context
+    (tuples, since every caller shares them): O(q) entries, so callers
+    check their caps before asking."""
+    q, p = ctx.order, ctx.p
+    n = q - 1
+    gen = _first_primitive(ctx)
+    exp = [0] * (2 * n)
+    log = [None] * q
+    cur = ctx.one()
+    for i in range(n):
+        code = int(cur)
+        exp[i] = exp[i + n] = code
+        log[code] = i
+        cur = cur * gen
+    # adding 1 changes only the lowest base-p digit of a code
+    zech = tuple(
+        log[code + 1 if code % p != p - 1 else code + 1 - p] for code in exp[:n]
+    )
+    return CodeTables(tuple(exp), tuple(log), zech)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from curvadd import (
 )
 from curvadd import cover
 from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
+from curvadd.curve import PointSet
 
 from conftest import build_curve, random_point_set
 
@@ -319,3 +320,23 @@ def test_analyze_refuses_before_any_scan(monkeypatch):
     assert str(err.value) == "exhaustive map scan needs 40353607 steps, cap is 16777216"
     with pytest.raises(CapExceeded):
         analyze(c, oracle="on", ocap=3)
+
+
+def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
+    # Over F_3 the default cap 2^20 admits (3^m)^2 up to m = 6.  The
+    # search for that degree must not walk every m up to the request.
+    degrees = []
+
+    def stub_singular_points(c, ext_degree=2, cap=None):
+        degrees.append(ext_degree)
+        return PointSet()
+
+    monkeypatch.setattr(cover, "singular_points", stub_singular_points)
+    c = build_curve(3, 1, "x*y - 1")
+    small = analyze(c, singular_ext=10, oracle="off")
+    huge = analyze(c, singular_ext=10**9, oracle="off")
+    assert small.singular_ext_used == huge.singular_ext_used == 6
+    assert degrees == [6, 6]
+    assert cover._feasible_singular_ext(c.ctx, 10**9, 1 << 20) == 6
+    assert cover._feasible_singular_ext(c.ctx, 10**9, 8) == 0
+    assert cover._feasible_singular_ext(c.ctx, 0, 1 << 20) == 0

@@ -303,3 +303,38 @@ def test_singular_points_over_extension_only():
     c = Curve(parse_bipoly("y^2 - (x^2 - g)^2", FqContext(3, 2, [2, 1, 1])))
     assert singular_points(c, 1).count == 0
     assert singular_points(c, 2).count == 2
+
+
+# ---------------------------------------------------------------------------
+# Closed-form point counts on fields the element-by-element scan made
+# too slow to test.
+
+
+@pytest.mark.parametrize("p,k", [(3, 5), (7, 3), (3, 6)])
+def test_hyperbola_has_q_minus_1_points(p, k):
+    c = build_curve(p, k, "x*y - 1")
+    q = c.ctx.order
+    pts = list(affine_points(c))
+    assert len(pts) == q - 1
+    assert [int(x) for x, _ in pts] == list(range(1, q))
+    one = c.ctx.one()
+    assert all(x * y == one for x, y in pts)
+
+
+def euler_chi(v):
+    """The quadratic character of v by Euler's criterion."""
+    if v.is_zero():
+        return 0
+    return 1 if v ** ((v.ctx.order - 1) // 2) == v.ctx.one() else -1
+
+
+@pytest.mark.parametrize(
+    "p,k,a,b", [(127, 1, "3", "1"), (127, 1, "5", "7"), (11, 2, "g", "1"), (11, 2, "2", "g + 3")]
+)
+def test_cubic_count_matches_character_sum(p, k, a, b):
+    # y^2 = g(x) has 1 + chi(g(x)) points over each x
+    c = build_curve(p, k, f"y^2 - x^3 - ({a})*x - ({b})")
+    rhs = parse_bipoly(f"x^3 + ({a})*x + ({b})", c.ctx)
+    y0 = c.ctx.zero()
+    expected = c.ctx.order + sum(euler_chi(rhs.evaluate((x, y0))) for x in c.ctx.elements())
+    assert affine_points(c).count == expected

@@ -1,10 +1,12 @@
 """Field arithmetic: exact, exhaustive on small fields."""
 
 import itertools
+import math
 
 import pytest
 
 from curvadd import CapExceeded, ContextMismatch, FqContext, embed, is_prime
+from curvadd.fields import code_tables
 
 
 def test_is_prime_small():
@@ -223,3 +225,66 @@ def test_eq_hash_contract_with_ints():
     assert ctx.one() not in {1}
     assert len({ctx.one(), ctx.constant(6)}) == 1
     assert ctx.constant(6) == ctx.one()
+
+
+# ---------------------------------------------------------------------------
+# The integer code tables, checked against element arithmetic.
+
+
+def odd_prime_powers(limit):
+    """(p, k) for every odd prime power p^k <= limit."""
+    out = []
+    for p in range(3, limit + 1, 2):
+        if is_prime(p):
+            k = 1
+            while p**k <= limit:
+                out.append((p, k))
+                k += 1
+    return sorted(out, key=lambda pk: pk[0] ** pk[1])
+
+
+def check_code_tables(ctx):
+    exp, log, zech = code_tables(ctx)
+    q = ctx.order
+    n = q - 1
+    assert len(exp) == 2 * n and len(log) == q and len(zech) == n
+    # exp is a bijection onto the nonzero codes, doubled; log inverts it
+    assert sorted(exp[:n]) == list(range(1, q))
+    assert exp[n:] == exp[:n]
+    assert log[0] is None
+    assert all(log[exp[i]] == i for i in range(n))
+    # successive powers of the generator, by element arithmetic
+    g = ctx.decode(exp[1])
+    one = ctx.one()
+    for i in range(n):
+        a = ctx.decode(exp[i])
+        assert exp[i + 1] == int(a * g)
+        s = a + one
+        assert zech[i] == (None if s.is_zero() else log[int(s)])
+    # 1 + g^i = 0 exactly at g^i = -1
+    assert [i for i in range(n) if zech[i] is None] == [n // 2]
+    # g is the first primitive element in code order
+    assert all(math.gcd(log[c], n) > 1 for c in range(2, exp[1]))
+
+
+FIELDS_TO_2_10 = odd_prime_powers(1 << 10)
+
+
+def test_code_tables_field_count():
+    # every field whose q^2 scan fits the default cap 2^20
+    assert len(FIELDS_TO_2_10) == 188
+
+
+@pytest.mark.parametrize("p,k", FIELDS_TO_2_10)
+def test_code_tables_match_element_arithmetic(p, k):
+    check_code_tables(FqContext(p, k))
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", [(3, 2, (2, 1, 1)), (5, 2, (2, 1, 1)), (3, 3, (2, 2, 0, 1))]
+)
+def test_code_tables_non_default_modulus(p, k, modulus):
+    ctx = FqContext(p, k, modulus)
+    assert ctx.modulus != FqContext(p, k).modulus
+    check_code_tables(ctx)
+    assert code_tables(ctx) != code_tables(FqContext(p, k))

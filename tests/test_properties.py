@@ -1,0 +1,126 @@
+"""Property-based differential tests of the point scans.
+
+The scans run on integer code tables (fields.code_tables); the
+reference here evaluates with SparsePoly.evaluate and substitute on
+field elements, pair by pair.  Fields are small (q <= 27), extension
+fields use random non-default moduli, and the polynomials have degree
+at most 4, some with a line x = a or y = b as a component.  Runs are
+derandomized, so the suite stays deterministic.
+"""
+
+import itertools
+from functools import lru_cache
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from curvadd import (
+    Curve,
+    FqContext,
+    affine_points,
+    axis_parallel_lines,
+    points_at_infinity_count,
+    singular_points,
+)
+from curvadd.poly import SparsePoly
+
+# p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
+# hypothesis draws most often
+FIELDS = ((3, 3), (5, 2), (3, 2), (7, 1), (5, 1), (3, 1))
+MAX_DEGREE = 4
+
+SETTINGS = settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@lru_cache(maxsize=None)
+def non_default_moduli(p, k):
+    """Every monic irreducible degree-k modulus over F_p except the
+    default one, as coefficient tuples low to high."""
+    default = FqContext(p, k).modulus
+    out = []
+    for low in itertools.product(range(p), repeat=k):
+        modulus = low + (1,)
+        if modulus == default:
+            continue
+        try:
+            FqContext(p, k, modulus)
+        except ValueError:  # reducible
+            continue
+        out.append(modulus)
+    return tuple(out)
+
+
+@st.composite
+def contexts(draw):
+    p, k = draw(st.sampled_from(FIELDS))
+    if k == 1:
+        return FqContext(p)
+    return FqContext(p, k, draw(st.sampled_from(non_default_moduli(p, k))))
+
+
+@st.composite
+def curves(draw):
+    """A polynomial of degree <= 4 with at least two terms, so never
+    constant; in some draws times a line x - a or y - b."""
+    ctx = draw(contexts())
+    line = draw(st.sampled_from((None, 0, 1)))
+    top = MAX_DEGREE - (line is not None)
+    monomials = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        # a constant term rules out the lines x = 0 and y = 0, which
+        # sparse draws otherwise contain often
+        chosen = list(dict.fromkeys(chosen + [(0, 0)]))
+    codes = draw(st.lists(st.integers(1, ctx.order - 1), min_size=len(chosen), max_size=len(chosen)))
+    poly = SparsePoly(ctx, 2, {e: ctx.decode(c) for e, c in zip(chosen, codes)})
+    if line is not None:
+        value = ctx.decode(draw(st.integers(0, ctx.order - 1)))
+        poly = poly * (SparsePoly.variable(ctx, line) - value)
+    return Curve(poly)
+
+
+def reference_affine(c):
+    elements = list(c.ctx.elements())
+    return [
+        (a, b)
+        for a, b in itertools.product(elements, repeat=2)
+        if c.defining.evaluate((a, b)).is_zero()
+    ]
+
+
+def reference_infinity_count(c):
+    ctx = c.ctx
+    lead = c.defining.leading_form()
+    count = sum(lead.evaluate((a, ctx.one())).is_zero() for a in ctx.elements())
+    return count + lead.evaluate((ctx.one(), ctx.zero())).is_zero()
+
+
+def reference_axis_lines(c):
+    lines = []
+    for v in c.ctx.elements():
+        if c.defining.substitute(0, v).is_zero():
+            lines.append(f"x = {v!r}")
+        if c.defining.substitute(1, v).is_zero():
+            lines.append(f"y = {v!r}")
+    return lines
+
+
+def reference_singular(c, points):
+    fx, fy = c.defining.partial(0), c.defining.partial(1)
+    return [pt for pt in points if fx.evaluate(pt).is_zero() and fy.evaluate(pt).is_zero()]
+
+
+@SETTINGS
+@given(curves())
+def test_scans_match_reference(c):
+    expected = reference_affine(c)
+    assert list(affine_points(c)) == expected
+    assert points_at_infinity_count(c) == reference_infinity_count(c)
+    assert axis_parallel_lines(c) == reference_axis_lines(c)
+    assert list(singular_points(c, 1)) == reference_singular(c, expected)
