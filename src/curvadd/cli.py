@@ -15,6 +15,7 @@ reported under paper_flags with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -659,9 +660,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of build_parser(), built on the first main() call and
+    reused: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -323,8 +323,18 @@ def verify_witness(verdict, points):
     f = verdict.witness_map
     if f is None or f.is_zero():
         return False
+    # f(v) == 0 per distinct coordinate; keyed by the element, so a
+    # point from another context still reaches f and is refused there
+    zeros = {}
+
+    def zero_at(v):
+        hit = zeros.get(v)
+        if hit is None:
+            hit = zeros[v] = f(v).is_zero()
+        return hit
+
     for x, y in points:
-        if not (f(x).is_zero() or f(y).is_zero()):
+        if not (zero_at(x) or zero_at(y)):
             return False
     return True
 

@@ -7,8 +7,12 @@ Three layers live here:
   which is either the rationals (stdlib Fraction, arbitrary precision)
   or a finite field context.  The zero polynomial has degree -infinity,
   held as the float sentinel NEG_INF.
-* RationalFunction: quotients of UniPoly over the same domain, kept
-  eagerly in canonical form (gcd-reduced, monic denominator).
+* RationalFunction: quotients of UniPoly over the same domain, always
+  in canonical form (coprime, monic denominator).  The constructor
+  reduces an arbitrary pair by their full gcd; the operations start
+  from canonical operands and cancel only factors they can share
+  (Henrici's cross-cancellation), so inverse, powers and composition
+  need no gcd at all.
 * SparsePoly: sparse multivariate polynomials over a finite field
   context, used for curve-defining polynomials (2 variables) and
   surfaces (3 variables).  Terms map exponent tuples to nonzero
@@ -299,15 +303,28 @@ class UniPoly:
         if isinstance(value, RationalFunction):
             if value.domain != self.domain:
                 raise ContextMismatch("composition across domains")
-            acc = RationalFunction.constant(self.domain, self.domain.zero)
-            for c in reversed(self.coeffs):
-                acc = acc * value + RationalFunction.constant(self.domain, c)
-            return acc
+            return self._compose(value.num, value.den)
         value = self.domain.coerce(value)
         acc = self.domain.zero
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
+
+    def _compose(self, n, d):
+        """self(n/d) for coprime n, d with d monic, in the homogenised
+        form sum c_i n^i d^(m-i) / d^m, m = deg self.  No gcd is needed:
+        a prime factor of d divides every term but c_m n^m."""
+        if self.is_zero():
+            return RationalFunction._coprime(self, UniPoly.one(self.domain))
+        zero = self.domain.zero
+        acc = UniPoly(self.domain, (self.coeffs[-1],))
+        d_power = UniPoly.one(self.domain)
+        for c in reversed(self.coeffs[:-1]):
+            d_power = d_power * d
+            acc = acc * n
+            if c != zero:
+                acc = acc + d_power.scale(c)
+        return RationalFunction._coprime(acc, d_power)
 
     # -- protocol ------------------------------------------------------------
 
@@ -362,11 +379,33 @@ def unipoly_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _nontrivial_gcd(a, b):
+    """gcd(a, b) of two nonzero polynomials, or None when it is 1.  A
+    constant on either side settles that without a Euclidean loop."""
+    if a.degree == 0 or b.degree == 0:
+        return None
+    g = unipoly_gcd(a, b)
+    return None if g.degree == 0 else g
+
+
 class RationalFunction:
     """Quotient of two UniPoly over one domain, canonical form.
 
     Invariants: den != 0, gcd(num, den) = 1, den monic; the zero
-    function is 0/1.  All operations re-canonicalize eagerly.
+    function is 0/1.  The canonical form is unique, so every way of
+    computing a result gives the same num and den.
+
+    RationalFunction(num, den) accepts any pair and reduces it by the
+    full gcd.  Operations start from operands already in canonical form
+    and cancel only what can be shared (Henrici's cross-cancellation):
+
+    * a/b * c/d: gcd(a, d) and gcd(c, b), on the factors, not the
+      products;
+    * a/b + c/d (and -): g = gcd(b, d); when g = 1 no other gcd, else
+      one more gcd of the new numerator with g;
+    * negation, inverse, powers and constants: no gcd at all.
+
+    A gcd with a constant argument is skipped, since it is 1.
     """
 
     __slots__ = ("num", "den")
@@ -378,13 +417,25 @@ class RationalFunction:
             raise ContextMismatch("numerator and denominator domains differ")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = UniPoly.one(num.domain)
-        else:
+        if not num.is_zero():
             g = unipoly_gcd(num, den)
             if g.degree != 0:
                 num = num // g
                 den = den // g
+        self._store(num, den)
+
+    @classmethod
+    def _coprime(cls, num, den):
+        """Trusted constructor for a pair already known to be coprime,
+        den nonzero: only makes den monic (zero becomes 0/1)."""
+        self = object.__new__(cls)
+        self._store(num, den)
+        return self
+
+    def _store(self, num, den):
+        if num.is_zero():
+            den = UniPoly.one(num.domain)
+        else:
             inv_lead = num.domain.one / den.leading
             if inv_lead != num.domain.one:
                 num = num.scale(inv_lead)
@@ -401,12 +452,12 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, domain, c):
-        return cls(UniPoly(domain, (domain.coerce(c),)))
+        return cls._coprime(UniPoly(domain, (domain.coerce(c),)), UniPoly.one(domain))
 
     @classmethod
     def variable(cls, domain):
         """The rational function t."""
-        return cls(UniPoly.variable(domain))
+        return cls._coprime(UniPoly.variable(domain), UniPoly.one(domain))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -419,7 +470,7 @@ class RationalFunction:
         if isinstance(other, UniPoly):
             if other.domain != self.domain:
                 raise ContextMismatch("rational functions over different domains")
-            return RationalFunction(other)
+            return RationalFunction._coprime(other, UniPoly.one(self.domain))
         try:
             return RationalFunction.constant(self.domain, other)
         except (TypeError, ContextMismatch):
@@ -429,15 +480,27 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _nontrivial_gcd(b, d)
+        if g is None:
+            return RationalFunction._coprime(a * d + c * b, b * d)
+        b_g, d_g = b // g, d // g
+        t = a * d_g + c * b_g
+        if t.is_zero():
+            return RationalFunction._coprime(t, UniPoly.one(self.domain))
+        g2 = _nontrivial_gcd(t, g)
+        if g2 is not None:
+            t, d = t // g2, d // g2
+        return RationalFunction._coprime(t, b_g * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -455,14 +518,23 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return self if a.is_zero() else other
+        g1 = _nontrivial_gcd(a, d)
+        if g1 is not None:
+            a, d = a // g1, d // g1
+        g2 = _nontrivial_gcd(c, b)
+        if g2 is not None:
+            c, b = c // g2, b // g2
+        return RationalFunction._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._coprime(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -480,14 +552,7 @@ class RationalFunction:
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
-        result = RationalFunction.constant(self.domain, self.domain.one)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return RationalFunction._coprime(self.num**e, self.den**e)
 
     def polynomial_part(self):
         """The quotient of num by den; constant exactly when the
@@ -495,14 +560,9 @@ class RationalFunction:
         return self.num // self.den
 
     def __eq__(self, other):
-        other = self._coerce(other) if not isinstance(other, RationalFunction) else other
-        if other is None or not isinstance(other, RationalFunction):
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -210,6 +210,29 @@ def test_verify_witness_detects_corruption():
     assert verify_witness(replace(v, exists_nonzero=False), pts)
 
 
+def test_verify_witness_rejects_on_repeated_coordinates():
+    from dataclasses import replace
+
+    from curvadd import LinearizedMap
+
+    ctx = FqContext(3, 2)
+    zero, a, b = ctx.zero(), ctx.decode(1), ctx.decode(4)
+    # f(x) = x vanishes at 0 only; (a, b) fails after a and b were both
+    # evaluated at earlier points
+    pts = [(a, zero), (b, zero), (a, b)]
+    v = replace(
+        decide_by_hyperplanes(pts[:2], ctx),
+        exists_nonzero=True,
+        witness_map=LinearizedMap.identity(ctx),
+    )
+    assert verify_witness(v, pts[:2])
+    assert not verify_witness(v, pts)
+    # same code, other modulus: refused, not answered from the cache
+    other = FqContext(3, 2, (2, 1, 1)).decode(1)
+    with pytest.raises(ContextMismatch):
+        verify_witness(v, pts[:2] + [(other, zero)])
+
+
 def test_analyze_hyperbola_end_to_end():
     r = analyze(build_curve(7, 1, "x*y - 1"))
     assert not r.decision.exists_nonzero

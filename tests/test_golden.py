@@ -1,8 +1,12 @@
-"""Frozen outputs: analyze reports, verify-paper and a bound grid.
+"""Frozen outputs: analyze reports, verify-paper, a bound grid, the
+valuation subcommand and rational-function arithmetic.
 
-The fixtures under tests/golden/ were recorded from the code before the
-fibre-scan refactor.  A change that alters any of these bytes has to
-say why, and re-record them with
+The report, verify-paper and bound fixtures under tests/golden/ were
+recorded from the code before the fibre-scan refactor; the valuation
+and rational-function fixtures from the code before rational-function
+results were built by cross-cancellation instead of a full gcd.  A
+change that alters any of these bytes has to say why, and re-record
+them with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -11,10 +15,14 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 
 from curvadd.cli import dump_json, main, report_json
 from curvadd.cover import analyze
+from curvadd.fields import FqContext
+from curvadd.poly import QQ, UniPoly, field_domain
+from curvadd.valuation import random_rational_function
 
 from conftest import CORPUS, build_curve
 
@@ -60,10 +68,46 @@ def render_bound_grid():
     return "".join(parts)
 
 
+VALUATION_RUNS = (
+    ["--demo"],
+    ["--check-axioms", "60", "--seed", "42"],
+    ["--ext2", "1,0,1", "0,1,1", "--samples", "50", "--char", "0"],
+    ["--ext2", "1,0,1", "0,1,1", "--samples", "50", "--char", "3"],
+    ["--ext2", "1,0,1", "0,1,1", "--samples", "50", "--char", "5"],
+    ["--ext2", "1,2,0,1", "0,1,1,2", "--samples", "50", "--char", "0"],
+)
+
+
+def render_valuation():
+    return "".join(_stdout_of(["valuation"] + run) for run in VALUATION_RUNS)
+
+
+def render_rational_ops():
+    """repr of x + y, x - y, x * y, 1/x, x^3, x^-2 and P(x) on seeded
+    random rational functions over Q, F_3, F_5 and F_9."""
+    lines = []
+    for label, domain in (
+        ("Q", QQ),
+        ("F_3", field_domain(FqContext(3))),
+        ("F_5", field_domain(FqContext(5))),
+        ("F_9", field_domain(FqContext(3, 2))),
+    ):
+        rng = random.Random(7)
+        P = UniPoly(domain, [domain.one, domain.zero, domain.one, domain.one])
+        for _ in range(20):
+            x = random_rational_function(rng, domain, max_degree=4, nonzero=True)
+            y = random_rational_function(rng, domain, max_degree=4)
+            results = (x + y, x - y, x * y, x.inverse(), x**3, x**-2, P(x))
+            lines.append(f"{label}: " + " | ".join(map(repr, results)) + "\n")
+    return "".join(lines)
+
+
 FIXTURES = (
     ("reports.json", lambda: json.dumps(render_reports(), indent=1, sort_keys=True) + "\n"),
     ("verify_paper.txt", render_verify_paper),
     ("bound_grid.txt", render_bound_grid),
+    ("valuation.txt", render_valuation),
+    ("rational_ops.txt", render_rational_ops),
 )
 
 
@@ -86,6 +130,14 @@ def test_verify_paper_matches_golden():
 
 def test_bound_grid_matches_golden():
     assert render_bound_grid() == _read("bound_grid.txt")
+
+
+def test_valuation_matches_golden():
+    assert render_valuation() == _read("valuation.txt")
+
+
+def test_rational_ops_match_golden():
+    assert render_rational_ops() == _read("rational_ops.txt")
 
 
 if __name__ == "__main__":

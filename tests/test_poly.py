@@ -82,6 +82,19 @@ def test_rational_function_field_ops():
         RationalFunction(UniPoly.zero(QQ)).inverse()
 
 
+def test_rational_function_eq_hash_contract():
+    t = _t()
+    assert (t**2 - 1) / (t - 1) in {RationalFunction(t + 1)}
+    one = RationalFunction.constant(QQ, 1)
+    assert one != 1 and one not in {1}
+    dom = field_domain(FqContext(3))
+    s = RationalFunction.constant(dom, 1)
+    assert s != dom.one and s not in {dom.one}
+    # arithmetic still coerces domain values and polynomials
+    assert one + 0 == one and one * 1 == one and 2 - one == one
+    assert one * t == RationalFunction(t)
+
+
 def test_polynomial_part():
     t = _t()
     assert ((t**3 + 2 * t) / (t**2 + 1)).polynomial_part() == t

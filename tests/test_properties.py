@@ -1,14 +1,22 @@
-"""Property-based differential tests of the point scans.
+"""Property-based differential tests of the point scans and of
+rational-function arithmetic.
 
 The scans run on integer code tables (fields.code_tables); the
 reference here evaluates with SparsePoly.evaluate and substitute on
 field elements, pair by pair.  Fields are small (q <= 27), extension
 fields use random non-default moduli, and the polynomials have degree
-at most 4, some with a line x = a or y = b as a component.  Runs are
-derandomized, so the suite stays deterministic.
+at most 4, some with a line x = a or y = b as a component.
+
+RationalFunction operations cancel common factors piecemeal; the
+reference builds the unreduced numerator and denominator and reduces
+them with the full gcd of the public constructor.  Operands over Q,
+F_3, F_5 and F_9 share a denominator factor in most draws.
+
+Runs are derandomized, so the suite stays deterministic.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +30,7 @@ from curvadd import (
     points_at_infinity_count,
     singular_points,
 )
-from curvadd.poly import SparsePoly
+from curvadd.poly import QQ, RationalFunction, SparsePoly, UniPoly, field_domain, unipoly_gcd
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
 # hypothesis draws most often
@@ -124,3 +132,81 @@ def test_scans_match_reference(c):
     assert points_at_infinity_count(c) == reference_infinity_count(c)
     assert axis_parallel_lines(c) == reference_axis_lines(c)
     assert list(singular_points(c, 1)) == reference_singular(c, expected)
+
+
+RF_DOMAINS = (
+    QQ,
+    field_domain(FqContext(3)),
+    field_domain(FqContext(5)),
+    field_domain(FqContext(3, 2)),
+)
+
+
+def coefficients(domain):
+    if domain == QQ:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, domain.ctx.order - 1).map(domain.ctx.decode)
+
+
+def unipolys(domain, max_degree, nonzero=False):
+    polys = st.lists(coefficients(domain), max_size=max_degree + 1).map(
+        lambda cs: UniPoly(domain, cs)
+    )
+    return polys.filter(lambda f: not f.is_zero()) if nonzero else polys
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two canonical rational functions over one domain whose
+    denominators are built with a common factor, so a sum can hit the
+    gcd(b, d) != 1 branch unless a numerator cancels it."""
+    domain = draw(st.sampled_from(RF_DOMAINS))
+    shared = draw(unipolys(domain, 2, nonzero=True))
+    x, y = (
+        RationalFunction(draw(unipolys(domain, 3)), draw(unipolys(domain, 2, nonzero=True)) * shared)
+        for _ in range(2)
+    )
+    return domain, x, y
+
+
+# RationalFunction(num, den), the public constructor, reduces by the
+# full gcd: it is the reference every operation is compared with.
+reference = RationalFunction
+
+
+def reference_compose(P, x):
+    """P(x) by Horner, every step reduced by the full gcd."""
+    acc = reference(UniPoly.zero(x.domain), UniPoly.one(x.domain))
+    for c in reversed(P.coeffs):
+        acc = reference(acc.num * x.num + UniPoly(x.domain, (c,)) * acc.den * x.den, acc.den * x.den)
+    return acc
+
+
+def assert_same(result, expected):
+    """Same num and den as the reference, and canonical on its own:
+    monic den, gcd 1 (which makes zero 0/1)."""
+    assert (result.num, result.den) == (expected.num, expected.den)
+    assert result.den.leading == result.domain.one
+    assert unipoly_gcd(result.num, result.den) == UniPoly.one(result.domain)
+
+
+@SETTINGS
+@given(rational_pairs(), st.integers(-3, 4), st.data())
+def test_rational_ops_match_full_gcd(pair, e, data):
+    domain, x, y = pair
+    a, b, c, d = x.num, x.den, y.num, y.den
+    assert_same(x + y, reference(a * d + c * b, b * d))
+    assert_same(x - y, reference(a * d - c * b, b * d))
+    assert_same(x * y, reference(a * c, b * d))
+    if not y.is_zero():
+        # y's inverse has y's denominator on top: a cross-cancellation
+        assert_same(x / y, reference(a * d, b * c))
+    assert_same(-x, reference(-a, b))
+    if not x.is_zero():
+        assert_same(x.inverse(), reference(b, a))
+    if e >= 0:
+        assert_same(x**e, reference(a**e, b**e))
+    elif not x.is_zero():
+        assert_same(x**e, reference(b ** -e, a ** -e))
+    P = data.draw(unipolys(domain, 4))
+    assert_same(P(x), reference_compose(P, x))
