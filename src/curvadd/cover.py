@@ -6,12 +6,21 @@ Two independent deciders answer it:
 * decide_by_hyperplanes: a nonzero f works iff its kernel, widened to
   any hyperplane containing it, covers every point in one coordinate.
   So it suffices to test the (p^k - 1)/(p - 1) trace-functional
-  hyperplanes.  Membership tests run on exact field elements.
+  hyperplanes.
 * decide_by_exhaustion: scan every one of the p^(k^2) nonzero
-  linearized maps against every point, with the inner products taken
-  on discrete logs and Zech's logarithms (fields.code_tables, the
-  tables the point scans run on).  Kept deliberately brute-force as an
-  oracle for the first decider.
+  linearized maps against every point.  Kept deliberately brute-force
+  as an oracle for the first decider.
+
+Each of the three per-point checks runs on integer arithmetic of its
+own, so no shared shortcut can hide a bug from the others:
+
+* the hyperplane decider uses the trace form: Tr(a x) = a^T T x over
+  F_p, with T the Gram matrix Tr(g^(i+j)) of the power basis, so each
+  membership test is a length-k dot product mod p;
+* the oracle uses discrete logs and Zech's logarithms
+  (fields.code_tables, the tables the point scans run on);
+* verify_witness uses the witness's own F_p matrix (to_matrix), one
+  matrix-vector product per distinct coordinate.
 
 The zero-forcing bound and its conic/elliptic specializations are
 evaluated in exact integer arithmetic; square roots never appear, as
@@ -25,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
@@ -192,13 +202,24 @@ def _point_pairs(points, ctx):
     return pairs
 
 
-def _frobenius_orbit(e):
-    orbit = [e]
-    cur = e
-    for _ in range(e.ctx.k - 1):
-        cur = cur**e.ctx.p
-        orbit.append(cur)
-    return tuple(orbit)
+def _trace_gram(ctx):
+    """The Gram matrix T of the trace form, T_ij = Tr(g^(i+j)) mod p,
+    with g the power-basis generator (the root of the modulus), so
+    that Tr(a x) = a^T T x on coordinate vectors.
+
+    Tr(g^m) is the m-th power sum of the roots of the modulus, which
+    Newton's identities give from its coefficients c_0..c_k: for
+    m <= k, s_m = -(sum_{i<m} c_{k-i} s_{m-i} + m c_{k-m}); beyond k,
+    s_m = -sum_{i<=k} c_{k-i} s_{m-i}.  For k = 1, T = [[1]].
+    """
+    p, k, c = ctx.p, ctx.k, ctx.modulus
+    s = [k % p]
+    for m in range(1, 2 * k - 1):
+        acc = m * c[k - m] if m <= k else 0
+        for i in range(1, min(m, k + 1)):
+            acc += c[k - i] * s[m - i]
+        s.append(-acc % p)
+    return tuple(tuple(s[i + j] for j in range(k)) for i in range(k))
 
 
 def decide_by_hyperplanes(points, ctx, cap=None):
@@ -206,38 +227,30 @@ def decide_by_hyperplanes(points, ctx, cap=None):
 
     A nonzero additive f works iff ker f, and hence some hyperplane
     containing ker f, covers all points in one coordinate; so testing
-    hyperplanes alone is complete.  Membership x in ker Tr(a .) is the
-    dot product of the Frobenius orbits of a and x.
+    hyperplanes alone is complete.  Membership x in ker Tr(a .) is
+    a . w_x = 0 mod p, where w_x = T x is the trace covector of x
+    (see _trace_gram), computed once per distinct coordinate.
     """
     pts = _point_pairs(points, ctx)
-    orbits = {}
+    p = ctx.p
+    gram = _trace_gram(ctx)
+    covectors = {}
 
-    def orbit(e):
-        code = int(e)
-        got = orbits.get(code)
+    def covector(e):
+        digits = e.coeffs
+        got = covectors.get(digits)
         if got is None:
-            got = orbits[code] = _frobenius_orbit(e)
+            got = covectors[digits] = tuple(sum(map(mul, row, digits)) % p for row in gram)
         return got
 
-    pairs = [(orbit(x), orbit(y)) for x, y in pts]
-    zero = ctx.zero()
+    pairs = [(covector(x), covector(y)) for x, y in pts]
     for functional in hyperplane_functionals(ctx, cap):
-        avec = functional.coeffs
-        covers = True
-        for fx, fy in pairs:
-            acc = zero
-            for a, b in zip(avec, fx):
-                acc = acc + a * b
-            if acc.is_zero():
-                continue
-            acc = zero
-            for a, b in zip(avec, fy):
-                acc = acc + a * b
-            if acc.is_zero():
-                continue
-            covers = False
-            break
-        if covers:
+        # the functional is x -> Tr(a x), and a is its first coefficient
+        a = functional.coeffs[0].coeffs
+        for wx, wy in pairs:
+            if sum(map(mul, a, wx)) % p and sum(map(mul, a, wy)) % p:
+                break
+        else:
             return CoverVerdict(
                 exists_nonzero=True,
                 witness_map=functional,
@@ -264,6 +277,9 @@ def decide_by_exhaustion(points, ctx, cap=None):
     pts = _point_pairs(points, ctx)
     exp, log, zech = code_tables(ctx)
     n = len(zech)
+    # log(x^(p^i)) = log(x) * p^i mod n; the orbit of 0 is all zeros
+    steps = [pow(ctx.p, i, n) for i in range(ctx.k)]
+    zero_orbit = (None,) * ctx.k
 
     orbit_logs = {}
 
@@ -271,7 +287,10 @@ def decide_by_exhaustion(points, ctx, cap=None):
         code = int(e)
         got = orbit_logs.get(code)
         if got is None:
-            got = orbit_logs[code] = tuple(log[int(v)] for v in _frobenius_orbit(e))
+            lx = log[code]
+            got = orbit_logs[code] = (
+                zero_orbit if lx is None else tuple(lx * s % n for s in steps)
+            )
         return got
 
     pairs = [(orbit(x), orbit(y)) for x, y in pts]
@@ -317,20 +336,30 @@ def decide_by_exhaustion(points, ctx, cap=None):
 
 def verify_witness(verdict, points):
     """Post-hoc soundness: the witness is nonzero and vanishes on a
-    coordinate of every point."""
+    coordinate of every point.
+
+    f(v) = M v over F_p with M = f.to_matrix(), so each distinct
+    coordinate costs one integer matrix-vector product; f itself is
+    evaluated only on the k basis elements.
+    """
     if not verdict.exists_nonzero:
         return True
     f = verdict.witness_map
     if f is None or f.is_zero():
         return False
-    # f(v) == 0 per distinct coordinate; keyed by the element, so a
-    # point from another context still reaches f and is refused there
+    ctx, p = f.ctx, f.ctx.p
+    matrix = f.to_matrix()
     zeros = {}
 
     def zero_at(v):
-        hit = zeros.get(v)
+        if v.ctx is not ctx and v.ctx != ctx:
+            raise ContextMismatch("point from a different context")
+        digits = v.coeffs
+        hit = zeros.get(digits)
         if hit is None:
-            hit = zeros[v] = f(v).is_zero()
+            hit = zeros[digits] = not any(
+                sum(map(mul, row, digits)) % p for row in matrix
+            )
         return hit
 
     for x, y in points:

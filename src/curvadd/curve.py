@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .caps import effective_cap
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, ContextMismatch, ParseError
 from .fields import FqContext, code_tables, embed
 from .poly import NEG_INF, SparsePoly, parse_bipoly
 
@@ -105,24 +105,19 @@ def _rows(poly, index, tables, codes):
         yield row
 
 
-def _row_roots(row, tables):
-    """The codes of the roots, in code order, of one row from _rows.
-    The zero row vanishes everywhere, so its roots are all codes.
-
-    This is the module's one point scan: affine points, singular points
-    and points at infinity are all read off it.  Each nonzero value is
-    tried by Horner's rule on logs, one Zech lookup per step.
-    """
-    exp, zech = tables.exp, tables.zech
+def _vanishing_logs(row, lys, zech):
+    """The logs among `lys`, in order, of the nonzero values at which
+    one row from _rows vanishes: Horner's rule on logs, one Zech
+    lookup per step.  The zero row vanishes at every one of them."""
     n = len(zech)
     start = 0
     while start < len(row) and row[start] is None:
         start += 1
     if start == len(row):
-        return range(n + 1)
+        return list(lys)
     top, rest = row[start], row[start + 1 :]
     found = []
-    for ly in range(n):
+    for ly in lys:
         acc = top
         for c in rest:
             if acc is None:
@@ -133,8 +128,23 @@ def _row_roots(row, tables):
                 z = zech[(c - acc) % n]
                 acc = None if z is None else acc + z
         if acc is None:
-            found.append(exp[ly])
-    found.sort()
+            found.append(ly)
+    return found
+
+
+def _row_roots(row, tables):
+    """The codes of the roots, in code order, of one row from _rows.
+    The zero row vanishes everywhere, so its roots are all codes.
+
+    This is the module's one point scan: affine points, singular points
+    and points at infinity are all read off it.  Each nonzero value is
+    tried by _vanishing_logs; 0 is a root iff the constant term is.
+    """
+    exp, zech = tables.exp, tables.zech
+    n = len(zech)
+    if all(c is None for c in row):
+        return range(n + 1)
+    found = sorted(exp[ly] for ly in _vanishing_logs(row, range(n), zech))
     return [0] + found if row[-1] is None else found
 
 
@@ -182,14 +192,40 @@ def points_at_infinity_count(c, cap=None):
 
 def singular_subset(c, points):
     """The points among `points` (on c) where both partials of the
-    defining polynomial vanish too, in the same order."""
-    fx = c.defining.partial(0)
-    fy = c.defining.partial(1)
+    defining polynomial vanish too, in the same order.
+
+    Each partial is evaluated on code logs: one _rows row per distinct
+    x, then _vanishing_logs at y (the constant term when y = 0).  The
+    field's O(q) code tables are built if need be, so callers hold
+    points found by a capped scan of the same field.
+    """
+    ctx = c.ctx
+    tables = code_tables(ctx)
+    log, zech = tables.log, tables.zech
+    partials = [c.defining.partial(0), c.defining.partial(1)]
+    # a zero partial vanishes everywhere and needs no rows
+    partials = [f for f in partials if not f.is_zero()]
+    rows = {}
+    for x, y in points:
+        if any(v.ctx is not ctx and v.ctx != ctx for v in (x, y)):
+            raise ContextMismatch("point from a different context")
+        rows[int(x)] = []
+    codes = list(rows)
+    for f in partials:
+        for code, row in zip(codes, _rows(f, 0, tables, codes)):
+            rows[code].append(row)
+
+    def vanishes(row, y):
+        ly = log[int(y)]
+        if ly is None:
+            return row[-1] is None
+        return bool(_vanishing_logs(row, (ly,), zech))
+
     return PointSet(
         tuple(
-            pt
-            for pt in points
-            if fx.evaluate(pt).is_zero() and fy.evaluate(pt).is_zero()
+            (x, y)
+            for x, y in points
+            if all(vanishes(row, y) for row in rows[int(x)])
         )
     )
 

@@ -159,33 +159,33 @@ def _check_degree_axioms(rng, domain, label, sample_count):
         x = random_rational_function(rng, domain)
         y = random_rational_function(rng, domain)
         vx, vy = degree_valuation(x), degree_valuation(y)
+        total, product, hx = x + y, x * y, h_additive(x)
         # v(x) = infinity iff x = 0
         if (vx is INFINITY) != x.is_zero():
             _fail(f"v(x) = infinity botched over {label} at sample {i}")
         # v(xy) = v(x) + v(y)
-        if degree_valuation(x * y) != _vadd(vx, vy):
+        if degree_valuation(product) != _vadd(vx, vy):
             _fail(f"v(xy) != v(x)+v(y) over {label} at sample {i}")
         # v(x+y) >= min(v(x), v(y))
-        if degree_valuation(x + y) < min(vx, vy):
+        if degree_valuation(total) < min(vx, vy):
             _fail(f"v(x+y) < min over {label} at sample {i}")
         # O is closed under + and *
         if vx >= 0 and vy >= 0:
-            if not in_valuation_ring(x + y) or not in_valuation_ring(x * y):
+            if not in_valuation_ring(total) or not in_valuation_ring(product):
                 _fail(f"O not closed over {label} at sample {i}")
         # x in O or 1/x in O; h(x) * h(1/x) = 0
         if not x.is_zero():
             if not check_x_or_inverse(x):
                 _fail(f"x or 1/x escapes O over {label} at sample {i}")
-            prod = h_additive(x) * h_additive(x.inverse())
-            if prod != domain.zero:
+            if hx * h_additive(x.inverse()) != domain.zero:
                 _fail(f"h(x)*h(1/x) != 0 over {label} at sample {i}")
         # h is additive and linear; h vanishes on O
-        if h_additive(x + y) != h_additive(x) + h_additive(y):
+        if h_additive(total) != hx + h_additive(y):
             _fail(f"h not additive over {label} at sample {i}")
         c = _random_coeff(rng, domain, 9)
-        if h_additive(x * RationalFunction.constant(domain, c)) != c * h_additive(x):
+        if h_additive(x * RationalFunction.constant(domain, c)) != c * hx:
             _fail(f"h not linear over {label} at sample {i}")
-        if vx >= 0 and h_additive(x) != domain.zero:
+        if vx >= 0 and hx != domain.zero:
             _fail(f"h nonzero on O over {label} at sample {i}")
         checks += 9
     return checks

@@ -7,7 +7,7 @@ raises Inconsistent; dedicated tests cover that behavior separately.
 
 import random
 
-from curvadd import Curve, FqContext, parse_bipoly
+from curvadd import Curve, FqContext, is_prime, parse_bipoly
 
 # (p, k, expression, assert_smooth, assert_abs_irreducible)
 CORPUS = (
@@ -44,6 +44,18 @@ def build_curve(p, k, expr, smooth=False, irred=False):
 
 def corpus_curves():
     return [build_curve(*entry) for entry in CORPUS]
+
+
+def odd_prime_powers(limit):
+    """(p, k) for every odd prime power p^k <= limit."""
+    out = []
+    for p in range(3, limit + 1, 2):
+        if is_prime(p):
+            k = 1
+            while p**k <= limit:
+                out.append((p, k))
+                k += 1
+    return sorted(out, key=lambda pk: pk[0] ** pk[1])
 
 
 def random_point_set(rng, ctx, max_points=8):

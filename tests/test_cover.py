@@ -27,7 +27,7 @@ from curvadd import cover
 from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 from curvadd.curve import PointSet
 
-from conftest import build_curve, random_point_set
+from conftest import build_curve, odd_prime_powers, random_point_set
 
 
 def test_inequality_exact_values():
@@ -158,6 +158,31 @@ def test_decider_methods_and_determinism():
     # repeated runs give identical witnesses
     again = decide_by_hyperplanes(pts, ctx)
     assert again.witness_map.coeffs == v1.witness_map.coeffs
+
+
+TRACE_FORM_FIELDS = [(p, k, None) for p, k in odd_prime_powers(3**5)] + [
+    (3, 2, (2, 1, 1)),
+    (5, 2, (2, 1, 1)),
+    (3, 3, (2, 2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p,k,modulus", TRACE_FORM_FIELDS)
+def test_trace_form_matches_element_trace(p, k, modulus):
+    # a . (T x) = Tr(a x) for every x and the first hyperplane
+    # representatives a, against FqElement.trace()
+    from curvadd.additive import hyperplane_functionals
+
+    ctx = FqContext(p, k, modulus)
+    gram = cover._trace_gram(ctx)
+    reps = [f.coeffs[0] for f in itertools.islice(hyperplane_functionals(ctx), 3)]
+    for x in ctx.elements():
+        w = [sum(t * c for t, c in zip(row, x.coeffs)) % p for row in gram]
+        for a in reps:
+            form = sum(ai * wi for ai, wi in zip(a.coeffs, w)) % p
+            trace = (a * x).trace()
+            assert trace.in_prime_field()
+            assert form == trace.coeffs[0], (a, x)
 
 
 def test_empty_point_set_has_witness():

@@ -8,6 +8,8 @@ import pytest
 from curvadd import CapExceeded, ContextMismatch, FqContext, embed, is_prime
 from curvadd.fields import code_tables
 
+from conftest import odd_prime_powers
+
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
@@ -229,18 +231,6 @@ def test_eq_hash_contract_with_ints():
 
 # ---------------------------------------------------------------------------
 # The integer code tables, checked against element arithmetic.
-
-
-def odd_prime_powers(limit):
-    """(p, k) for every odd prime power p^k <= limit."""
-    out = []
-    for p in range(3, limit + 1, 2):
-        if is_prime(p):
-            k = 1
-            while p**k <= limit:
-                out.append((p, k))
-                k += 1
-    return sorted(out, key=lambda pk: pk[0] ** pk[1])
 
 
 def check_code_tables(ctx):

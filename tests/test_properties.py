@@ -1,11 +1,17 @@
-"""Property-based differential tests of the point scans and of
-rational-function arithmetic.
+"""Property-based differential tests of the point scans, the two
+deciders, witness re-verification and rational-function arithmetic.
 
 The scans run on integer code tables (fields.code_tables); the
 reference here evaluates with SparsePoly.evaluate and substitute on
 field elements, pair by pair.  Fields are small (q <= 27), extension
 fields use random non-default moduli, and the polynomials have degree
 at most 4, some with a line x = a or y = b as a component.
+
+The hyperplane decider runs on the trace form over F_p; it must agree
+with the exhaustive oracle and, witness for witness, with the
+Frobenius-orbit dot products on field elements kept below.
+verify_witness runs on the witness's F_p matrix; the reference
+evaluates the map pointwise with LinearizedMap.__call__.
 
 RationalFunction operations cancel common factors piecemeal; the
 reference builds the unreduced numerator and denominator and reduces
@@ -25,11 +31,17 @@ from hypothesis import strategies as st
 from curvadd import (
     Curve,
     FqContext,
+    LinearizedMap,
     affine_points,
     axis_parallel_lines,
+    decide_by_exhaustion,
+    decide_by_hyperplanes,
     points_at_infinity_count,
     singular_points,
+    verify_witness,
 )
+from curvadd.additive import hyperplane_functionals
+from curvadd.cover import CoverVerdict
 from curvadd.poly import QQ, RationalFunction, SparsePoly, UniPoly, field_domain, unipoly_gcd
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
@@ -132,6 +144,60 @@ def test_scans_match_reference(c):
     assert points_at_infinity_count(c) == reference_infinity_count(c)
     assert axis_parallel_lines(c) == reference_axis_lines(c)
     assert list(singular_points(c, 1)) == reference_singular(c, expected)
+
+
+@st.composite
+def maps_and_points(draw):
+    """A context, a linearized map (sometimes zero) and up to 10
+    distinct points, each coordinate drawn at random or, in some
+    draws, from the map's kernel, so both verdicts occur."""
+    ctx = draw(contexts())
+    codes = st.integers(0, ctx.order - 1)
+    f = LinearizedMap(ctx, [ctx.decode(c) for c in draw(st.lists(codes, min_size=ctx.k, max_size=ctx.k))])
+    kernel = list(f.kernel().elements())
+    coordinate = st.one_of(codes.map(ctx.decode), st.sampled_from(kernel))
+    pts = draw(st.lists(st.tuples(coordinate, coordinate), max_size=10, unique=True))
+    return ctx, f, sorted(pts, key=lambda pt: (int(pt[0]), int(pt[1])))
+
+
+def frobenius_orbit(e):
+    orbit = [e]
+    for _ in range(e.ctx.k - 1):
+        orbit.append(orbit[-1] ** e.ctx.p)
+    return orbit
+
+
+def reference_decider(points, ctx):
+    """The hyperplane search on field elements: x lies in ker Tr(a .)
+    iff the Frobenius orbits of a and x have dot product 0."""
+    pairs = [(frobenius_orbit(x), frobenius_orbit(y)) for x, y in points]
+
+    def vanishes(avec, orbit):
+        acc = ctx.zero()
+        for a, b in zip(avec, orbit):
+            acc = acc + a * b
+        return acc.is_zero()
+
+    for functional in hyperplane_functionals(ctx):
+        if all(vanishes(functional.coeffs, fx) or vanishes(functional.coeffs, fy) for fx, fy in pairs):
+            return CoverVerdict(True, functional, functional.kernel(), "hyperplane-search")
+    return CoverVerdict(False, method="hyperplane-search")
+
+
+def reference_verify(f, points):
+    return not f.is_zero() and all(f(x).is_zero() or f(y).is_zero() for x, y in points)
+
+
+@SETTINGS
+@given(maps_and_points())
+def test_deciders_and_witness_check_match_references(case):
+    ctx, f, pts = case
+    verdict = decide_by_hyperplanes(pts, ctx)
+    assert verdict == reference_decider(pts, ctx)
+    assert verdict.exists_nonzero == decide_by_exhaustion(pts, ctx).exists_nonzero
+    assert verify_witness(verdict, pts)
+    claimed = CoverVerdict(True, f, None, "test")
+    assert verify_witness(claimed, pts) == reference_verify(f, pts)
 
 
 RF_DOMAINS = (
