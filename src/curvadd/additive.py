@@ -18,6 +18,7 @@ import itertools
 
 from .caps import DEFAULT_ORACLE_CAP, effective_cap
 from .errors import CapExceeded, ContextMismatch
+from .fields import code_tables
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +288,26 @@ def trace_functional(a):
 
 def hyperplane_functionals(ctx, cap=None):
     """One trace functional per hyperplane, in code order of the
-    scalar-class representative a (highest nonzero coordinate = 1)."""
+    scalar-class representative a (highest nonzero coordinate = 1).
+
+    The representatives are the codes whose top base-p digit is 1,
+    [p^j, 2 p^j) for j < k, and the coefficients a^(p^i) of each
+    functional come from the code tables:
+    exp[log(a) p^i mod (q - 1)].  trace_functional computes the same
+    map on field elements.
+    """
     limit = effective_cap(cap)
     count = (ctx.order - 1) // (ctx.p - 1)
     if count > limit:
         raise CapExceeded("hyperplane enumeration", count, limit)
-    for code in range(1, ctx.order):
-        a = ctx.decode(code)
-        top = next(
-            a.coeffs[i] for i in range(ctx.k - 1, -1, -1) if a.coeffs[i]
-        )
-        if top != 1:
-            continue
-        yield trace_functional(a)
+    exp, log, _ = code_tables(ctx)
+    n = ctx.order - 1
+    steps = [pow(ctx.p, i, n) for i in range(ctx.k)]
+    for j in range(ctx.k):
+        low = ctx.p**j
+        for code in range(low, 2 * low):
+            la = log[code]
+            yield LinearizedMap(ctx, [ctx.decode(exp[la * s % n]) for s in steps])
 
 
 def enumerate_hyperplanes(ctx, cap=None):

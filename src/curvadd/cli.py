@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import claims as claims_mod
 from .cover import (
     analyze,
+    check_oracle_cap,
     conic_bound,
     decide_by_exhaustion,
     decide_by_hyperplanes,
@@ -264,8 +265,11 @@ def _print_verdict(verdict, out):
 
 def cmd_search(args):
     curve = load_curve_file(args.curve)
-    points = affine_points(curve)
     ctx = curve.ctx
+    if args.mode in ("exhaustive", "both"):
+        # refuse an over-cap oracle before the point scan, as analyze() does
+        check_oracle_cap(ctx)
+    points = affine_points(curve)
     print(
         f"curve: {curve.expression()} = 0 over {_field_str(ctx)}; "
         f"affine points: {points.count}"

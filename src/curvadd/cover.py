@@ -7,9 +7,12 @@ Two independent deciders answer it:
   any hyperplane containing it, covers every point in one coordinate.
   So it suffices to test the (p^k - 1)/(p - 1) trace-functional
   hyperplanes.
-* decide_by_exhaustion: scan every one of the p^(k^2) nonzero
-  linearized maps against every point.  Kept deliberately brute-force
-  as an oracle for the first decider.
+* decide_by_exhaustion: decide every one of the p^(k^2) nonzero
+  linearized maps against every point, an oracle for the first
+  decider.  It walks the prefixes (a_0, ..., a_{k-2}) of
+  f = sum a_i x^(p^i) and solves for a_{k-1}, which f(x) = 0 fixes at
+  each coordinate x != 0; the walk thus covers every map, and stays
+  exhaustive, in q^(k-1) steps instead of q^k.
 
 Each of the three per-point checks runs on integer arithmetic of its
 own, so no shared shortcut can hide a bug from the others:
@@ -260,77 +263,110 @@ def decide_by_hyperplanes(points, ctx, cap=None):
     return CoverVerdict(exists_nonzero=False, method="hyperplane-search")
 
 
-def decide_by_exhaustion(points, ctx, cap=None):
-    """Brute-force oracle: test every nonzero linearized map directly.
-
-    Scans coefficient vectors in the same lexicographic order as
-    enumerate_all_maps, so the reported witness is the first working
-    map in that order.  Arithmetic runs on the logs of element codes
-    (fields.code_tables): each product is a sum of logs and each
-    addition a Zech-table lookup, a code path disjoint from the
-    hyperplane search.
-    """
-    limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
+def check_oracle_cap(ctx, cap=None):
+    """Refuse the exhaustive oracle when its q^k maps exceed the
+    oracle cap, before any work starts."""
     total = ctx.order**ctx.k
+    limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
     if total > limit:
         raise CapExceeded("exhaustive map scan", total, limit)
+
+
+def decide_by_exhaustion(points, ctx, cap=None):
+    """Exhaustive oracle: decide every linearized map directly, solving
+    for the last coefficient instead of walking it.
+
+    The maps f(x) = sum a_i x^(p^i) are ordered as enumerate_all_maps
+    orders them, by the codes of (a_0, ..., a_{k-1}) with a_{k-1}
+    fastest, and the reported witness is the first working map in that
+    order.  Fix a prefix (a_0, ..., a_{k-2}).  A point with a zero
+    coordinate holds for every map, so it is dropped.  For x != 0,
+    f(x) = 0 holds for exactly one a_{k-1}:
+
+        c_x = -S_x / x^(p^(k-1)),  S_x = sum_{i<k-1} a_i x^(p^i),
+
+    so a point (x, y) admits only a_{k-1} in {c_x, c_y}.  The prefix's
+    working maps are those with a_{k-1} in the intersection of these
+    sets over the points (the zero map taken out under the all-zero
+    prefix), and the first of them has the smallest code there.  Every
+    one of the q^k maps is thus decided, and the oracle stays
+    complete, while the walk visits only the q^(k-1) prefixes.
+
+    Arithmetic runs on the logs of element codes (fields.code_tables):
+    each product is a sum of logs and each addition a Zech-table
+    lookup, a code path disjoint from the hyperplane search.  With
+    u_i(x) = -x^(p^i) / x^(p^(k-1)), c_x = sum_{i<k-1} a_i u_i(x), and
+    log u_i(x) = (n/2 + log(x) (p^i - p^(k-1))) mod n for n = q - 1,
+    since -1 = g^(n/2).
+    """
+    check_oracle_cap(ctx, cap)
     pts = _point_pairs(points, ctx)
     exp, log, zech = code_tables(ctx)
     n = len(zech)
-    # log(x^(p^i)) = log(x) * p^i mod n; the orbit of 0 is all zeros
-    steps = [pow(ctx.p, i, n) for i in range(ctx.k)]
-    zero_orbit = (None,) * ctx.k
+    k = ctx.k
+    top = pow(ctx.p, k - 1, n)
+    steps = [(pow(ctx.p, i, n) - top) % n for i in range(k - 1)]
+    half = n // 2
 
-    orbit_logs = {}
+    # one (log u_i(x), log u_i(y)) pair per point with no zero
+    # coordinate; (x, y) and (y, x) constrain alike, so keep one
+    constraints = []
+    seen = set()
+    for x, y in pts:
+        lx, ly = log[int(x)], log[int(y)]
+        if lx is None or ly is None:
+            continue
+        key = (lx, ly) if lx <= ly else (ly, lx)
+        if key in seen:
+            continue
+        seen.add(key)
+        constraints.append(
+            tuple(tuple((half + lv * s) % n for s in steps) for lv in key)
+        )
 
-    def orbit(e):
-        code = int(e)
-        got = orbit_logs.get(code)
-        if got is None:
-            lx = log[code]
-            got = orbit_logs[code] = (
-                zero_orbit if lx is None else tuple(lx * s % n for s in steps)
-            )
-        return got
-
-    pairs = [(orbit(x), orbit(y)) for x, y in pts]
-
-    def vanishes(alogs, xlogs):
+    def solve(alogs, ulogs):
+        # the code of sum a_i u_i, by Zech additions on logs
         acc = None
-        for a, b in zip(alogs, xlogs):
-            if a is None or b is None:
+        for a, u in zip(alogs, ulogs):
+            if a is None:
                 continue
-            t = a + b
+            t = a + u
             if acc is None:
                 acc = t
             else:
                 z = zech[(t - acc) % n]
                 acc = None if z is None else acc + z
-        return acc is None
+        return 0 if acc is None else exp[acc % n]
 
-    # log lists the logs in code order, so this is code order too; the
-    # first vector is the zero map
-    maps = itertools.product(log, repeat=ctx.k)
-    next(maps)
-    for alogs in maps:
-        ok = True
-        for fx, fy in pairs:
-            if vanishes(alogs, fx):
-                continue
-            if vanishes(alogs, fy):
-                continue
-            ok = False
-            break
-        if ok:
-            witness = LinearizedMap(
-                ctx, [ctx.decode(0 if a is None else exp[a]) for a in alogs]
-            )
-            return CoverVerdict(
-                exists_nonzero=True,
-                witness_map=witness,
-                witness_subspace=witness.kernel(),
-                method="exhaustive-oracle",
-            )
+    def found(alogs, last):
+        witness = LinearizedMap(
+            ctx,
+            [ctx.decode(0 if a is None else exp[a]) for a in alogs]
+            + [ctx.decode(last)],
+        )
+        return CoverVerdict(
+            exists_nonzero=True,
+            witness_map=witness,
+            witness_subspace=witness.kernel(),
+            method="exhaustive-oracle",
+        )
+
+    # log lists the logs in code order, so this is code order too
+    prefixes = itertools.product(log, repeat=k - 1)
+    zero_prefix = next(prefixes)
+    if not constraints:
+        # every map works; the first nonzero one is (0, ..., 0, 1)
+        return found(zero_prefix, 1)
+    # under the all-zero prefix every c_x is 0, the zero map: skip it
+    (ux, uy), rest = constraints[0], constraints[1:]
+    for alogs in prefixes:
+        alive = {solve(alogs, ux), solve(alogs, uy)}
+        for vx, vy in rest:
+            alive &= {solve(alogs, vx), solve(alogs, vy)}
+            if not alive:
+                break
+        else:
+            return found(alogs, min(alive))
     return CoverVerdict(exists_nonzero=False, method="exhaustive-oracle")
 
 
@@ -443,13 +479,11 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
     ctx = c.ctx
     p, k, d = ctx.p, ctx.k, c.degree
     limit = effective_cap(cap)
-    run_oracle = False
-    if oracle != "off":
-        total = ctx.order**ctx.k
-        olimit = effective_cap(ocap, DEFAULT_ORACLE_CAP)
-        if oracle == "on" and total > olimit:
-            raise CapExceeded("exhaustive map scan", total, olimit)
-        run_oracle = total <= olimit
+    run_oracle = oracle == "on"
+    if run_oracle:
+        check_oracle_cap(ctx, ocap)
+    elif oracle == "auto":
+        run_oracle = ctx.order**ctx.k <= effective_cap(ocap, DEFAULT_ORACLE_CAP)
 
     points = affine_points(c, cap=limit)
     inf_count = points_at_infinity_count(c, cap=limit)

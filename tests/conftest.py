@@ -32,6 +32,9 @@ CORPUS = (
 
 HYPERBOLA_FIELDS = ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2))
 
+# (p, k, modulus) of non-default moduli for F_9, F_25 and F_27
+CUSTOM_MODULI = ((3, 2, (2, 1, 1)), (5, 2, (2, 1, 1)), (3, 3, (2, 2, 0, 1)))
+
 
 def build_curve(p, k, expr, smooth=False, irred=False):
     ctx = FqContext(p, k)

@@ -18,6 +18,8 @@ from curvadd import (
 )
 from curvadd.additive import nullspace_mod_p, rref_mod_p, solve_mod_p
 
+from conftest import CUSTOM_MODULI, odd_prime_powers
+
 
 def test_rref_canonical():
     # Two row-equivalent matrices share one RREF.
@@ -152,6 +154,23 @@ def test_trace_functional_and_hyperplanes():
         for x, y in itertools.product(list(ctx.elements())[:5], repeat=2):
             assert f(x + y) == f(x) + f(y)
     assert len(kernels) == 4  # scalar multiples deduplicated
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)
+)
+def test_hyperplane_functionals_match_trace_functional(p, k, modulus):
+    # the code-table functionals against trace_functional on field
+    # elements, over every representative a (top coordinate 1)
+    ctx = FqContext(p, k, modulus)
+    reps = [
+        a for a in ctx.elements()
+        if not a.is_zero() and [c for c in a.coeffs if c][-1] == 1
+    ]
+    functionals = list(hyperplane_functionals(ctx))
+    assert len(functionals) == len(reps) == (ctx.order - 1) // (p - 1)
+    for f, a in zip(functionals, reps):
+        assert f.coeffs == trace_functional(a).coeffs, a
 
 
 def test_enumerate_hyperplanes_counts():

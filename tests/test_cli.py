@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from curvadd import cover
+from curvadd import cli, cover
 from curvadd.cli import main
 
 HYPERBOLA_F7 = "p = 7\nk = 1\nf = x*y - 1\n"
@@ -155,6 +155,34 @@ def test_search_witness_printed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exists_nonzero = True" in out
     assert "witness" in out
+
+
+def test_search_refuses_over_cap_oracle_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a point scan started before the refusal")
+
+    monkeypatch.setattr(cli, "affine_points", no_scan)
+    # 81^4 and 243^5 maps against the default oracle cap 2^24
+    for k, maps in ((4, 81**4), (5, 243**5)):
+        path = write_curve(tmp_path, f"p = 3\nk = {k}\nf = x*y - 1\n")
+        for mode in ("exhaustive", "both"):
+            assert main(["search", "--curve", path, "--mode", mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: exhaustive map scan needs {maps} steps, cap is 16777216\n"
+            )
+
+
+def test_search_both_walks_every_map_over_f125(tmp_path, capsys):
+    # no witness, so the oracle decides all 125^3 maps
+    path = write_curve(tmp_path, "p = 5\nk = 3\nf = x*y - 1\n")
+    assert main(["search", "--curve", path, "--mode", "both"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "hyperplane-search: exists_nonzero = False",
+        "exhaustive-oracle: exists_nonzero = False",
+        "agreement: ok",
+    ]
 
 
 def test_valuation_demo(capsys):

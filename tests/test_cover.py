@@ -1,6 +1,7 @@
 """Zero-forcing bounds, the two deciders, and the combined analysis."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from curvadd import (
     ContextMismatch,
     FqContext,
     Inconsistent,
+    LinearizedMap,
     analyze,
     conic_bound,
     conic_claimed,
@@ -27,7 +29,8 @@ from curvadd import cover
 from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 from curvadd.curve import PointSet
 
-from conftest import build_curve, odd_prime_powers, random_point_set
+from conftest import CUSTOM_MODULI, build_curve, odd_prime_powers, random_point_set
+from oracle_reference import map_walk_oracle
 
 
 def test_inequality_exact_values():
@@ -131,8 +134,6 @@ def test_claim_formula_matches_computed_on_grid():
 
 
 def test_deciders_agree_on_seeded_sets():
-    import random
-
     for p, k in ((3, 1), (5, 1), (3, 2), (7, 1)):
         ctx = FqContext(p, k)
         rng = random.Random(1000 * p + k)
@@ -141,6 +142,7 @@ def test_deciders_agree_on_seeded_sets():
             v1 = decide_by_hyperplanes(pts, ctx)
             v2 = decide_by_exhaustion(pts, ctx)
             assert v1.exists_nonzero == v2.exists_nonzero, pts
+            assert v2 == map_walk_oracle(pts, ctx), pts
             for v in (v1, v2):
                 assert verify_witness(v, pts)
 
@@ -160,11 +162,62 @@ def test_decider_methods_and_determinism():
     assert again.witness_map.coeffs == v1.witness_map.coeffs
 
 
-TRACE_FORM_FIELDS = [(p, k, None) for p, k in odd_prime_powers(3**5)] + [
-    (3, 2, (2, 1, 1)),
-    (5, 2, (2, 1, 1)),
-    (3, 3, (2, 2, 0, 1)),
-]
+def test_oracle_without_constrained_points_returns_first_nonzero_map():
+    # f(0) = 0 for every map, so the empty set and points that all have
+    # a zero coordinate leave the witness (0, ..., 0, 1): a zero prefix
+    for p, k in ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3)):
+        ctx = FqContext(p, k)
+        zero = ctx.zero()
+        axes = [(zero, e) for e in ctx.elements()] + [(e, zero) for e in ctx.elements()]
+        for pts in ([], axes):
+            v = decide_by_exhaustion(pts, ctx)
+            assert [int(a) for a in v.witness_map.coeffs] == [0] * (k - 1) + [1]
+            assert v == map_walk_oracle(pts, ctx)
+            assert verify_witness(v, pts)
+
+
+def test_oracle_over_prime_field():
+    # k = 1: the prefix is empty and the maps are x -> a x, which vanish
+    # only at 0, so one point off the axes leaves no witness
+    ctx = FqContext(7)
+    on_axes = [(ctx.zero(), ctx.decode(3)), (ctx.decode(5), ctx.zero())]
+    v = decide_by_exhaustion(on_axes, ctx)
+    assert v == map_walk_oracle(on_axes, ctx)
+    assert [int(a) for a in v.witness_map.coeffs] == [1]
+    pts = on_axes + [(ctx.decode(2), ctx.decode(6))]
+    v = decide_by_exhaustion(pts, ctx)
+    assert v == map_walk_oracle(pts, ctx)
+    assert not v.exists_nonzero
+
+
+def kernel_point_set(rng, ctx, size=6):
+    """Points with one coordinate in the kernel of a random map, so a
+    witness exists when the map is nonzero; the first point rides along
+    swapped, and its kernel coordinate on the diagonal."""
+    f = LinearizedMap(ctx, [ctx.decode(rng.randrange(ctx.order)) for _ in range(ctx.k)])
+    kernel = list(f.kernel().elements())
+    drawn = [(rng.choice(kernel), ctx.decode(rng.randrange(ctx.order))) for _ in range(size)]
+    pts = {(a, b) if rng.random() < 0.5 else (b, a) for a, b in drawn}
+    a, b = drawn[0]
+    pts |= {(b, a), (a, a)}
+    return sorted(pts, key=lambda pt: (int(pt[0]), int(pt[1])))
+
+
+@pytest.mark.parametrize("p,k,modulus", CUSTOM_MODULI)
+def test_oracle_matches_map_walk_under_custom_moduli(p, k, modulus):
+    ctx = FqContext(p, k, modulus)
+    rng = random.Random(f"{p}/{k}/{modulus}")
+    witnesses = 0
+    for i in range(16):
+        pts = kernel_point_set(rng, ctx) if i % 2 else random_point_set(rng, ctx)
+        v = decide_by_exhaustion(pts, ctx)
+        assert v == map_walk_oracle(pts, ctx), pts
+        assert v.exists_nonzero == decide_by_hyperplanes(pts, ctx).exists_nonzero
+        witnesses += v.exists_nonzero
+    assert witnesses >= 8
+
+
+TRACE_FORM_FIELDS = [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)
 
 
 @pytest.mark.parametrize("p,k,modulus", TRACE_FORM_FIELDS)
@@ -227,8 +280,6 @@ def test_verify_witness_detects_corruption():
     )
     assert not verify_witness(v, pts + [(c, c)])
     # zeroed or missing witness fails; a negative verdict is vacuous
-    from curvadd import LinearizedMap
-
     zeroed = replace(v, witness_map=LinearizedMap(ctx, [0] * ctx.k))
     assert not verify_witness(zeroed, pts)
     assert not verify_witness(replace(v, witness_map=None), pts)
@@ -237,8 +288,6 @@ def test_verify_witness_detects_corruption():
 
 def test_verify_witness_rejects_on_repeated_coordinates():
     from dataclasses import replace
-
-    from curvadd import LinearizedMap
 
     ctx = FqContext(3, 2)
     zero, a, b = ctx.zero(), ctx.decode(1), ctx.decode(4)

@@ -9,7 +9,10 @@ at most 4, some with a line x = a or y = b as a component.
 
 The hyperplane decider runs on the trace form over F_p; it must agree
 with the exhaustive oracle and, witness for witness, with the
-Frobenius-orbit dot products on field elements kept below.
+Frobenius-orbit dot products on field elements kept below.  The
+oracle, which solves for the last coefficient of each map, must match
+the plain walk over all maps (oracle_reference.py) witness for
+witness.
 verify_witness runs on the witness's F_p matrix; the reference
 evaluates the map pointwise with LinearizedMap.__call__.
 
@@ -43,6 +46,8 @@ from curvadd import (
 from curvadd.additive import hyperplane_functionals
 from curvadd.cover import CoverVerdict
 from curvadd.poly import QQ, RationalFunction, SparsePoly, UniPoly, field_domain, unipoly_gcd
+
+from oracle_reference import map_walk_oracle
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
 # hypothesis draws most often
@@ -194,7 +199,10 @@ def test_deciders_and_witness_check_match_references(case):
     ctx, f, pts = case
     verdict = decide_by_hyperplanes(pts, ctx)
     assert verdict == reference_decider(pts, ctx)
-    assert verdict.exists_nonzero == decide_by_exhaustion(pts, ctx).exists_nonzero
+    oracle = decide_by_exhaustion(pts, ctx)
+    assert oracle == map_walk_oracle(pts, ctx)
+    assert oracle.exists_nonzero == verdict.exists_nonzero
+    assert verify_witness(oracle, pts)
     assert verify_witness(verdict, pts)
     claimed = CoverVerdict(True, f, None, "test")
     assert verify_witness(claimed, pts) == reference_verify(f, pts)
