@@ -15,8 +15,6 @@ verdict.
 from .additive import (
     LinearizedMap,
     Subspace,
-    enumerate_all_maps,
-    enumerate_hyperplanes,
     hyperplane_functionals,
     trace_functional,
 )
@@ -48,8 +46,6 @@ from .curve import (
     parse_curve_file,
     points_at_infinity_count,
     singular_points,
-    slice_degree_profile,
-    slice_surface,
 )
 from .errors import (
     CapExceeded,
@@ -78,7 +74,6 @@ from .valuation import (
     padic_valuation,
     random_rational_function,
     random_unipoly,
-    trivial_valuation,
     verify_valuation_axioms,
 )
 
@@ -121,8 +116,6 @@ __all__ = [
     "elliptic_claimed",
     "effective_cap",
     "embed",
-    "enumerate_all_maps",
-    "enumerate_hyperplanes",
     "ext2_family_check",
     "field_domain",
     "h_additive",
@@ -139,10 +132,7 @@ __all__ = [
     "parse_poly",
     "points_at_infinity_count",
     "singular_points",
-    "slice_degree_profile",
-    "slice_surface",
     "trace_functional",
-    "trivial_valuation",
     "verify_valuation_axioms",
     "verify_witness",
     "zero_forcing_by_count",

@@ -14,9 +14,7 @@ class yields each hyperplane exactly once.
 
 from __future__ import annotations
 
-import itertools
-
-from .caps import DEFAULT_ORACLE_CAP, effective_cap
+from .caps import effective_cap
 from .errors import CapExceeded, ContextMismatch
 from .fields import code_tables
 
@@ -52,7 +50,8 @@ def rref_mod_p(rows, p):
 
 
 def nullspace_mod_p(rows, p, ncols):
-    """Canonical basis (RREF rows) of the right null space."""
+    """A basis of the right null space, one vector per free column;
+    Subspace puts it in canonical (RREF) form."""
     red, pivots = rref_mod_p(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -62,22 +61,7 @@ def nullspace_mod_p(rows, p, ncols):
         for r, c in enumerate(pivots):
             vec[c] = (-red[r][f]) % p
         basis.append(vec)
-    canon, _ = rref_mod_p(basis, p)
-    return canon
-
-
-def solve_mod_p(matrix, rhs, p):
-    """Unique solution of matrix @ x = rhs; raises if the system is
-    singular (callers use it only on invertible systems)."""
-    n = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref_mod_p(aug, p)
-    if len(pivots) != n or n in pivots:
-        raise ValueError("singular system")
-    x = [0] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
-    return x
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -100,35 +84,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def from_elements(cls, ctx, elements):
-        return cls(ctx, [list(e.coeffs) for e in elements])
-
     @property
     def dim(self):
         return len(self.rows)
-
-    def contains(self, element):
-        if element.ctx != self.ctx:
-            raise ContextMismatch("membership test across contexts")
-        p = self.ctx.p
-        vec = list(element.coeffs)
-        for row in self.rows:
-            lead = next(i for i, v in enumerate(row) if v)
-            if vec[lead]:
-                factor = vec[lead]
-                vec = [(a - factor * b) % p for a, b in zip(vec, row)]
-        return not any(vec)
-
-    def elements(self):
-        """All p^dim members, deterministic order."""
-        p = self.ctx.p
-        for combo in itertools.product(range(p), repeat=self.dim):
-            coeffs = [0] * self.ctx.k
-            for c, row in zip(combo, self.rows):
-                for i, v in enumerate(row):
-                    coeffs[i] = (coeffs[i] + c * v) % p
-            yield self.ctx.element(coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -203,39 +161,6 @@ class LinearizedMap:
             tuple(cols[j][r] for j in range(k)) for r in range(k)
         )
 
-    @classmethod
-    def from_matrix(cls, ctx, matrix):
-        """The unique linearized polynomial with this matrix."""
-        k = ctx.k
-        rows = [list(r) for r in matrix]
-        if len(rows) != k or any(len(r) != k for r in rows):
-            raise ValueError(f"need a {k}x{k} matrix")
-        # Unknowns z[(i, c)] = coefficient of g^c in a_i; the action on
-        # each basis element g^j is linear in the unknowns.
-        basis_frob = []
-        basis = ctx.one()
-        g = ctx.element([0, 1]) if k > 1 else None
-        for j in range(k):
-            if j:
-                basis = basis * g
-            basis_frob.append([basis.frobenius(i) for i in range(k)])
-        powers = [ctx.decode(ctx.p**c) if c else ctx.one() for c in range(k)]
-        system = []
-        rhs = []
-        for r in range(k):
-            for j in range(k):
-                row = []
-                for i in range(k):
-                    for c in range(k):
-                        row.append((powers[c] * basis_frob[j][i]).coeffs[r])
-                system.append(row)
-                rhs.append(rows[r][j] % ctx.p)
-        z = solve_mod_p(system, rhs, ctx.p)
-        coeffs = [
-            ctx.element(z[i * k : (i + 1) * k]) for i in range(k)
-        ]
-        return cls(ctx, coeffs)
-
     def kernel(self):
         """Null space of the map as a canonical Subspace."""
         matrix = self.to_matrix()
@@ -308,22 +233,3 @@ def hyperplane_functionals(ctx, cap=None):
         for code in range(low, 2 * low):
             la = log[code]
             yield LinearizedMap(ctx, [ctx.decode(exp[la * s % n]) for s in steps])
-
-
-def enumerate_hyperplanes(ctx, cap=None):
-    """All (p^k - 1)/(p - 1) hyperplanes, each exactly once."""
-    for functional in hyperplane_functionals(ctx, cap):
-        yield functional.kernel()
-
-
-def enumerate_all_maps(ctx, cap=None, include_zero=True):
-    """Every linearized map, coefficient vectors in code order."""
-    limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
-    total = ctx.order**ctx.k
-    if total > limit:
-        raise CapExceeded("exhaustive map enumeration", total, limit)
-    elements = [ctx.decode(code) for code in range(ctx.order)]
-    for combo in itertools.product(elements, repeat=ctx.k):
-        if not include_zero and all(c.is_zero() for c in combo):
-            continue
-        yield LinearizedMap(ctx, combo)

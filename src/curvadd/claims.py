@@ -117,3 +117,11 @@ def claim_flags(curve, points, decision, singular=None):
             f"({x!r}, {y!r}) is a singular point"
         )
     return flags
+
+
+def uncertified_flag(bound, p, k):
+    """Flag a case the paper claims at (p, k) that its inequality does not force."""
+    return (
+        f"{bound.name} case (p={p}, k={k}): "
+        "claimed by paper, not certified by its inequality"
+    )

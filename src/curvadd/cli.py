@@ -188,9 +188,8 @@ def _print_analysis(report, out):
             f"  {bound.name}: forced_zero = {bound.forced_zero}"
             f"   [{_terms_str(bound.exact_terms)}]\n"
         )
-    d = report.curve.degree
-    for bound, applies in ((report.conic, d == 2), (report.elliptic, d == 3)):
-        tag = "" if applies else " (degree does not apply)"
+    for bound in (report.conic, report.elliptic):
+        tag = "" if bound.d == report.curve.degree else " (degree does not apply)"
         w(
             f"  {bound.name}{tag}: forced_zero = {bound.forced_zero}"
             f"   [{_terms_str(bound.exact_terms)}]"
@@ -513,10 +512,7 @@ def cmd_verify_paper(args):
             report = conic_bound(p, k)
             verdict = _match(report.claimed_by_statement, report.forced_zero)
             if verdict == "MISMATCH":
-                findings.append(
-                    f"conic case (p={p}, k={k}): "
-                    "claimed by paper, not certified by its inequality"
-                )
+                findings.append(claims_mod.uncertified_flag(report, p, k))
             print(
                 f"  {p:>2} {k:>2}  {str(report.claimed_by_statement):<7} "
                 f" {str(report.forced_zero):<8}  {verdict}"

@@ -70,6 +70,9 @@ class CoverVerdict:
 class BoundReport:
     """One forcing bound, with the exact integers behind the verdict.
 
+    d is the curve degree the bound is about (2 for conic, 3 for
+    elliptic); a bound applies to a curve iff d is its degree.
+
     forced_zero means: every additive f vanishing multiplicatively on
     the curve must be identically zero.  exact_terms holds the integer
     comparison terms so boundary cases are auditable.
@@ -276,12 +279,12 @@ def decide_by_exhaustion(points, ctx, cap=None):
     """Exhaustive oracle: decide every linearized map directly, solving
     for the last coefficient instead of walking it.
 
-    The maps f(x) = sum a_i x^(p^i) are ordered as enumerate_all_maps
-    orders them, by the codes of (a_0, ..., a_{k-1}) with a_{k-1}
-    fastest, and the reported witness is the first working map in that
-    order.  Fix a prefix (a_0, ..., a_{k-2}).  A point with a zero
-    coordinate holds for every map, so it is dropped.  For x != 0,
-    f(x) = 0 holds for exactly one a_{k-1}:
+    The maps f(x) = sum a_i x^(p^i) are ordered by the codes of
+    (a_0, ..., a_{k-1}) with a_{k-1} fastest, and the reported witness
+    is the first working map in that order.  Fix a prefix
+    (a_0, ..., a_{k-2}).  A point with a zero coordinate holds for
+    every map, so it is dropped.  For x != 0, f(x) = 0 holds for
+    exactly one a_{k-1}:
 
         c_x = -S_x / x^(p^(k-1)),  S_x = sum_{i<k-1} a_i x^(p^i),
 
@@ -430,18 +433,9 @@ class AnalysisReport:
 
     @property
     def forcing_bounds(self):
-        """The applicable bounds that report forced_zero."""
-        d = self.curve.degree
-        fired = []
-        if self.inequality1.forced_zero:
-            fired.append(self.inequality1)
-        if self.by_count.forced_zero:
-            fired.append(self.by_count)
-        if d == 2 and self.conic.forced_zero:
-            fired.append(self.conic)
-        if d == 3 and self.elliptic.forced_zero:
-            fired.append(self.elliptic)
-        return fired
+        """The bounds for the curve's degree that report forced_zero."""
+        bounds = (self.inequality1, self.by_count, self.conic, self.elliptic)
+        return [b for b in bounds if b.d == self.curve.degree and b.forced_zero]
 
 
 def _feasible_singular_ext(ctx, requested, limit):
@@ -552,14 +546,8 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
 
     flags = list(claims.claim_flags(c, points, decision, singular=singular))
     for bound in (conic, elliptic):
-        applies = (d == 2 and bound.name == "conic") or (
-            d == 3 and bound.name == "elliptic"
-        )
-        if applies and bound.claimed_by_statement and not bound.forced_zero:
-            flags.append(
-                f"{bound.name} case (p={p}, k={k}): "
-                "claimed by paper, not certified by its inequality"
-            )
+        if bound.d == d and bound.claimed_by_statement and not bound.forced_zero:
+            flags.append(claims.uncertified_flag(bound, p, k))
     flags.extend("hypothesis note: " + n for n in notes)
 
     report = AnalysisReport(

@@ -1,6 +1,6 @@
 """Plane curves over F_{p^k}: point enumeration, points at infinity,
 singular-point search over small extensions, the Hasse-Weil window
-check, and slicing a surface down to a plane curve.
+check, and the curve file format.
 
 Smoothness and absolute irreducibility are treated as user assertions
 plus best-effort refutation: the tool looks for singular points over a
@@ -12,17 +12,20 @@ degree m", never as a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .caps import effective_cap
 from .errors import CapExceeded, ContextMismatch, ParseError
 from .fields import FqContext, code_tables, embed
-from .poly import NEG_INF, SparsePoly, parse_bipoly
+from .poly import SparsePoly, parse_bipoly
 
 
 @dataclass(frozen=True)
 class Curve:
-    """A plane curve: the zero set of a bivariate polynomial."""
+    """A plane curve: the zero set of a bivariate polynomial.
+
+    The assert_* flags echo the curve file's declarations into the
+    report (curve.assertions); nothing checks them."""
 
     defining: SparsePoly
     assert_smooth: bool = False
@@ -330,85 +333,6 @@ def axis_parallel_lines(c, cap=None):
         if all(v is None for v in column):
             lines.append(f"y = {ctx.decode(code)!r}")
     return lines
-
-
-# ---------------------------------------------------------------------------
-# Surfaces.
-
-
-def slice_surface(surface, var, value):
-    """Substitute a value into one variable of a trivariate polynomial
-    and return the resulting plane curve.
-
-    Raises if the slice degenerates: the zero polynomial (the slice is
-    the whole plane) or a nonzero constant (the slice is empty).
-    """
-    if surface.nvars != 3:
-        raise ValueError("slice_surface expects a polynomial in x, y, z")
-    if isinstance(var, str):
-        try:
-            var = ("x", "y", "z").index(var)
-        except ValueError:
-            raise ValueError(f"unknown variable {var!r}") from None
-    sliced = surface.substitute(var, value)
-    if sliced.is_zero():
-        raise ValueError(
-            f"substituting {value!r} gives the zero polynomial; "
-            "the slice is the whole plane"
-        )
-    if sliced.total_degree < 1:
-        raise ValueError(
-            f"substituting {value!r} gives a nonzero constant; the slice is empty"
-        )
-    return Curve(defining=sliced)
-
-
-@dataclass(frozen=True)
-class SliceProfile:
-    """Minimum slice degree per variable, against the floor(2d/3) target.
-
-    min_degree maps each variable name to the smallest total degree
-    over all field values substituted into it (None when every slice of
-    some value degenerates to the zero polynomial).  achieved says
-    whether any variable admits a value with slice degree <= target.
-    """
-
-    degree: int
-    target: int
-    min_degree: dict = field(default_factory=dict)
-    achieved: bool = False
-
-
-def slice_degree_profile(surface, cap=None):
-    """Scan all values for each variable and report minimum degrees.
-
-    Supports auditing the claim that some variable always admits a
-    slice of degree at most floor(2d/3): the profile reports the facts
-    and the caller compares; nothing here asserts the claim.
-    """
-    if surface.nvars != 3:
-        raise ValueError("slice_degree_profile expects a polynomial in x, y, z")
-    if surface.is_zero():
-        raise ValueError("zero polynomial has no slices")
-    ctx = surface.ctx
-    limit = effective_cap(cap)
-    if 3 * ctx.order > limit:
-        raise CapExceeded("slice degree scan", 3 * ctx.order, limit)
-    d = surface.total_degree
-    target = (2 * d) // 3
-    mins = {}
-    for idx, name in enumerate(("x", "y", "z")):
-        best = None
-        for code in range(ctx.order):
-            sliced = surface.substitute(idx, ctx.decode(code))
-            deg = sliced.total_degree
-            if deg is NEG_INF:
-                continue
-            if best is None or deg < best:
-                best = deg
-        mins[name] = best
-    achieved = any(v is not None and v <= target for v in mins.values())
-    return SliceProfile(degree=d, target=target, min_degree=mins, achieved=achieved)
 
 
 # ---------------------------------------------------------------------------

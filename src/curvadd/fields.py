@@ -483,9 +483,6 @@ class FqElement:
             acc = acc + cur
         return acc
 
-    def in_prime_field(self):
-        return not any(self.coeffs[1:])
-
 
 # ---------------------------------------------------------------------------
 # Integer code tables: the one arithmetic kernel of the point scans and

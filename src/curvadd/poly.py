@@ -14,9 +14,8 @@ Three layers live here:
   (Henrici's cross-cancellation), so inverse, powers and composition
   need no gcd at all.
 * SparsePoly: sparse multivariate polynomials over a finite field
-  context, used for curve-defining polynomials (2 variables) and
-  surfaces (3 variables).  Terms map exponent tuples to nonzero
-  coefficients.
+  context, used for curve-defining polynomials in x and y.  Terms map
+  exponent tuples to nonzero coefficients.
 
 The expression grammar, shared by the parser and the renderer:
 
@@ -25,11 +24,11 @@ The expression grammar, shared by the parser and the renderer:
     factor := atom ('^' uint)?
     atom   := uint | <variable> | 'g' | '(' expr ')'
 
-Variables default to x and y (x, y, z for surfaces); 'g' is the
-extension-field generator and is rejected when k = 1; integer literals
-reduce mod p; whitespace is ignored; the leading '-' is sugar for
-multiplying the first term by p - 1.  Parse errors carry the 0-based
-character position of the offending input.
+Variables default to x and y; 'g' is the extension-field generator
+and is rejected when k = 1; integer literals reduce mod p; whitespace
+is ignored; the leading '-' is sugar for multiplying the first term by
+p - 1.  Parentheses nest at most MAX_NESTING deep.  Parse errors carry
+the 0-based character position of the offending input.
 """
 
 from __future__ import annotations
@@ -576,7 +575,7 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-_DEFAULT_NAMES = ("x", "y", "z")
+_DEFAULT_NAMES = ("x", "y")
 
 
 class SparsePoly:
@@ -843,6 +842,7 @@ class SparsePoly:
 
 
 _OPS = set("+-*^()")
+MAX_NESTING = 100  # four parser frames per level, far below the recursion limit
 
 
 def _tokenize(text, names):
@@ -882,6 +882,7 @@ class _Parser:
         self.names = tuple(names)
         self.tokens = _tokenize(text, self.names)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -944,7 +945,11 @@ class _Parser:
                 return SparsePoly.constant(self.ctx, self.ctx.gen(), nvars)
             return SparsePoly.variable(self.ctx, self.names.index(value), nvars)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", pos)
             node = self.expr()
+            self.depth -= 1
             kind, value, pos = self.take()
             if kind != ")":
                 what = "end of input" if kind == "end" else repr(value)

@@ -34,22 +34,12 @@ from .poly import QQ, RationalFunction, UniPoly
 # v(0); compares greater than every finite value, absorbs addition.
 INFINITY = math.inf
 
-# A valuation value is an int or INFINITY.
-ValuationValue = object
-
 
 def degree_valuation(x):
     """v(f/g) = deg g - deg f on the reduced form; v(0) = INFINITY."""
     if x.is_zero():
         return INFINITY
     return x.den.degree - x.num.degree
-
-
-def trivial_valuation(x):
-    """v = 0 on everything nonzero; the valuation every field has."""
-    if isinstance(x, RationalFunction):
-        return INFINITY if x.is_zero() else 0
-    return INFINITY if x == 0 else 0
 
 
 def in_valuation_ring(x):

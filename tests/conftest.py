@@ -5,6 +5,7 @@ those the counting argument's hypotheses fail by design and analyze
 raises Inconsistent; dedicated tests cover that behavior separately.
 """
 
+import itertools
 import random
 
 from curvadd import Curve, FqContext, is_prime, parse_bipoly
@@ -72,3 +73,15 @@ def random_point_set(rng, ctx, max_points=8):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def span_elements(subspace):
+    """All p^dim members of an F_p-subspace, in the order of their
+    coordinates on its canonical basis rows, the first row slowest."""
+    ctx, p = subspace.ctx, subspace.ctx.p
+    for combo in itertools.product(range(p), repeat=subspace.dim):
+        coeffs = [0] * ctx.k
+        for c, row in zip(combo, subspace.rows):
+            for i, v in enumerate(row):
+                coeffs[i] = (coeffs[i] + c * v) % p
+        yield ctx.element(coeffs)

@@ -2,7 +2,7 @@
 cover.decide_by_exhaustion.
 
 It tests every one of the q^k nonzero linearized maps against every
-point, in the code order of enumerate_all_maps (a_{k-1} fastest), on
+point, in the code order of their coefficients (a_{k-1} fastest), on
 the same log/Zech arithmetic, so its witness is the first working map
 in that order.  decide_by_exhaustion solves for a_{k-1} instead of
 walking it and must return the same verdict and the same witness.

@@ -6,19 +6,16 @@ import random
 import pytest
 
 from curvadd import (
-    CapExceeded,
     ContextMismatch,
     FqContext,
     LinearizedMap,
     Subspace,
-    enumerate_all_maps,
-    enumerate_hyperplanes,
     hyperplane_functionals,
     trace_functional,
 )
-from curvadd.additive import nullspace_mod_p, rref_mod_p, solve_mod_p
+from curvadd.additive import nullspace_mod_p, rref_mod_p
 
-from conftest import CUSTOM_MODULI, odd_prime_powers
+from conftest import CUSTOM_MODULI, odd_prime_powers, span_elements
 
 
 def test_rref_canonical():
@@ -48,27 +45,18 @@ def test_nullspace_rank_nullity():
                 assert all(v == 0 for v in out)
 
 
-def test_solve_mod_p():
-    mat = [[1, 2], [0, 1]]
-    rhs = [0, 1]
-    sol = solve_mod_p([row[:] for row in mat], rhs, 3)
-    for i in range(2):
-        assert sum(mat[i][j] * sol[j] for j in range(2)) % 3 == rhs[i]
-    # singular systems are rejected, not guessed at
-    with pytest.raises(ValueError):
-        solve_mod_p([[1, 1], [2, 2]], [1, 1], 3)
-
-
 def test_subspace_canonical_and_contains():
     ctx = FqContext(3, 2)
     g = ctx.gen()
-    a = Subspace.from_elements(ctx, [g, g + g])
-    b = Subspace.from_elements(ctx, [g + g])
+    a = Subspace(ctx, [g.coeffs, (g + g).coeffs])
+    b = Subspace(ctx, [(g + g).coeffs])
     assert a.rows == b.rows  # same span, same canonical basis
+    assert a == b and hash(a) == hash(b)
     assert a.dim == 1
-    assert a.contains(g) and a.contains(ctx.zero())
-    assert not a.contains(ctx.one())
-    assert len(list(a.elements())) == 3
+    members = list(span_elements(a))
+    assert g in members and ctx.zero() in members
+    assert ctx.one() not in members
+    assert len(members) == 3
 
 
 def test_linearized_map_additivity_exhaustive():
@@ -85,26 +73,44 @@ def test_linearized_map_additivity_exhaustive():
 
 
 def test_map_matrix_round_trip():
+    # column j of the matrix holds the coordinates of f(g^j), and the
+    # matrix acting on coordinates gives back f on every element
     rng = random.Random(7)
     for p, k in ((3, 2), (5, 2), (3, 3)):
         ctx = FqContext(p, k)
+        basis = [ctx.gen() ** j for j in range(k)]
         for _ in range(15):
-            f = LinearizedMap(ctx, [ctx.decode(rng.randrange(p**k)) for _ in range(k)])
+            coeffs = [ctx.decode(rng.randrange(p**k)) for _ in range(k)]
+            f = LinearizedMap(ctx, coeffs)
             m = f.to_matrix()
-            g = LinearizedMap.from_matrix(ctx, m)
-            assert g == f
+            for j, b in enumerate(basis):
+                image = sum((a * b.frobenius(i) for i, a in enumerate(coeffs)), ctx.zero())
+                assert [row[j] for row in m] == list(image.coeffs)
             for a in ctx.elements():
-                assert f(a) == g(a)
+                x = a.coeffs
+                y = [sum(m[r][j] * x[j] for j in range(k)) % p for r in range(k)]
+                assert y == list(f(a).coeffs)
 
 
 def test_every_matrix_is_a_linearized_map():
-    # The correspondence is onto: any k x k matrix over F_p arises.
-    ctx = FqContext(3, 2)
+    # The correspondence is onto: the q^k maps give p^(k^2) distinct
+    # matrices, so any k x k matrix over F_p arises from exactly one map.
+    for p, k in ((3, 2), (5, 2)):
+        ctx = FqContext(p, k)
+        matrices = {
+            LinearizedMap(ctx, coeffs).to_matrix()
+            for coeffs in itertools.product(list(ctx.elements()), repeat=k)
+        }
+        assert len(matrices) == p ** (k * k)
     rng = random.Random(13)
+    ctx = FqContext(3, 2)
+    matrices = {
+        LinearizedMap(ctx, coeffs).to_matrix()
+        for coeffs in itertools.product(list(ctx.elements()), repeat=2)
+    }
     for _ in range(20):
-        mat = [[rng.randrange(3) for _ in range(2)] for _ in range(2)]
-        f = LinearizedMap.from_matrix(ctx, mat)
-        assert [list(row) for row in f.to_matrix()] == mat
+        mat = tuple(tuple(rng.randrange(3) for _ in range(2)) for _ in range(2))
+        assert mat in matrices
 
 
 def test_kernel_matches_direct_evaluation():
@@ -114,7 +120,7 @@ def test_kernel_matches_direct_evaluation():
         f = LinearizedMap(ctx, [ctx.decode(rng.randrange(9)), ctx.decode(rng.randrange(9))])
         kernel = f.kernel()
         direct = {int(a) for a in ctx.elements() if f(a).is_zero()}
-        via_subspace = {int(a) for a in kernel.elements()}
+        via_subspace = {int(a) for a in span_elements(kernel)}
         assert direct == via_subspace
 
 
@@ -150,10 +156,22 @@ def test_trace_functional_and_hyperplanes():
         kernel = f.kernel()
         assert kernel.dim == 1  # hyperplane: dimension k - 1
         assert not f.is_zero()
-        kernels.add(kernel.rows)
+        kernels.add(kernel)
         for x, y in itertools.product(list(ctx.elements())[:5], repeat=2):
             assert f(x + y) == f(x) + f(y)
     assert len(kernels) == 4  # scalar multiples deduplicated
+
+
+def test_enumerate_hyperplanes_counts():
+    # the kernels of the hyperplane functionals are (q - 1)/(p - 1)
+    # hyperplanes of dimension k - 1, each exactly once
+    for p, k, expected in ((3, 2, 4), (5, 2, 6), (3, 3, 13)):
+        ctx = FqContext(p, k)
+        planes = [f.kernel() for f in hyperplane_functionals(ctx)]
+        assert len(planes) == expected
+        assert len({pl.rows for pl in planes}) == expected
+        for pl in planes:
+            assert pl.dim == k - 1
 
 
 @pytest.mark.parametrize(
@@ -171,32 +189,6 @@ def test_hyperplane_functionals_match_trace_functional(p, k, modulus):
     assert len(functionals) == len(reps) == (ctx.order - 1) // (p - 1)
     for f, a in zip(functionals, reps):
         assert f.coeffs == trace_functional(a).coeffs, a
-
-
-def test_enumerate_hyperplanes_counts():
-    for p, k, expected in ((3, 2, 4), (5, 2, 6), (3, 3, 13)):
-        ctx = FqContext(p, k)
-        planes = list(enumerate_hyperplanes(ctx))
-        assert len(planes) == expected
-        assert len({pl.rows for pl in planes}) == expected
-        for pl in planes:
-            assert pl.dim == k - 1
-
-
-def test_enumerate_all_maps():
-    ctx = FqContext(3, 2)
-    maps = list(enumerate_all_maps(ctx))
-    assert len(maps) == 3**4  # p^(k^2)
-    assert any(f.is_zero() for f in maps)
-    nonzero = list(enumerate_all_maps(ctx, include_zero=False))
-    assert len(nonzero) == 3**4 - 1
-    assert len({f.coeffs for f in maps}) == len(maps)
-
-
-def test_enumerate_all_maps_cap():
-    ctx = FqContext(3, 4)  # 3^16 maps is over the default oracle cap
-    with pytest.raises(CapExceeded):
-        list(enumerate_all_maps(ctx))
 
 
 def test_map_context_mismatch():

@@ -1,6 +1,7 @@
 """Command line surface: subcommands, exit codes, JSON round trips."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -30,6 +31,14 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "inequality1: forced_zero = True" in out
     assert "hasse-weil: N = 8 vs window [8, 8]" in out
     assert "paper_flags: none" in out
+
+
+def test_analyze_tags_bounds_of_another_degree(tmp_path, capsys):
+    path = write_curve(tmp_path, CUBIC_F5)
+    assert main(["analyze", "--curve", path]) == 0
+    out = capsys.readouterr().out
+    assert "  conic (degree does not apply): forced_zero" in out
+    assert "  elliptic: forced_zero" in out
 
 
 def test_analyze_json_stdout_and_file(tmp_path, capsys):
@@ -94,6 +103,21 @@ def test_analyze_parse_error_exit_1(tmp_path, capsys):
     path = write_curve(tmp_path, "p = 5\nk = 1\nf = y^^2\n")
     assert main(["analyze", "--curve", path]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_analyze_deep_nesting_exit_1(tmp_path):
+    # nesting past the parser's limit is a parse error, not a RecursionError
+    nested = "(" * 300 + "x" + ")" * 300
+    path = write_curve(tmp_path, f"p = 5\nk = 1\nf = {nested}*y - 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvadd", "analyze", "--curve", path],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"error: .* \(at position \d+\)", lines[0]), lines
 
 
 def test_analyze_inconsistent_exit_3(tmp_path, capsys):

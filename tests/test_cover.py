@@ -29,7 +29,7 @@ from curvadd import cover
 from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 from curvadd.curve import PointSet
 
-from conftest import CUSTOM_MODULI, build_curve, odd_prime_powers, random_point_set
+from conftest import CUSTOM_MODULI, build_curve, odd_prime_powers, random_point_set, span_elements
 from oracle_reference import map_walk_oracle
 
 
@@ -195,7 +195,7 @@ def kernel_point_set(rng, ctx, size=6):
     witness exists when the map is nonzero; the first point rides along
     swapped, and its kernel coordinate on the diagonal."""
     f = LinearizedMap(ctx, [ctx.decode(rng.randrange(ctx.order)) for _ in range(ctx.k)])
-    kernel = list(f.kernel().elements())
+    kernel = list(span_elements(f.kernel()))
     drawn = [(rng.choice(kernel), ctx.decode(rng.randrange(ctx.order))) for _ in range(size)]
     pts = {(a, b) if rng.random() < 0.5 else (b, a) for a, b in drawn}
     a, b = drawn[0]
@@ -234,7 +234,7 @@ def test_trace_form_matches_element_trace(p, k, modulus):
         for a in reps:
             form = sum(ai * wi for ai, wi in zip(a.coeffs, w)) % p
             trace = (a * x).trace()
-            assert trace.in_prime_field()
+            assert not any(trace.coeffs[1:])  # Tr(a x) lies in F_p
             assert form == trace.coeffs[0], (a, x)
 
 
@@ -384,6 +384,22 @@ def test_analyze_forced_without_witness_is_consistent():
     r = analyze(build_curve(3, 1, "y^2 + 2*x*y + 2*y + x"))
     assert r.by_count.forced_zero
     assert not r.decision.exists_nonzero
+
+
+def test_bounds_apply_by_degree():
+    # conic (d = 2) and elliptic (d = 3) count only for curves of their
+    # degree, inequality1 and by_count for every curve
+    conic = analyze(build_curve(7, 1, "x^2 + y^2 - 1"))
+    cubic = analyze(build_curve(7, 1, "y^2 - x^3 - x"))
+    wide = analyze(build_curve(17, 1, "x^2 + y^2 - 1"))
+    assert conic.conic.forced_zero and cubic.conic.forced_zero  # 7 - 1 > 4
+    assert [b.name for b in conic.forcing_bounds] == ["inequality1", "by_count", "conic"]
+    assert [b.name for b in cubic.forcing_bounds] == ["by_count"]
+    assert wide.elliptic.forced_zero and wide.elliptic not in wide.forcing_bounds
+    # the uncertified conic claim at p = 5 is flagged for conics only
+    flag = "conic case (p=5, k=1): claimed by paper, not certified by its inequality"
+    assert flag in analyze(build_curve(5, 1, "x^2 + y^2 - 1")).paper_flags
+    assert flag not in analyze(build_curve(5, 1, "y^2 - x^3 - x - 2")).paper_flags
 
 
 def test_caps_env_override(monkeypatch):

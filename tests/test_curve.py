@@ -1,4 +1,4 @@
-"""Point enumeration, singularity detection, windows, slices, files."""
+"""Point enumeration, singularity detection, windows, files."""
 
 import itertools
 
@@ -8,7 +8,6 @@ from curvadd import (
     CapExceeded,
     Curve,
     FqContext,
-    Inconsistent,
     ParseError,
     axis_parallel_lines,
     affine_points,
@@ -17,12 +16,10 @@ from curvadd import (
     parse_curve_file,
     points_at_infinity_count,
     singular_points,
-    slice_degree_profile,
-    slice_surface,
 )
 from curvadd import cover
 from curvadd.fields import embed
-from curvadd.poly import SparsePoly, parse_poly
+from curvadd.poly import SparsePoly
 
 from conftest import CORPUS, build_curve
 
@@ -136,38 +133,6 @@ def test_axis_parallel_lines():
     assert axis_parallel_lines(build_curve(3, 1, "y^2 + 2*x*y + 2*y + x")) == [
         "y = 1"
     ]
-
-
-def test_slice_surface():
-    ctx = FqContext(5)
-    surface = parse_poly("x^2 + y^2 + z^2 - 1", ctx, names=("x", "y", "z"))
-    c = slice_surface(surface, "z", ctx.constant(0))
-    assert isinstance(c, Curve)
-    assert c.defining == parse_bipoly("x^2 + y^2 - 1", ctx)
-    with pytest.raises(ValueError):
-        slice_surface(surface, "w", ctx.zero())
-    # a slice that kills every term degenerates
-    plane = parse_poly("z", ctx, names=("x", "y", "z"))
-    with pytest.raises(ValueError):
-        slice_surface(plane, "z", ctx.zero())
-    sphere_like = parse_poly("z^2 + 1", ctx, names=("x", "y", "z"))
-    with pytest.raises(ValueError):
-        slice_surface(sphere_like, "z", ctx.zero())  # nonzero constant
-
-
-def test_slice_degree_profile():
-    ctx = FqContext(5)
-    surface = parse_poly(
-        "x^2*y*z + x*y + z^3 + 1", ctx, names=("x", "y", "z")
-    )
-    profile = slice_degree_profile(surface)
-    assert profile.degree == 4
-    assert profile.target == 2  # floor(2*4/3)
-    assert set(profile.min_degree) == {"x", "y", "z"}
-    # substituting y = 0 leaves z^3 + 1 of degree 3; x = 0 leaves
-    # x-free terms x*y dropped -> z^3 + 1 too; checked coarsely:
-    assert profile.min_degree["y"] <= 3
-    assert isinstance(profile.achieved, bool)
 
 
 def test_parse_curve_file_full():

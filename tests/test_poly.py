@@ -17,7 +17,7 @@ from curvadd import (
     parse_bipoly,
     parse_poly,
 )
-from curvadd.poly import unipoly_gcd
+from curvadd.poly import MAX_NESTING, unipoly_gcd
 
 
 def _t(domain=QQ):
@@ -203,6 +203,19 @@ def test_parser_error_positions():
             parse_bipoly(text, ctx)
         assert err.value.position == pos, text
         assert f"position {pos}" in str(err.value)
+
+
+def test_parser_nesting_limit():
+    ctx = FqContext(5)
+    nested = "(" * 50 + "x" + ")" * 50 + "*y - 1"
+    assert parse_bipoly(nested, ctx) == parse_bipoly("x*y - 1", ctx)
+    at_limit = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_bipoly(at_limit, ctx) == parse_bipoly("x", ctx)
+    # the error sits at the first '(' past the limit, however deep
+    for depth in (MAX_NESTING + 1, 300):
+        with pytest.raises(ParseError) as err:
+            parse_bipoly("(" * depth + "x" + ")" * depth, ctx)
+        assert err.value.position == MAX_NESTING
 
 
 def test_parse_poly_custom_names():

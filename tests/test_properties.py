@@ -16,6 +16,9 @@ witness.
 verify_witness runs on the witness's F_p matrix; the reference
 evaluates the map pointwise with LinearizedMap.__call__.
 
+Rendering a random polynomial in x and y and parsing the text back
+gives the same polynomial, under default and non-default moduli.
+
 RationalFunction operations cancel common factors piecemeal; the
 reference builds the unreduced numerator and denominator and reduces
 them with the full gcd of the public constructor.  Operands over Q,
@@ -45,8 +48,17 @@ from curvadd import (
 )
 from curvadd.additive import hyperplane_functionals
 from curvadd.cover import CoverVerdict
-from curvadd.poly import QQ, RationalFunction, SparsePoly, UniPoly, field_domain, unipoly_gcd
+from curvadd.poly import (
+    QQ,
+    RationalFunction,
+    SparsePoly,
+    UniPoly,
+    field_domain,
+    parse_bipoly,
+    unipoly_gcd,
+)
 
+from conftest import span_elements
 from oracle_reference import map_walk_oracle
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
@@ -152,6 +164,26 @@ def test_scans_match_reference(c):
 
 
 @st.composite
+def bivariate_polys(draw):
+    """A polynomial in x and y of degree <= 4 with up to 8 terms (zero
+    and constants included), over a field with its default modulus or
+    any non-default one, conftest's CUSTOM_MODULI among them."""
+    p, k = draw(st.sampled_from(FIELDS))
+    moduli = (None,) if k == 1 else (None,) + non_default_moduli(p, k)
+    ctx = FqContext(p, k, draw(st.sampled_from(moduli)))
+    monomials = [(i, j) for i in range(MAX_DEGREE + 1) for j in range(MAX_DEGREE + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=8, unique=True))
+    codes = draw(st.lists(st.integers(1, ctx.order - 1), min_size=len(chosen), max_size=len(chosen)))
+    return SparsePoly(ctx, 2, {e: ctx.decode(c) for e, c in zip(chosen, codes)})
+
+
+@settings(SETTINGS, max_examples=300)
+@given(bivariate_polys())
+def test_render_then_parse_is_identity(f):
+    assert parse_bipoly(f.render(), f.ctx) == f
+
+
+@st.composite
 def maps_and_points(draw):
     """A context, a linearized map (sometimes zero) and up to 10
     distinct points, each coordinate drawn at random or, in some
@@ -159,7 +191,7 @@ def maps_and_points(draw):
     ctx = draw(contexts())
     codes = st.integers(0, ctx.order - 1)
     f = LinearizedMap(ctx, [ctx.decode(c) for c in draw(st.lists(codes, min_size=ctx.k, max_size=ctx.k))])
-    kernel = list(f.kernel().elements())
+    kernel = list(span_elements(f.kernel()))
     coordinate = st.one_of(codes.map(ctx.decode), st.sampled_from(kernel))
     pts = draw(st.lists(st.tuples(coordinate, coordinate), max_size=10, unique=True))
     return ctx, f, sorted(pts, key=lambda pt: (int(pt[0]), int(pt[1])))

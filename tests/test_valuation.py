@@ -20,7 +20,6 @@ from curvadd import (
     in_valuation_ring,
     padic_valuation,
     random_rational_function,
-    trivial_valuation,
     verify_valuation_axioms,
 )
 
@@ -58,12 +57,6 @@ def test_ultrametric_and_ring_membership():
     assert in_valuation_ring(RationalFunction(t * 0 + 5))
     assert not in_valuation_ring(RationalFunction(t))
     assert in_valuation_ring(RationalFunction(t) * 0)
-
-
-def test_trivial_valuation():
-    t = t_over()
-    assert trivial_valuation(RationalFunction(t)) == 0
-    assert trivial_valuation(RationalFunction(t) * 0) == INFINITY
 
 
 def test_h_additive_values():
