@@ -77,7 +77,8 @@ def check_pk(p, k):
 # ---------------------------------------------------------------------------
 # Coefficient-list polynomial helpers over F_p.  Lists are low-to-high
 # and trimmed; [] is the zero polynomial.  These are private plumbing
-# for modulus handling and element inversion.
+# for modulus handling, element inversion and UniPoly's arithmetic over
+# prime fields (poly._PrimeFieldDomain).
 
 
 def _trim(c):

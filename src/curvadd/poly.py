@@ -6,7 +6,12 @@ Three layers live here:
 * UniPoly: univariate polynomials with coefficients in a *domain*,
   which is either the rationals (stdlib Fraction, arbitrary precision)
   or a finite field context.  The zero polynomial has degree -infinity,
-  held as the float sentinel NEG_INF.
+  held as the float sentinel NEG_INF.  The domain runs the arithmetic:
+  over QQ and over a prime field F_p it works on lists of Python ints
+  (integer numerators over a common denominator, pseudo-division and
+  the primitive remainder sequence over Q; residues mod p over F_p),
+  and builds one Fraction or FqElement per output coefficient.  Over
+  F_{p^k} with k >= 2 it loops over field elements.
 * RationalFunction: quotients of UniPoly over the same domain, always
   in canonical form (coprime, monic denominator).  The constructor
   reduces an arbitrary pair by their full gcd; the operations start
@@ -27,27 +32,93 @@ The expression grammar, shared by the parser and the renderer:
 Variables default to x and y; 'g' is the extension-field generator
 and is rejected when k = 1; integer literals reduce mod p; whitespace
 is ignored; the leading '-' is sugar for multiplying the first term by
-p - 1.  Parentheses nest at most MAX_NESTING deep.  Parse errors carry
-the 0-based character position of the offending input.
+p - 1.  Parentheses nest at most MAX_NESTING deep, and a power or
+product whose total degree would exceed MAX_DEGREE is refused at its
+'^' or '*' before it expands.  Parse errors carry the 0-based
+character position of the offending input.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import ContextMismatch, ParseError
-from .fields import FqContext, FqElement
+from .fields import FqContext, FqElement, _pdivmod, _pgcd, _pmul, _trim
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
 # ---------------------------------------------------------------------------
-# Coefficient domains.  A domain knows how to coerce raw values and
-# supplies its zero and one; polynomial code is otherwise generic.
+# Integer kernels.  Over QQ and over prime fields, UniPoly arithmetic
+# runs on lists of Python ints, coefficients low to high: the helpers
+# below over Z, and the F_p list helpers of fields (_pmul, _pdivmod,
+# _pgcd), which also serve its modulus search and element inversion.
+
+
+def _lincomb(a, sa, b, sb):
+    """sa*a + sb*b for int lists a, b and int scalars sa, sb, unreduced
+    and untrimmed."""
+    return [sa * x + sb * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _convolve(a, b):
+    """Product of two int lists, unreduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _pseudo_divmod(a, b):
+    """Pseudo-division over Z (Knuth, TAOCP 4.6.1, Algorithm R): for
+    int lists a, b with b trimmed and nonzero, returns (q, r) with
+    lc(b)^e * a = q*b + r, e = len(q) = max(len(a) - len(b) + 1, 0),
+    and r untrimmed, shorter than b unless e = 0 (then r = a)."""
+    lc, n = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = r.pop()
+        # every later step multiplies by lc once more
+        q[k] = top * lc**k
+        if lc != 1:
+            r = [lc * x for x in r]
+        if top:
+            for j in range(n):
+                r[k + j] -= top * b[j]
+    return q, r
+
+
+def _primitive(xs):
+    """An int list over its content (the gcd of its entries), trimmed."""
+    _trim(xs)
+    g = math.gcd(*xs)
+    return [x // g for x in xs] if g > 1 else xs
+
+
+# ---------------------------------------------------------------------------
+# Coefficient domains.  A domain coerces raw values, supplies its zero
+# and one, and holds the arithmetic kernel UniPoly runs on: add, neg,
+# mul, scale, divmod and gcd take coefficient tuples (low to high,
+# no trailing zero) and return one, or a pair for divmod (b nonzero).
+# gcd is monic; the gcd of two zeros is zero.
 
 
 class _RationalDomain:
-    """The field Q with Fraction coefficients."""
+    """The field Q with Fraction coefficients.
+
+    Polynomial arithmetic runs on integers: an operand becomes its
+    numerators over one common denominator (the lcm of its
+    coefficients' denominators), and a Fraction is built once per
+    output coefficient.  Division is pseudo-division over Z, and the
+    gcd is the primitive polynomial remainder sequence.
+    """
 
     __slots__ = ()
 
@@ -66,6 +137,48 @@ class _RationalDomain:
             return Fraction(value)
         raise TypeError(f"cannot use {value!r} as a rational coefficient")
 
+    @staticmethod
+    def _ints(coeffs):
+        """(numerators, common denominator) of Fraction coefficients."""
+        den = math.lcm(*[c.denominator for c in coeffs])
+        return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+    @staticmethod
+    def _fractions(nums, den):
+        return tuple([Fraction(n, den) for n in _trim(nums)])
+
+    def add(self, a, b):
+        (na, da), (nb, db) = self._ints(a), self._ints(b)
+        den = math.lcm(da, db)
+        return self._fractions(_lincomb(na, den // da, nb, den // db), den)
+
+    def neg(self, a):
+        return tuple([-c for c in a])
+
+    def mul(self, a, b):
+        (na, da), (nb, db) = self._ints(a), self._ints(b)
+        return self._fractions(_convolve(na, nb), da * db)
+
+    def scale(self, a, c):
+        if not c:
+            return ()
+        nums, den = self._ints(a)
+        return self._fractions([n * c.numerator for n in nums], den * c.denominator)
+
+    def divmod(self, a, b):
+        # a = na/da, b = nb/db and lc^e na = Q nb + R give
+        # a = (Q db / (lc^e da)) b + R / (lc^e da)
+        (na, da), (nb, db) = self._ints(a), self._ints(b)
+        q, r = _pseudo_divmod(na, nb)
+        den = nb[-1] ** len(q) * da
+        return self._fractions([c * db for c in q], den), self._fractions(r, den)
+
+    def gcd(self, a, b):
+        a, b = _primitive(self._ints(a)[0]), _primitive(self._ints(b)[0])
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        return self._fractions(a, a[-1]) if a else ()
+
     def __eq__(self, other):
         return isinstance(other, _RationalDomain)
 
@@ -80,7 +193,11 @@ QQ = _RationalDomain()
 
 
 class _FieldDomain:
-    """A finite field context used as a coefficient domain."""
+    """A finite field context used as a coefficient domain.
+
+    This class runs the generic kernel, one FqElement operation per
+    coefficient step; field_domain gives it to F_{p^k} with k >= 2.
+    """
 
     __slots__ = ("ctx",)
 
@@ -106,6 +223,51 @@ class _FieldDomain:
             return self.ctx.constant(value)
         raise TypeError(f"cannot use {value!r} as a coefficient over {self.ctx!r}")
 
+    def add(self, a, b):
+        out = [x + y for x, y in zip_longest(a, b, fillvalue=self.zero)]
+        while out and out[-1].is_zero():
+            out.pop()
+        return tuple(out)
+
+    def neg(self, a):
+        return tuple([-c for c in a])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        zero = self.zero
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return tuple(out)
+
+    def scale(self, a, c):
+        return tuple([x * c for x in a]) if c else ()
+
+    def divmod(self, a, b):
+        zero = self.zero
+        rem = list(a)
+        db = len(b) - 1
+        inv_lead = self.one / b[-1]
+        q = [zero] * max(len(rem) - db, 0)
+        while len(rem) - 1 >= db and rem:
+            factor = rem[-1] * inv_lead
+            shift = len(rem) - 1 - db
+            q[shift] = factor
+            for i, y in enumerate(b):
+                rem[shift + i] = rem[shift + i] - factor * y
+            while rem and rem[-1] == zero:
+                rem.pop()
+        return tuple(q), tuple(rem)
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.scale(a, self.one / a[-1]) if a else ()
+
     def __eq__(self, other):
         return isinstance(other, _FieldDomain) and self.ctx == other.ctx
 
@@ -116,11 +278,51 @@ class _FieldDomain:
         return f"field_domain({self.ctx!r})"
 
 
+class _PrimeFieldDomain(_FieldDomain):
+    """F_p as a coefficient domain: polynomial arithmetic on ints in
+    [0, p), one modular inverse per division, Euclid on int lists made
+    monic at the end.  Nothing is tabulated, since p may be as large as
+    MAX_PRIME."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _ints(coeffs):
+        return [c.coeffs[0] for c in coeffs]
+
+    def _elements(self, xs):
+        """Trusted FqElements for ints already in [0, p), trimmed."""
+        ctx = self.ctx
+        return tuple([FqElement(ctx, (x,)) for x in _trim(xs)])
+
+    def add(self, a, b):
+        p = self.ctx.p
+        return self._elements([x % p for x in _lincomb(self._ints(a), 1, self._ints(b), 1)])
+
+    def neg(self, a):
+        p = self.ctx.p
+        return self._elements([-x % p for x in self._ints(a)])
+
+    def mul(self, a, b):
+        return self._elements(_pmul(self._ints(a), self._ints(b), self.ctx.p))
+
+    def scale(self, a, c):
+        p, c = self.ctx.p, c.coeffs[0]
+        return self._elements([x * c % p for x in self._ints(a)] if c else [])
+
+    def divmod(self, a, b):
+        q, r = _pdivmod(self._ints(a), self._ints(b), self.ctx.p)
+        return self._elements(q), self._elements(r)
+
+    def gcd(self, a, b):
+        return self._elements(_pgcd(self._ints(a), self._ints(b), self.ctx.p))
+
+
 def field_domain(ctx):
     """Coefficient domain wrapping a finite field context."""
     if not isinstance(ctx, FqContext):
         raise TypeError("field_domain expects an FqContext")
-    return _FieldDomain(ctx)
+    return (_PrimeFieldDomain if ctx.k == 1 else _FieldDomain)(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +332,8 @@ class UniPoly:
     """Univariate polynomial over a domain; coefficients low to high.
 
     Immutable; no trailing zeros are stored, so the zero polynomial has
-    an empty coefficient tuple and degree NEG_INF.
+    an empty coefficient tuple and degree NEG_INF.  Arithmetic runs on
+    the domain's kernel.
     """
 
     __slots__ = ("domain", "coeffs")
@@ -141,6 +344,15 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, domain, coeffs):
+        """A kernel result: a tuple of canonical domain elements with no
+        trailing zero, taken as it is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -180,7 +392,7 @@ class UniPoly:
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
-            if other.domain != self.domain:
+            if other.domain is not self.domain and other.domain != self.domain:
                 raise ContextMismatch("polynomials over different domains")
             return other
         try:
@@ -192,26 +404,18 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.domain,
-            [self.coeff(i) + other.coeff(i) for i in range(n)],
-        )
+        return UniPoly._trusted(self.domain, self.domain.add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.domain, [-c for c in self.coeffs])
+        return UniPoly._trusted(self.domain, self.domain.neg(self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.domain,
-            [self.coeff(i) - other.coeff(i) for i in range(n)],
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -223,21 +427,13 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.domain)
-        out = [self.domain.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == self.domain.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.domain, out)
+        return UniPoly._trusted(self.domain, self.domain.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = self.domain.coerce(c)
-        return UniPoly(self.domain, [a * c for a in self.coeffs])
+        return UniPoly._trusted(self.domain, self.domain.scale(self.coeffs, c))
 
     def __pow__(self, e):
         e = int(e)
@@ -248,8 +444,9 @@ class UniPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -270,20 +467,10 @@ class UniPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        zero = self.domain.zero
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        inv_lead = self.domain.one / other.leading
-        q = [zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            factor = rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
-            q[shift] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * b
-            while rem and rem[-1] == zero:
-                rem.pop()
-        return UniPoly(self.domain, q), UniPoly(self.domain, rem)
+        if len(self.coeffs) < len(other.coeffs):
+            return UniPoly._trusted(self.domain, ()), self
+        q, r = self.domain.divmod(self.coeffs, other.coeffs)
+        return UniPoly._trusted(self.domain, q), UniPoly._trusted(self.domain, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -297,17 +484,14 @@ class UniPoly:
         return self.scale(self.domain.one / self.leading)
 
     def __call__(self, value):
-        """Evaluate by Horner; accepts a domain value or a
-        RationalFunction over the same domain (composition)."""
+        """Evaluate at a domain value, as the remainder mod t - value, or
+        compose with a RationalFunction over the same domain."""
         if isinstance(value, RationalFunction):
             if value.domain != self.domain:
                 raise ContextMismatch("composition across domains")
             return self._compose(value.num, value.den)
         value = self.domain.coerce(value)
-        acc = self.domain.zero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return (self % UniPoly._trusted(self.domain, (-value, self.domain.one))).coeff(0)
 
     def _compose(self, n, d):
         """self(n/d) for coprime n, d with d monic, in the homogenised
@@ -368,11 +552,9 @@ class UniPoly:
 
 def unipoly_gcd(a, b):
     """Monic gcd; gcd(0, 0) = 0."""
-    if a.domain != b.domain:
+    if a.domain is not b.domain and a.domain != b.domain:
         raise ContextMismatch("gcd across domains")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return UniPoly._trusted(a.domain, a.domain.gcd(a.coeffs, b.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +907,9 @@ class SparsePoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- evaluation and calculus ----------------------------------------------
@@ -843,6 +1026,19 @@ class SparsePoly:
 
 _OPS = set("+-*^()")
 MAX_NESTING = 100  # four parser frames per level, far below the recursion limit
+# Largest total degree of a parsed polynomial.  Powers and products are
+# refused before they expand: the work grows with the fourth power of
+# the degree, and (x + y + 1)^64 over F_101 already takes ~2 s.
+MAX_DEGREE = 64
+
+
+def _degree(node):
+    return max(node.total_degree, 0)
+
+
+def _check_degree(degree, what, pos):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"{what} of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", pos)
 
 
 def _tokenize(text, names):
@@ -916,18 +1112,21 @@ class _Parser:
     def term(self):
         node = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            node = node * self.factor()
+            star = self.take()[2]
+            rhs = self.factor()
+            _check_degree(_degree(node) + _degree(rhs), "product", star)
+            node = node * rhs
         return node
 
     def factor(self):
         node = self.atom()
         if self.peek()[0] == "^":
-            self.take()
+            caret = self.take()[2]
             kind, value, pos = self.take()
             if kind != "int":
                 what = "end of input" if kind == "end" else repr(value)
                 raise ParseError(f"expected integer exponent after '^', got {what}", pos)
+            _check_degree(_degree(node) * value, "power", caret)
             node = node**value
         return node
 

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,10 +110,27 @@ def test_analyze_deep_nesting_exit_1(tmp_path):
     # nesting past the parser's limit is a parse error, not a RecursionError
     nested = "(" * 300 + "x" + ")" * 300
     path = write_curve(tmp_path, f"p = 5\nk = 1\nf = {nested}*y - 1\n")
-    proc = subprocess.run(
+    assert_one_parse_error_line(analyze_in_subprocess(path))
+
+
+def test_analyze_huge_power_exit_1_before_expanding(tmp_path):
+    # a 40-byte file whose expansion would run for minutes
+    path = write_curve(tmp_path, "p = 3\nk = 1\nf = (x + y + 1)^5000 - 1\n")
+    start = time.perf_counter()
+    proc = analyze_in_subprocess(path)
+    assert time.perf_counter() - start < 1
+    assert_one_parse_error_line(proc)
+    assert proc.stderr.rstrip().endswith("(at position 11)")
+
+
+def analyze_in_subprocess(path):
+    return subprocess.run(
         [sys.executable, "-m", "curvadd", "analyze", "--curve", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
+
+
+def assert_one_parse_error_line(proc):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()

@@ -8,7 +8,7 @@ import pytest
 from curvadd import CapExceeded, ContextMismatch, FqContext, embed, is_prime
 from curvadd.fields import code_tables
 
-from conftest import odd_prime_powers
+from conftest import CUSTOM_MODULI, odd_prime_powers, seeded_rng
 
 
 def test_is_prime_small():
@@ -278,3 +278,35 @@ def test_code_tables_non_default_modulus(p, k, modulus):
     assert ctx.modulus != FqContext(p, k).modulus
     check_code_tables(ctx)
     assert code_tables(ctx) != code_tables(FqContext(p, k))
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)
+)
+def test_field_axioms_frobenius_and_trace_sampled(p, k, modulus):
+    ctx = FqContext(p, k, modulus)
+    rng = seeded_rng(ctx.order + len(modulus or ()))
+    zero, one = ctx.zero(), ctx.one()
+    sample = [zero, one, ctx.constant(-1)] + [ctx.decode(rng.randrange(ctx.order)) for _ in range(5)]
+    for a in sample:
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a + (-a) == zero and a - a == zero
+        if not a.is_zero():
+            assert a * a.inverse() == one
+        # Frobenius is x -> x^p, and its k-th power is the identity
+        assert a.frobenius() == a**p and a ** ctx.order == a
+        trace = a.trace()
+        assert not any(trace.coeffs[1:])  # lands in F_p
+        assert trace == sum((a ** p**i for i in range(1, k)), a)
+    for a, b, c in itertools.product(sample, repeat=3):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+    for a, b in itertools.product(sample, repeat=2):
+        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
+        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        assert (a + b).trace() == a.trace() + b.trace()
+    # order exactly k: the generator's k conjugates are distinct
+    g = ctx.gen() if k > 1 else one
+    conjugates = [g ** p**i for i in range(k)]
+    assert len(set(conjugates)) == k and conjugates[-1] ** p == g

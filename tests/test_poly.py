@@ -1,6 +1,9 @@
 """Polynomials, rational functions, and the expression parser."""
 
+import itertools
+import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from curvadd import (
     parse_bipoly,
     parse_poly,
 )
-from curvadd.poly import MAX_NESTING, unipoly_gcd
+from curvadd.poly import MAX_DEGREE, MAX_NESTING, unipoly_gcd
 
 
 def _t(domain=QQ):
@@ -57,6 +60,46 @@ def test_unipoly_gcd():
     g5 = unipoly_gcd(s**2 + 4, s**2 + 3 * s + 2)  # both divisible by s + 2... check
     # s^2 + 4 = (s+1)(s+4); s^2 + 3s + 2 = (s+1)(s+2); gcd = s + 1
     assert g5 == s + 1
+
+
+def test_unipoly_errors_on_every_kernel():
+    # QQ and F_3 run integer kernels, F_9 the generic element loop
+    domains = (QQ, field_domain(FqContext(3)), field_domain(FqContext(3, 2)), field_domain(FqContext(5)))
+    for domain in domains:
+        t, zero = _t(domain), UniPoly.zero(domain)
+        for op in (divmod, operator.floordiv, operator.mod):
+            for a in (t + 1, zero):
+                with pytest.raises(ZeroDivisionError):
+                    op(a, zero)
+    for left, right in itertools.permutations(domains, 2):
+        a, b = _t(left) + 1, _t(right)
+        for op in (operator.add, operator.sub, operator.mul, divmod, unipoly_gcd):
+            with pytest.raises(ContextMismatch):
+                op(a, b)
+
+
+def test_large_prime_field_builds_no_table():
+    # p = 2^61 - 1: a per-p table could never be built, so the first
+    # product and gcd finishing in milliseconds shows there is none
+    start = time.perf_counter()
+    s = _t(field_domain(FqContext(2**61 - 1)))
+    f, g = (s + 3) * (s - 5), (s + 3) * (s**2 + 7)
+    assert unipoly_gcd(f, g) == s + 3
+    assert f // (s - 5) == s + 3
+    assert time.perf_counter() - start < 0.1
+
+
+def test_rational_gcd_removes_content():
+    # coprime, degrees 12 and 11, heights 10^6: the primitive remainder
+    # sequence takes milliseconds, plain pseudo-remainders seconds
+    rng = random.Random(5)
+    a, b = (
+        UniPoly(QQ, [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(n)])
+        for n in (13, 12)
+    )
+    start = time.perf_counter()
+    assert unipoly_gcd(a, b) == UniPoly.one(QQ)
+    assert time.perf_counter() - start < 1
 
 
 def test_rational_function_canonical():
@@ -216,6 +259,25 @@ def test_parser_nesting_limit():
         with pytest.raises(ParseError) as err:
             parse_bipoly("(" * depth + "x" + ")" * depth, ctx)
         assert err.value.position == MAX_NESTING
+
+
+def test_parser_degree_limit():
+    ctx = FqContext(5)
+    x, y = SparsePoly.variable(ctx, 0), SparsePoly.variable(ctx, 1)
+    assert parse_bipoly(f"(x*y)^{MAX_DEGREE // 2}", ctx) == (x * y) ** (MAX_DEGREE // 2)
+    assert parse_bipoly(f"0^{10**9} + 2^{10**9 + 1}*x", ctx) == x * 2  # 2^4 = 1 mod 5
+    # refused at the '^' or '*' that would pass the limit, before expanding
+    cases = (
+        (f"x^{MAX_DEGREE + 1}", 1),
+        ("(x + y + 1)^5000 - 1", 11),
+        (f"y*x^{MAX_DEGREE} + 1", 1),
+        (f"x^{MAX_DEGREE // 2}*y^{MAX_DEGREE // 2}*x", 9),
+    )
+    for text, pos in cases:
+        with pytest.raises(ParseError) as err:
+            parse_bipoly(text, ctx)
+        assert err.value.position == pos, text
+        assert f"MAX_DEGREE = {MAX_DEGREE}" in str(err.value)
 
 
 def test_parse_poly_custom_names():

@@ -24,6 +24,11 @@ reference builds the unreduced numerator and denominator and reduces
 them with the full gcd of the public constructor.  Operands over Q,
 F_3, F_5 and F_9 share a denominator factor in most draws.
 
+UniPoly arithmetic runs on int lists over Q and prime fields; it must
+match the element loops of unipoly_reference.py result for result,
+over Q with heights up to 10^6, F_3, F_5, F_7, F_(2^61 - 1), and F_9
+under a non-default modulus (the generic loop, as a control).
+
 Runs are derandomized, so the suite stays deterministic.
 """
 
@@ -58,7 +63,8 @@ from curvadd.poly import (
     unipoly_gcd,
 )
 
-from conftest import span_elements
+import unipoly_reference as element_loops
+from conftest import CUSTOM_MODULI, span_elements
 from oracle_reference import map_walk_oracle
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
@@ -316,3 +322,66 @@ def test_rational_ops_match_full_gcd(pair, e, data):
         assert_same(x**e, reference(b ** -e, a ** -e))
     P = data.draw(unipolys(domain, 4))
     assert_same(P(x), reference_compose(P, x))
+
+
+KERNEL_DOMAINS = (
+    QQ,
+    field_domain(FqContext(3)),
+    field_domain(FqContext(5)),
+    field_domain(FqContext(7)),
+    field_domain(FqContext(2**61 - 1)),
+    # the generic element loop, untouched by the integer kernels
+    field_domain(FqContext(*CUSTOM_MODULI[0])),
+)
+HEIGHT = 10**6
+
+
+def kernel_coefficients(domain):
+    """Coefficients with zero drawn often: over Q signed, numerators
+    and denominators up to 10^6; over F_p any residue."""
+    if domain == QQ:
+        rational = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+        small = st.builds(Fraction, st.integers(-3, 3))
+        return st.one_of(small, rational)
+    return st.one_of(st.just(0), st.integers(0, domain.ctx.order - 1)).map(domain.ctx.decode)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Over one domain: polynomials a, b, a*g and b*g, each factor of
+    degree <= 5 (zero and constants included), so the last two share
+    g in most draws; and a scalar."""
+    domain = draw(st.sampled_from(KERNEL_DOMAINS))
+    polys = st.lists(kernel_coefficients(domain), max_size=6).map(lambda cs: UniPoly(domain, cs))
+    a, b, g = draw(polys), draw(polys), draw(polys)
+    return a, b, element_loops.mul(a, g), element_loops.mul(b, g), draw(kernel_coefficients(domain))
+
+
+def assert_same_poly(got, want):
+    """Equal, and built from the same coefficient types, so an int
+    never stands in for a Fraction."""
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@settings(SETTINGS, max_examples=400)
+@given(kernel_operands())
+def test_unipoly_kernels_match_element_loops(case):
+    a, b, ag, bg, c = case
+    for x, y in ((a, b), (ag, bg), (bg, a)):
+        assert_same_poly(x + y, element_loops.add(x, y))
+        assert_same_poly(x - y, element_loops.sub(x, y))
+        assert_same_poly(-x, element_loops.neg(x))
+        assert_same_poly(x * y, element_loops.mul(x, y))
+        assert_same_poly(x.scale(c), element_loops.scale(x, c))
+        assert_same_poly(x.monic(), element_loops.monic(x))
+        value = x(c)
+        assert value == element_loops.evaluate(x, c) and type(value) is type(c)
+        assert_same_poly(unipoly_gcd(x, y), element_loops.gcd(x, y))
+        if not y.is_zero():
+            q, r = element_loops.poly_divmod(x, y)
+            got_q, got_r = divmod(x, y)
+            assert_same_poly(got_q, q)
+            assert_same_poly(got_r, r)
+            assert_same_poly(x // y, q)
+            assert_same_poly(x % y, r)
