@@ -14,8 +14,8 @@ class yields each hyperplane exactly once.
 
 from __future__ import annotations
 
-from .caps import effective_cap
-from .errors import CapExceeded, ContextMismatch
+from .caps import DEFAULT_FIELD_CAP, check_cap
+from .errors import ContextMismatch
 from .fields import code_tables
 
 
@@ -220,11 +220,13 @@ def hyperplane_functionals(ctx, cap=None):
     functional come from the code tables:
     exp[log(a) p^i mod (q - 1)].  trace_functional computes the same
     map on field elements.
+
+    `cap`, when given, stands in for the default cap; CURVADD_CAP
+    overrides either.  Nothing in the package passes it.
     """
-    limit = effective_cap(cap)
     count = (ctx.order - 1) // (ctx.p - 1)
-    if count > limit:
-        raise CapExceeded("hyperplane enumeration", count, limit)
+    default = DEFAULT_FIELD_CAP if cap is None else cap
+    check_cap("hyperplane enumeration", count, default)
     exp, log, _ = code_tables(ctx)
     n = ctx.order - 1
     steps = [pow(ctx.p, i, n) for i in range(ctx.k)]

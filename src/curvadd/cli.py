@@ -28,6 +28,7 @@ from .cover import (
     decide_by_exhaustion,
     decide_by_hyperplanes,
     elliptic_bound,
+    require_verified,
     zero_forcing_inequality,
 )
 from .curve import Curve, affine_points, load_curve_file
@@ -279,6 +280,7 @@ def cmd_search(args):
     if args.mode in ("exhaustive", "both"):
         verdicts.append(decide_by_exhaustion(points, ctx))
     for verdict in verdicts:
+        require_verified(verdict, points, curve)
         _print_verdict(verdict, sys.stdout)
     if len(verdicts) == 2:
         a, b = verdicts
@@ -503,36 +505,30 @@ def cmd_verify_paper(args):
             f"{str(forced):<6}  {str(exists):<6}  {verdict}"
         )
 
-    grid_p = (5, 7, 11, 13, 17)
-    grid_k = (1, 2, 3)
-    print("\n[conic case, d = 2]  claimed: p >= 5; computed: q - 1 > 4*p^(k-1)")
-    print("   p  k  claimed  computed  verdict")
-    for p in grid_p:
-        for k in grid_k:
-            report = conic_bound(p, k)
-            verdict = _match(report.claimed_by_statement, report.forced_zero)
-            if verdict == "MISMATCH":
-                findings.append(claims_mod.uncertified_flag(report, p, k))
-            print(
-                f"  {p:>2} {k:>2}  {str(report.claimed_by_statement):<7} "
-                f" {str(report.forced_zero):<8}  {verdict}"
-            )
-    print(
-        "\n[elliptic case, d = 3]  claimed: p > 13, or p = 7 with k > 2, "
-        "or p in {11, 13} with k > 1"
+    grid = [(p, k) for p in (5, 7, 11, 13, 17) for k in (1, 2, 3)]
+    cases = (
+        (conic_bound, "[conic case, d = 2]  claimed: p >= 5; computed: q - 1 > 4*p^(k-1)"),
+        (
+            elliptic_bound,
+            "[elliptic case, d = 3]  claimed: p > 13, or p = 7 with k > 2, "
+            "or p in {11, 13} with k > 1",
+        ),
     )
-    print("   p  k  claimed  computed  verdict")
-    for p in grid_p:
-        for k in grid_k:
-            report = elliptic_bound(p, k)
-            verdict = _match(report.claimed_by_statement, report.forced_zero)
-            if verdict == "MISMATCH":
+    for bound_at, header in cases:
+        print(f"\n{header}")
+        print("   p  k  claimed  computed  verdict")
+        for p, k in grid:
+            report = bound_at(p, k)
+            claimed, forced = report.claimed_by_statement, report.forced_zero
+            if claimed and not forced:
+                findings.append(claims_mod.uncertified_flag(report, p, k))
+            elif forced and not claimed:
                 findings.append(
-                    f"elliptic case (p={p}, k={k}): claimed and computed disagree"
+                    f"{report.name} case (p={p}, k={k}): claimed and computed disagree"
                 )
             print(
-                f"  {p:>2} {k:>2}  {str(report.claimed_by_statement):<7} "
-                f" {str(report.forced_zero):<8}  {verdict}"
+                f"  {p:>2} {k:>2}  {str(claimed):<7} "
+                f" {str(forced):<8}  {_match(claimed, forced)}"
             )
 
     print("\npaper_flags:")

@@ -41,8 +41,8 @@ from operator import mul
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
-from .caps import DEFAULT_ORACLE_CAP, effective_cap
-from .errors import CapExceeded, ContextMismatch, Inconsistent
+from .caps import DEFAULT_ORACLE_CAP, check_cap, fits
+from .errors import ContextMismatch, Inconsistent
 from .curve import (
     affine_points,
     axis_parallel_lines,
@@ -228,7 +228,7 @@ def _trace_gram(ctx):
     return tuple(tuple(s[i + j] for j in range(k)) for i in range(k))
 
 
-def decide_by_hyperplanes(points, ctx, cap=None):
+def decide_by_hyperplanes(points, ctx):
     """Search the hyperplanes for one covering every point.
 
     A nonzero additive f works iff ker f, and hence some hyperplane
@@ -250,7 +250,7 @@ def decide_by_hyperplanes(points, ctx, cap=None):
         return got
 
     pairs = [(covector(x), covector(y)) for x, y in pts]
-    for functional in hyperplane_functionals(ctx, cap):
+    for functional in hyperplane_functionals(ctx):
         # the functional is x -> Tr(a x), and a is its first coefficient
         a = functional.coeffs[0].coeffs
         for wx, wy in pairs:
@@ -266,16 +266,13 @@ def decide_by_hyperplanes(points, ctx, cap=None):
     return CoverVerdict(exists_nonzero=False, method="hyperplane-search")
 
 
-def check_oracle_cap(ctx, cap=None):
+def check_oracle_cap(ctx):
     """Refuse the exhaustive oracle when its q^k maps exceed the
     oracle cap, before any work starts."""
-    total = ctx.order**ctx.k
-    limit = effective_cap(cap, DEFAULT_ORACLE_CAP)
-    if total > limit:
-        raise CapExceeded("exhaustive map scan", total, limit)
+    check_cap("exhaustive map scan", ctx.order**ctx.k, DEFAULT_ORACLE_CAP)
 
 
-def decide_by_exhaustion(points, ctx, cap=None):
+def decide_by_exhaustion(points, ctx):
     """Exhaustive oracle: decide every linearized map directly, solving
     for the last coefficient instead of walking it.
 
@@ -302,7 +299,7 @@ def decide_by_exhaustion(points, ctx, cap=None):
     log u_i(x) = (n/2 + log(x) (p^i - p^(k-1))) mod n for n = q - 1,
     since -1 = g^(n/2).
     """
-    check_oracle_cap(ctx, cap)
+    check_oracle_cap(ctx)
     pts = _point_pairs(points, ctx)
     exp, log, zech = code_tables(ctx)
     n = len(zech)
@@ -407,6 +404,16 @@ def verify_witness(verdict, points):
     return True
 
 
+def require_verified(verdict, points, c):
+    """Raise Inconsistent when verify_witness rejects the verdict's
+    witness on the points of curve c."""
+    if not verify_witness(verdict, points):
+        raise Inconsistent(
+            f"INCONSISTENT: {verdict.method} returned a witness that "
+            f"fails re-verification on {c!r}; this is a bug"
+        )
+
+
 # ---------------------------------------------------------------------------
 # The full pipeline.
 
@@ -438,21 +445,21 @@ class AnalysisReport:
         return [b for b in bounds if b.d == self.curve.degree and b.forced_zero]
 
 
-def _feasible_singular_ext(ctx, requested, limit):
+def _feasible_singular_ext(ctx, requested):
     """Largest extension degree <= requested whose pair scan fits the
-    cap (0 when even degree 1 does not fit).  The scan size q^(2m)
-    grows with m, so the search stops at the first m that does not
-    fit, however large `requested` is."""
+    cap in force (0 when even degree 1 does not fit).  The scan size
+    q^(2m) grows with m, so the search stops at the first m that does
+    not fit, however large `requested` is."""
     best = 0
     step = ctx.order**2
     scan = step
-    while best < requested and scan <= limit:
+    while best < requested and fits(scan):
         best += 1
         scan *= step
     return best
 
 
-def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
+def analyze(c, singular_ext=2, oracle="auto"):
     """Run the whole pipeline on one curve.
 
     oracle: "auto" runs the exhaustive scan when p^(k^2) fits the
@@ -472,25 +479,22 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
         raise ValueError(f"singular_ext must be >= 0, got {requested_ext}")
     ctx = c.ctx
     p, k, d = ctx.p, ctx.k, c.degree
-    limit = effective_cap(cap)
     run_oracle = oracle == "on"
     if run_oracle:
-        check_oracle_cap(ctx, ocap)
+        check_oracle_cap(ctx)
     elif oracle == "auto":
-        run_oracle = ctx.order**ctx.k <= effective_cap(ocap, DEFAULT_ORACLE_CAP)
+        run_oracle = fits(ctx.order**ctx.k, DEFAULT_ORACLE_CAP)
 
-    points = affine_points(c, cap=limit)
-    inf_count = points_at_infinity_count(c, cap=limit)
-    hw = hasse_weil_window(
-        c, cap=limit, affine_count=points.count, infinity_count=inf_count
-    )
+    points = affine_points(c)
+    inf_count = points_at_infinity_count(c)
+    hw = hasse_weil_window(c, affine_count=points.count, infinity_count=inf_count)
 
-    ext_used = _feasible_singular_ext(ctx, requested_ext, limit)
+    ext_used = _feasible_singular_ext(ctx, requested_ext)
     if ext_used == 1:
         # over F_q itself the singular points are among the affine points
         singular = singular_subset(c, points)
     elif ext_used:
-        singular = singular_points(c, ext_used, cap=limit)
+        singular = singular_points(c, ext_used)
     else:
         singular = None
 
@@ -500,12 +504,12 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
     elliptic = elliptic_bound(p, k)
     conjectural = conjectural_by_count(points.count, d, p, k)
 
-    decision = decide_by_hyperplanes(points, ctx, cap=limit)
+    decision = decide_by_hyperplanes(points, ctx)
 
     oracle_verdict = None
     agreement = "skipped"
     if run_oracle:
-        oracle_verdict = decide_by_exhaustion(points, ctx, cap=ocap)
+        oracle_verdict = decide_by_exhaustion(points, ctx)
         agreement = "agree"
 
     notes = []
@@ -520,7 +524,7 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
             f"[{hw.lower}, {hw.upper}]; the curve cannot be smooth and "
             "absolutely irreducible"
         )
-    lines = axis_parallel_lines(c, cap=limit)
+    lines = axis_parallel_lines(c)
     if lines:
         notes.append(
             "axis-parallel line component(s) on the curve: "
@@ -538,11 +542,8 @@ def analyze(c, singular_ext=2, oracle="auto", cap=None, ocap=None):
         )
 
     for verdict in (decision, oracle_verdict):
-        if verdict is not None and not verify_witness(verdict, points):
-            raise Inconsistent(
-                f"INCONSISTENT: {verdict.method} returned a witness that "
-                f"fails re-verification on {c!r}; this is a bug"
-            )
+        if verdict is not None:
+            require_verified(verdict, points, c)
 
     flags = list(claims.claim_flags(c, points, decision, singular=singular))
     for bound in (conic, elliptic):

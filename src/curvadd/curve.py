@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .caps import effective_cap
-from .errors import CapExceeded, ContextMismatch, ParseError
+from .caps import check_cap
+from .errors import ContextMismatch, ParseError
 from .fields import FqContext, code_tables, embed
 from .poly import SparsePoly, parse_bipoly
 
@@ -151,7 +151,7 @@ def _row_roots(row, tables):
     return [0] + found if row[-1] is None else found
 
 
-def affine_points(c, cap=None):
+def affine_points(c):
     """All (x, y) with defining(x, y) = 0, in code order.
 
     For each x, the fibre's points are the roots of the row f(x, .); a
@@ -159,9 +159,7 @@ def affine_points(c, cap=None):
     scan size p^{2k} is checked against the cap before starting.
     """
     ctx = c.ctx
-    limit = effective_cap(cap)
-    if ctx.order**2 > limit:
-        raise CapExceeded("affine point scan", ctx.order**2, limit)
+    check_cap("affine point scan", ctx.order**2)
     tables = code_tables(ctx)
     codes = range(ctx.order)
     elements = [ctx.decode(code) for code in codes]
@@ -174,16 +172,14 @@ def affine_points(c, cap=None):
     )
 
 
-def points_at_infinity_count(c, cap=None):
+def points_at_infinity_count(c):
     """Projective roots of the leading form L on the line at infinity.
 
     Roots are (a : 1) for the roots a of L(., 1), plus (1 : 0) when the
     pure x^d term is absent; the count never exceeds d.
     """
     ctx = c.ctx
-    limit = effective_cap(cap)
-    if ctx.order > limit:
-        raise CapExceeded("infinity root scan", ctx.order, limit)
+    check_cap("infinity root scan", ctx.order)
     lead = c.defining.leading_form()
     tables = code_tables(ctx)
     (row,) = _rows(lead, 1, tables, (1,))
@@ -233,7 +229,7 @@ def singular_subset(c, points):
     )
 
 
-def singular_points(c, ext_degree=2, cap=None):
+def singular_points(c, ext_degree=2):
     """Points over F_{p^(k*ext_degree)} where the defining polynomial
     and both partials vanish: the affine points of c lifted to that
     field, passed through singular_subset.
@@ -249,15 +245,11 @@ def singular_points(c, ext_degree=2, cap=None):
         ext = ctx
     else:
         ext = FqContext(ctx.p, ctx.k * ext_degree)
-    limit = effective_cap(cap)
-    if ext.order**2 > limit:
-        raise CapExceeded(
-            f"singular scan over F_{ctx.p}^{ext.k}", ext.order**2, limit
-        )
+    check_cap(f"singular scan over F_{ctx.p}^{ext.k}", ext.order**2)
     if ext is not ctx:
-        lifted = {e: embed(v, ext, cap=limit) for e, v in c.defining.terms.items()}
+        lifted = {e: embed(v, ext) for e, v in c.defining.terms.items()}
         c = Curve(SparsePoly(ext, 2, lifted))
-    return singular_subset(c, affine_points(c, cap=limit))
+    return singular_subset(c, affine_points(c))
 
 
 @dataclass(frozen=True)
@@ -281,16 +273,16 @@ class HWWindow:
     verdict: str
 
 
-def hasse_weil_window(c, cap=None, affine_count=None, infinity_count=None):
+def hasse_weil_window(c, affine_count=None, infinity_count=None):
     """Exact window check for N = affine count + infinity count.
 
     Counts are enumerated unless supplied by the caller (analyze passes
     them in to avoid re-scanning).
     """
     if affine_count is None:
-        affine_count = affine_points(c, cap).count
+        affine_count = affine_points(c).count
     if infinity_count is None:
-        infinity_count = points_at_infinity_count(c, cap)
+        infinity_count = points_at_infinity_count(c)
     q = c.ctx.order
     d = c.degree
     g_bound = (d - 1) * (d - 2) // 2
@@ -311,7 +303,7 @@ def hasse_weil_window(c, cap=None, affine_count=None, infinity_count=None):
     )
 
 
-def axis_parallel_lines(c, cap=None):
+def axis_parallel_lines(c):
     """Lines x = a or y = b contained in the curve, as strings.
 
     Such a component makes the vanishing condition degenerate (the
@@ -319,9 +311,7 @@ def axis_parallel_lines(c, cap=None):
     counting argument, so analyze surfaces them as hypothesis notes.
     """
     ctx = c.ctx
-    limit = effective_cap(cap)
-    if ctx.order > limit:
-        raise CapExceeded("axis line scan", ctx.order, limit)
+    check_cap("axis line scan", ctx.order)
     tables = code_tables(ctx)
     codes = range(ctx.order)
     rows = _rows(c.defining, 0, tables, codes)

@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .caps import effective_cap
-from .errors import CapExceeded, ContextMismatch
+from .caps import check_cap
+from .errors import ContextMismatch
 
 # Largest prime accepted for p.  Keeps p inside the range where the
 # fixed Miller-Rabin base set below is a proven primality certificate.
@@ -72,6 +72,20 @@ def check_pk(p, k):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return p, k
+
+
+def _power(one, base, e):
+    """base**e for an int e >= 0 by square-and-multiply, starting from
+    `one`; the base is not squared after the last exponent bit.  Field
+    elements and both polynomial classes share it."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +305,9 @@ class FqContext:
             code //= self.p
         return FqElement(self, tuple(coeffs))
 
-    def elements(self, cap=None):
+    def elements(self):
         """All field elements in code order (0, 1, ..., p-1, g, 1+g, ...)."""
-        limit = effective_cap(cap)
-        if self.order > limit:
-            raise CapExceeded(f"enumerating F_{self.p}^{self.k}", self.order, limit)
+        check_cap(f"enumerating F_{self.p}^{self.k}", self.order)
         for code in range(self.order):
             yield self.decode(code)
 
@@ -456,14 +468,7 @@ class FqElement:
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self.ctx.one(), self, e)
 
     # -- field structure -----------------------------------------------------
 
@@ -582,7 +587,7 @@ def _embedding_root(src, dst):
     raise RuntimeError("embedding root not found; irreducibility is broken")
 
 
-def embed(a, dst, cap=None):
+def embed(a, dst):
     """Embed an element into a larger context over the same prime.
 
     The embedding sends the source generator to the first root of the
@@ -592,9 +597,7 @@ def embed(a, dst, cap=None):
     """
     if a.ctx == dst:
         return a
-    limit = effective_cap(cap)
-    if dst.order > limit:
-        raise CapExceeded("embedding root scan", dst.order, limit)
+    check_cap("embedding root scan", dst.order)
     root = _embedding_root(a.ctx, dst)
     acc = dst.zero()
     for c in reversed(a.coeffs):

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import ContextMismatch, ParseError
-from .fields import FqContext, FqElement, _pdivmod, _pgcd, _pmul, _trim
+from .fields import FqContext, FqElement, _pdivmod, _pgcd, _pmul, _power, _trim
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -439,15 +439,7 @@ class UniPoly:
         e = int(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.domain)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(UniPoly.one(self.domain), self, e)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -902,15 +894,7 @@ class SparsePoly:
         e = int(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = SparsePoly.constant(self.ctx, 1, self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(SparsePoly.constant(self.ctx, 1, self.nvars), self, e)
 
     # -- evaluation and calculus ----------------------------------------------
 
@@ -1051,11 +1035,17 @@ def _tokenize(text, names):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(("int", int(text[start:i]), start))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # past Python's int string-conversion limit
+                raise ParseError(
+                    f"integer literal of {i - start} digits is too long", start
+                ) from None
+            tokens.append(("int", value, start))
             continue
         if ch in _OPS:
             tokens.append((ch, ch, i))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from curvadd import cli, cover
+from curvadd import LinearizedMap, cli, cover
 from curvadd.cli import main
 
 HYPERBOLA_F7 = "p = 7\nk = 1\nf = x*y - 1\n"
@@ -123,6 +123,20 @@ def test_analyze_huge_power_exit_1_before_expanding(tmp_path):
     assert proc.stderr.rstrip().endswith("(at position 11)")
 
 
+def test_analyze_integer_literal_errors_exit_1(tmp_path, capsys):
+    # past Python's 4300-digit int conversion limit, the literal is a
+    # parse error at its first digit, not a bare ValueError
+    path = write_curve(tmp_path, "p = 3\nk = 1\nf = x*y - " + "1" * 5000 + "\n")
+    assert main(["analyze", "--curve", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: integer literal of 5000 digits")
+    assert err.endswith("(at position 6)\n")
+    # a digit that int() cannot read is an unexpected character, not a literal
+    path = write_curve(tmp_path, "p = 3\nk = 1\nf = x*y - \u00b2\n")
+    assert main(["analyze", "--curve", path]) == 1
+    assert capsys.readouterr().err == "error: unexpected character '\u00b2' (at position 6)\n"
+
+
 def analyze_in_subprocess(path):
     return subprocess.run(
         [sys.executable, "-m", "curvadd", "analyze", "--curve", path],
@@ -214,6 +228,24 @@ def test_search_refuses_over_cap_oracle_before_scanning(tmp_path, capsys, monkey
             assert captured.err == (
                 f"error: exhaustive map scan needs {maps} steps, cap is 16777216\n"
             )
+
+
+def test_search_refuses_a_witness_that_fails_verification(tmp_path, capsys, monkeypatch):
+    # the identity vanishes at no point of x*y = 1, so this witness is bogus
+    def bogus(points, ctx):
+        f = LinearizedMap.identity(ctx)
+        return cover.CoverVerdict(True, f, f.kernel(), "hyperplane-search")
+
+    path = write_curve(tmp_path, HYPERBOLA_F7)
+    message = "hyperplane-search returned a witness that fails re-verification"
+    monkeypatch.setattr(cli, "decide_by_hyperplanes", bogus)
+    assert main(["search", "--curve", path, "--mode", "hyperplane"]) == 3
+    captured = capsys.readouterr()
+    assert "witness" not in captured.out
+    assert message in captured.err
+    monkeypatch.setattr(cover, "decide_by_hyperplanes", bogus)
+    assert main(["analyze", "--curve", path, "--oracle", "off"]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_search_both_walks_every_map_over_f125(tmp_path, capsys):

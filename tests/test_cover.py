@@ -405,17 +405,15 @@ def test_bounds_apply_by_degree():
 def test_caps_env_override(monkeypatch):
     monkeypatch.setenv("CURVADD_CAP", "99")
     assert effective_cap() == 99
-    assert effective_cap(None, DEFAULT_ORACLE_CAP) == 99
-    assert effective_cap(7) == 7  # explicit argument wins
-    assert effective_cap(7, DEFAULT_ORACLE_CAP) == 7
+    assert effective_cap(DEFAULT_ORACLE_CAP) == 99
     monkeypatch.delenv("CURVADD_CAP")
     assert effective_cap() == 1 << 20
-    assert effective_cap(None, DEFAULT_ORACLE_CAP) == 1 << 24
+    assert effective_cap(DEFAULT_ORACLE_CAP) == 1 << 24
     monkeypatch.setenv("CURVADD_CAP", "not a number")
     with pytest.raises(ValueError):
         effective_cap()
     with pytest.raises(ValueError):
-        effective_cap(None, DEFAULT_ORACLE_CAP)
+        effective_cap(DEFAULT_ORACLE_CAP)
 
 
 def test_analyze_refuses_before_any_scan(monkeypatch):
@@ -431,8 +429,9 @@ def test_analyze_refuses_before_any_scan(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         analyze(c, oracle="on")
     assert str(err.value) == "exhaustive map scan needs 40353607 steps, cap is 16777216"
+    monkeypatch.setenv("CURVADD_CAP", "3")
     with pytest.raises(CapExceeded):
-        analyze(c, oracle="on", ocap=3)
+        analyze(c, oracle="on")
 
 
 def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
@@ -440,7 +439,7 @@ def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
     # search for that degree must not walk every m up to the request.
     degrees = []
 
-    def stub_singular_points(c, ext_degree=2, cap=None):
+    def stub_singular_points(c, ext_degree=2):
         degrees.append(ext_degree)
         return PointSet()
 
@@ -450,6 +449,7 @@ def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
     huge = analyze(c, singular_ext=10**9, oracle="off")
     assert small.singular_ext_used == huge.singular_ext_used == 6
     assert degrees == [6, 6]
-    assert cover._feasible_singular_ext(c.ctx, 10**9, 1 << 20) == 6
-    assert cover._feasible_singular_ext(c.ctx, 10**9, 8) == 0
-    assert cover._feasible_singular_ext(c.ctx, 0, 1 << 20) == 0
+    assert cover._feasible_singular_ext(c.ctx, 10**9) == 6
+    assert cover._feasible_singular_ext(c.ctx, 0) == 0
+    monkeypatch.setenv("CURVADD_CAP", "8")
+    assert cover._feasible_singular_ext(c.ctx, 10**9) == 0

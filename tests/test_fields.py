@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from curvadd import CapExceeded, ContextMismatch, FqContext, embed, is_prime
+from curvadd import CapExceeded, ContextMismatch, FqContext, FqElement, embed, is_prime
 from curvadd.fields import code_tables
 
 from conftest import CUSTOM_MODULI, odd_prime_powers, seeded_rng
@@ -310,3 +310,25 @@ def test_field_axioms_frobenius_and_trace_sampled(p, k, modulus):
     g = ctx.gen() if k > 1 else one
     conjugates = [g ** p**i for i in range(k)]
     assert len(set(conjugates)) == k and conjugates[-1] ** p == g
+
+
+def test_power_squares_no_more_than_the_exponent_needs(monkeypatch):
+    # square-and-multiply for e = 2: one squaring, one product into the
+    # running result, and no squaring after the last exponent bit
+    ctx = FqContext(3, 2)
+    a = ctx.decode(5)
+    want = {e: ctx.one() for e in range(12)}
+    for e in range(1, 12):
+        want[e] = want[e - 1] * a
+    calls = []
+    mul = FqElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FqElement, "__mul__", counted)
+    assert a**2 == want[2]
+    assert len(calls) == 2
+    assert all(a**e == want[e] for e in range(12))
+    assert a**-3 == a.inverse() ** 3
