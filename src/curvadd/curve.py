@@ -2,6 +2,11 @@
 singular-point search over small extensions, the Hasse-Weil window
 check, and the curve file format.
 
+All three point searches run one fibre scan: each row f(x, .) is built
+as coefficient logs and its roots come from fields._row_roots, by
+formula when the row has degree <= 2 in y (every curve the paper works
+with) and by Horner's rule on logs above that.
+
 Smoothness and absolute irreducibility are treated as user assertions
 plus best-effort refutation: the tool looks for singular points over a
 small extension and checks the point count against the Hasse-Weil
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 from .caps import check_cap
 from .errors import ContextMismatch, ParseError
-from .fields import FqContext, code_tables, embed
+from .fields import FqContext, _row_roots, _vanishing_logs, code_tables, embed
 from .poly import SparsePoly, parse_bipoly
 
 
@@ -108,55 +113,13 @@ def _rows(poly, index, tables, codes):
         yield row
 
 
-def _vanishing_logs(row, lys, zech):
-    """The logs among `lys`, in order, of the nonzero values at which
-    one row from _rows vanishes: Horner's rule on logs, one Zech
-    lookup per step.  The zero row vanishes at every one of them."""
-    n = len(zech)
-    start = 0
-    while start < len(row) and row[start] is None:
-        start += 1
-    if start == len(row):
-        return list(lys)
-    top, rest = row[start], row[start + 1 :]
-    found = []
-    for ly in lys:
-        acc = top
-        for c in rest:
-            if acc is None:
-                acc = c
-                continue
-            acc += ly
-            if c is not None:
-                z = zech[(c - acc) % n]
-                acc = None if z is None else acc + z
-        if acc is None:
-            found.append(ly)
-    return found
-
-
-def _row_roots(row, tables):
-    """The codes of the roots, in code order, of one row from _rows.
-    The zero row vanishes everywhere, so its roots are all codes.
-
-    This is the module's one point scan: affine points, singular points
-    and points at infinity are all read off it.  Each nonzero value is
-    tried by _vanishing_logs; 0 is a root iff the constant term is.
-    """
-    exp, zech = tables.exp, tables.zech
-    n = len(zech)
-    if all(c is None for c in row):
-        return range(n + 1)
-    found = sorted(exp[ly] for ly in _vanishing_logs(row, range(n), zech))
-    return [0] + found if row[-1] is None else found
-
-
 def affine_points(c):
     """All (x, y) with defining(x, y) = 0, in code order.
 
     For each x, the fibre's points are the roots of the row f(x, .); a
     zero row means the vertical line x = const lies on the curve.  The
-    scan size p^{2k} is checked against the cap before starting.
+    cap still counts the p^{2k} pairs (x, y) before starting, though a
+    row of degree <= 2 in y is solved in O(1), not tried at every y.
     """
     ctx = c.ctx
     check_cap("affine point scan", ctx.order**2)

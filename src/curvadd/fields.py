@@ -158,8 +158,9 @@ def _ppowmod(base, e, mod, p):
     while e:
         if e & 1:
             result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
         e >>= 1
+        if e:
+            base = _pmod(_pmul(base, base, p), mod, p)
     return result
 
 
@@ -491,8 +492,8 @@ class FqElement:
 
 
 # ---------------------------------------------------------------------------
-# Integer code tables: the one arithmetic kernel of the point scans and
-# the exhaustive oracle.
+# Integer code tables: the one arithmetic kernel of the point scans, the
+# row-root finder they and the embedding share, and the exhaustive oracle.
 
 
 class CodeTables(NamedTuple):
@@ -561,13 +562,100 @@ def code_tables(ctx):
     return CodeTables(tuple(exp), tuple(log), zech)
 
 
+def _vanishing_logs(row, lys, zech):
+    """The logs among `lys`, in order, of the nonzero values at which a
+    row of coefficient logs (highest power first, None for a zero
+    coefficient) vanishes: Horner's rule on logs, one Zech lookup per
+    step.  The zero row vanishes at every one of them."""
+    n = len(zech)
+    start = 0
+    while start < len(row) and row[start] is None:
+        start += 1
+    if start == len(row):
+        return list(lys)
+    top, rest = row[start], row[start + 1 :]
+    found = []
+    for ly in lys:
+        acc = top
+        for c in rest:
+            if acc is None:
+                acc = c
+                continue
+            acc += ly
+            if c is not None:
+                z = zech[(c - acc) % n]
+                acc = None if z is None else acc + z
+        if acc is None:
+            found.append(ly)
+    return found
+
+
+def _row_roots(row, tables):
+    """The codes of the roots, in code order, of a row of coefficient
+    logs (highest power first, None for a zero coefficient).  The zero
+    row vanishes everywhere, so its roots are all codes.
+
+    Rows of degree <= 2 are solved, not scanned.  With n = q - 1 and
+    h = n/2 the log of -1 (q is odd), a*y + b has its root at log
+    b - a + h.  a*y^2 + b*y + c has the roots (-b +- sqrt(D)) / (2a),
+    D = b^2 - 4ac built with one Zech lookup: one double root when
+    D = 0, none when log D is odd, and otherwise the square roots
+    g^(l/2) and g^(l/2 + h) of D = g^l give two, with one Zech lookup
+    each.  Higher degrees try every nonzero value by _vanishing_logs.
+    Throughout, 0 is a root iff the constant term is zero.
+    """
+    exp, log, zech = tables
+    n = len(zech)
+    start = 0
+    while start < len(row) and row[start] is None:
+        start += 1
+    degree = len(row) - 1 - start
+    if degree < 0:
+        return range(n + 1)
+    if degree > 2:
+        found = sorted(exp[ly] for ly in _vanishing_logs(row, range(n), zech))
+        return [0] + found if row[-1] is None else found
+    if degree == 0:
+        return []
+    h = n // 2
+    if degree == 1:
+        a, b = row[start:]
+        return [0] if b is None else [exp[(b - a + h) % n]]
+    a, b, c = row[start:]
+    l2 = log[2]
+    over_2a = -l2 - a
+    minus_4ac = None if c is None else 2 * l2 + a + c + h
+    if b is None:
+        ld = minus_4ac
+    elif minus_4ac is None:
+        ld = 2 * b
+    else:
+        z = zech[(minus_4ac - 2 * b) % n]
+        ld = None if z is None else 2 * b + z
+    if ld is None:  # D = 0: the double root -b/(2a)
+        return [0] if b is None else [exp[(b + h + over_2a) % n]]
+    if ld % 2:  # n is even, so the parity of log D is well defined
+        return []
+    roots = []
+    for s in (ld // 2, ld // 2 + h):
+        if b is None:
+            num = s
+        else:  # -b + g^s = g^(b+h) * (1 + g^(s-b-h))
+            z = zech[(s - b - h) % n]
+            num = None if z is None else b + h + z
+        roots.append(0 if num is None else exp[(num + over_2a) % n])
+    return sorted(roots)
+
+
 # ---------------------------------------------------------------------------
 # Embeddings between contexts over the same prime.
 
 
 @lru_cache(maxsize=None)
 def _embedding_root(src, dst):
-    """First root (code order) of src's modulus inside dst."""
+    """First root (code order) of src's modulus inside dst, found by
+    _row_roots on dst's code tables: the modulus's coefficients are F_p
+    constants, whose codes are themselves."""
     if src.p != dst.p:
         raise ContextMismatch(
             f"no embedding between characteristics {src.p} and {dst.p}"
@@ -576,15 +664,11 @@ def _embedding_root(src, dst):
         raise ContextMismatch(
             f"F_{src.p}^{src.k} does not embed in F_{dst.p}^{dst.k}"
         )
-    mod = src.modulus
-    for code in range(dst.order):
-        x = dst.decode(code)
-        acc = dst.zero()
-        for c in reversed(mod):
-            acc = acc * x + c
-        if acc.is_zero():
-            return x
-    raise RuntimeError("embedding root not found; irreducibility is broken")
+    tables = code_tables(dst)
+    roots = _row_roots([tables.log[c] for c in reversed(src.modulus)], tables)
+    if not roots:
+        raise RuntimeError("embedding root not found; irreducibility is broken")
+    return dst.decode(roots[0])
 
 
 def embed(a, dst):
@@ -592,8 +676,8 @@ def embed(a, dst):
 
     The embedding sends the source generator to the first root of the
     source modulus in the destination (in code order), so it is
-    deterministic.  Finding that root scans the destination field once;
-    the scan is cached per context pair and capped.
+    deterministic.  Finding that root needs the destination's O(q) code
+    tables; the root is cached per context pair and capped.
     """
     if a.ctx == dst:
         return a

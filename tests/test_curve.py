@@ -18,10 +18,10 @@ from curvadd import (
     singular_points,
 )
 from curvadd import cover
-from curvadd.fields import embed
+from curvadd.fields import _embedding_root, embed
 from curvadd.poly import SparsePoly
 
-from conftest import CORPUS, build_curve
+from conftest import CORPUS, CUSTOM_MODULI, build_curve
 
 
 def naive_affine_points(c):
@@ -268,6 +268,49 @@ def test_singular_points_over_extension_only():
     c = Curve(parse_bipoly("y^2 - (x^2 - g)^2", FqContext(3, 2, [2, 1, 1])))
     assert singular_points(c, 1).count == 0
     assert singular_points(c, 2).count == 2
+
+
+def old_embedding_root(src, dst):
+    """The embedding root by its first definition: the source modulus
+    evaluated by Horner's rule on elements at every destination element
+    in code order, the first zero winning."""
+    for x in dst.elements():
+        acc = dst.zero()
+        for c in reversed(src.modulus):
+            acc = acc * x + c
+        if acc.is_zero():
+            return x
+    raise AssertionError("the source modulus has no root in the destination")
+
+
+# The node, the cusp and the curve whose singular points may lie over
+# F_{q^2} only, each over F_9 with its default modulus and over every
+# non-default modulus.  f_y = 2y forces y = 0 at a singular point, which
+# leaves (0, 0) on the first two and (r, 0) with r^2 = g on the third;
+# the flag marks the third.
+EXT2_CURVES = (("y^2 - x^3 - x^2", False), ("y^2 - x^3", False), ("y^2 - (x^2 - g)^2", True))
+
+
+@pytest.mark.parametrize("p,k,modulus", [(3, 2, None)] + list(CUSTOM_MODULI))
+@pytest.mark.parametrize("expr,over_sqrt_g", EXT2_CURVES)
+def test_analyze_at_extension_2_under_custom_moduli(p, k, modulus, expr, over_sqrt_g):
+    ctx = FqContext(p, k, modulus)
+    c = Curve(parse_bipoly(expr, ctx))
+    report = cover.analyze(c, singular_ext=2)
+    assert report.singular_ext_used == 2
+    ext = FqContext(p, 2 * k)
+    assert _embedding_root(ctx, ext) == old_embedding_root(ctx, ext)
+    zero = ext.zero()
+    if over_sqrt_g:
+        g = embed(ctx.gen(), ext)
+        closed_form = [(r, zero) for r in ext.elements() if r * r == g]
+    else:
+        closed_form = [(zero, zero)]
+    # the pair scan over F_625 or F_729 takes tens of seconds, so the
+    # larger fields are held to the closed form alone
+    if ext.order <= 81:
+        assert brute_singular(c, 2) == closed_form
+    assert list(report.singular) == closed_form
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from curvadd import CapExceeded, ContextMismatch, FqContext, FqElement, embed, is_prime
-from curvadd.fields import code_tables
+from curvadd import CapExceeded, ContextMismatch, FqContext, FqElement, embed, fields, is_prime
+from curvadd.fields import _ppowmod, _row_roots, _vanishing_logs, code_tables
 
 from conftest import CUSTOM_MODULI, odd_prime_powers, seeded_rng
 
@@ -332,3 +332,104 @@ def test_power_squares_no_more_than_the_exponent_needs(monkeypatch):
     assert len(calls) == 2
     assert all(a**e == want[e] for e in range(12))
     assert a**-3 == a.inverse() ** 3
+
+
+def test_ppowmod_squares_no_more_than_the_exponent_needs(monkeypatch):
+    # g^e mod g^2 + 1 over F_3, the modulus of the default F_9: for
+    # e = 2 one squaring and one product, none after the last bit
+    mod, p = [1, 0, 1], 3
+    want = [[1]]
+    for _ in range(12):
+        want.append(fields._pmod(fields._pmul(want[-1], [0, 1], p), mod, p))
+    calls = []
+    pmul = fields._pmul
+
+    def counted(a, b, q):
+        calls.append(1)
+        return pmul(a, b, q)
+
+    monkeypatch.setattr(fields, "_pmul", counted)
+    assert _ppowmod([0, 1], 2, mod, p) == want[2]
+    assert len(calls) == 2
+    assert all(_ppowmod([0, 1], e, mod, p) == want[e] for e in range(13))
+
+
+# ---------------------------------------------------------------------------
+# The row-root finder: closed forms for degree <= 2 against the Horner
+# scan over every nonzero value.
+
+
+def horner_roots(row, tables):
+    """Roots of a row by trying every log, plus 0 iff the constant term
+    is zero: the scan that rows of degree >= 3 still use."""
+    exp, _, zech = tables
+    n = len(zech)
+    if all(c is None for c in row):
+        return list(range(n + 1))
+    found = sorted(exp[ly] for ly in _vanishing_logs(row, range(n), zech))
+    return [0] + found if row[-1] is None else found
+
+
+def row_of(ctx, *coeffs):
+    """The coefficient-log row of the given coefficients, highest power
+    first; an int stands for the F_p constant it names."""
+    log = code_tables(ctx).log
+    return [log[int(ctx.constant(c) if isinstance(c, int) else c)] for c in coeffs]
+
+
+ROW_FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (5, 2, None), (3, 3, None)]
+
+
+@pytest.mark.parametrize("p,k,modulus", ROW_FIELDS + list(CUSTOM_MODULI))
+def test_row_roots_match_horner_on_every_short_row(p, k, modulus):
+    # every row of 1 to 3 entries, each a log or None: degrees 0 to 2
+    # after leading Nones, with every zero discriminant, b = 0 and c = 0
+    ctx = FqContext(p, k, modulus)
+    tables = code_tables(ctx)
+    entries = [None] + list(range(ctx.order - 1))
+    for length in (1, 2, 3):
+        for row in itertools.product(entries, repeat=length):
+            row = list(row)
+            assert list(_row_roots(row, tables)) == horner_roots(row, tables), row
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (13, 2), (3, 6), (1021, 1)])
+def test_row_roots_match_horner_on_seeded_rows(p, k):
+    ctx = FqContext(p, k)
+    tables = code_tables(ctx)
+    n = ctx.order - 1
+    rng = seeded_rng(ctx.order)
+    rows = []
+    for _ in range(200):
+        length = rng.randint(1, 3)
+        rows.append([None if rng.random() < 0.2 else rng.randrange(n) for _ in range(length)])
+    # a*(y - r)*(y - s): double roots (r = s), b = 0 (s = -r), c = 0 (s = 0)
+    for _ in range(50):
+        a = ctx.decode(rng.randrange(1, ctx.order))
+        r = ctx.decode(rng.randrange(ctx.order))
+        for s in (r, -r, ctx.zero(), ctx.decode(rng.randrange(ctx.order))):
+            rows.append(row_of(ctx, a, -a * (r + s), a * r * s))
+            assert sorted({int(r), int(s)}) == list(_row_roots(rows[-1], tables))
+    for row in rows:
+        assert list(_row_roots(row, tables)) == horner_roots(row, tables), row
+
+
+@pytest.mark.parametrize(
+    "p,coeffs,roots",
+    [
+        (3, (1, 0, 2), [1, 2]),  # y^2 - 1: b = 0
+        (3, (1, 1, 0), [0, 2]),  # y^2 + y = y(y + 1): c = 0
+        (3, (1, 2, 1), [2]),  # (y + 1)^2: D = 0, and 2 = -1, 4 = 1
+        (3, (1, 0, 1), []),  # y^2 + 1: -1 is no square in F_3
+        (3, (2, 0, 1), [1, 2]),  # 2y^2 + 1 = -(y^2 - 1): a = 2 = -1
+        (5, (2, 3, 1), [2, 4]),  # (2y + 1)(y + 1): the 2a denominator
+        (5, (1, 0, 3), []),  # y^2 + 3: D = -12 = 3 has odd log
+        (7, (3, 1), [2]),  # 3y + 1: the root -1/3 = 2 needs log(-1)
+        (7, (0, 0, 3, 1), [2]),  # leading zeros do not count as degree
+        (7, (4,), []),  # a nonzero constant has no roots
+        (7, (0, 0), list(range(7))),  # the zero row vanishes everywhere
+    ],
+)
+def test_row_roots_by_hand(p, coeffs, roots):
+    ctx = FqContext(p)
+    assert list(_row_roots(row_of(ctx, *coeffs), code_tables(ctx))) == roots
