@@ -9,10 +9,14 @@ Two independent deciders answer it:
   hyperplanes.
 * decide_by_exhaustion: decide every one of the p^(k^2) nonzero
   linearized maps against every point, an oracle for the first
-  decider.  It walks the prefixes (a_0, ..., a_{k-2}) of
-  f = sum a_i x^(p^i) and solves for a_{k-1}, which f(x) = 0 fixes at
-  each coordinate x != 0; the walk thus covers every map, and stays
-  exhaustive, in q^(k-1) steps instead of q^k.
+  decider.  A map f = sum a_i x^(p^i) is a vector a of F_q^k, and
+  f(x) = 0 is one linear equation in it, a hyperplane H_x for x != 0
+  (Lidl-Niederreiter, Finite Fields, 3.4), so the working maps are
+  the nonzero vectors of the intersection over the points of
+  H_x u H_y.  The oracle branches on subspaces V of F_q^k, cutting V
+  by H_x or H_y at each point that constrains it; the walk covers
+  every map, and stays exhaustive, in at most 2^(k+1) - 1 nodes
+  instead of q^k steps.
 
 Each of the three per-point checks runs on integer arithmetic of its
 own, so no shared shortcut can hide a bug from the others:
@@ -34,7 +38,6 @@ applicable forcing bound contradicts the search verdict.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -272,43 +275,47 @@ def check_oracle_cap(ctx):
     check_cap("exhaustive map scan", ctx.order**ctx.k, DEFAULT_ORACLE_CAP)
 
 
-def decide_by_exhaustion(points, ctx):
-    """Exhaustive oracle: decide every linearized map directly, solving
-    for the last coefficient instead of walking it.
+def _subspace_walk(pts, ctx):
+    """The least working map as a tuple of coefficient codes, or None
+    when only the zero map works, and the number of nodes walked.
 
-    The maps f(x) = sum a_i x^(p^i) are ordered by the codes of
-    (a_0, ..., a_{k-1}) with a_{k-1} fastest, and the reported witness
-    is the first working map in that order.  Fix a prefix
-    (a_0, ..., a_{k-2}).  A point with a zero coordinate holds for
-    every map, so it is dropped.  For x != 0, f(x) = 0 holds for
-    exactly one a_{k-1}:
+    A map a = (a_0, ..., a_{k-1}) vanishes at x iff a . h_x = 0 with
+    h_x = (x, x^p, ..., x^(p^(k-1))): a hyperplane H_x of F_q^k when
+    x != 0, all of it when x = 0.  The working maps are therefore the
+    nonzero vectors of the intersection over the points of
+    H_x u H_y.  The walk starts from V = F_q^k and, at the first point
+    with V in neither H_x nor H_y, recurses into V n H_x and V n H_y;
+    a V that lies in H_x or H_y at every point is a leaf.  Each step
+    down drops the dimension by one, so the walk has depth at most k
+    and at most 2^(k+1) - 1 nodes; a V reached twice with the same
+    next point is walked once.
 
-        c_x = -S_x / x^(p^(k-1)),  S_x = sum_{i<k-1} a_i x^(p^i),
+    V is held by its reduced row echelon basis, rows in pivot order.
+    Its least nonzero vector, in code order with a_0 most significant,
+    is its last row: a nonzero vector's first nonzero entry sits in a
+    pivot column, the vectors zero before the last pivot are the
+    multiples of the last row, and the pivot 1 has the least nonzero
+    code.  The least working map is the least last row over the leaves.
 
-    so a point (x, y) admits only a_{k-1} in {c_x, c_y}.  The prefix's
-    working maps are those with a_{k-1} in the intersection of these
-    sets over the points (the zero map taken out under the all-zero
-    prefix), and the first of them has the smallest code there.  Every
-    one of the q^k maps is thus decided, and the oracle stays
-    complete, while the walk visits only the q^(k-1) prefixes.
+    To cut V by a . h = 0, take the last row r_t with s_t = r_t . h
+    nonzero and replace each earlier row r_i by r_i - (s_i / s_t) r_t.
+    The later rows already lie in the hyperplane, r_t is zero in every
+    other pivot column and nonzero only in later non-pivot ones, so the
+    rows left are again in reduced echelon form.
 
-    Arithmetic runs on the logs of element codes (fields.code_tables):
-    each product is a sum of logs and each addition a Zech-table
-    lookup, a code path disjoint from the hyperplane search.  With
-    u_i(x) = -x^(p^i) / x^(p^(k-1)), c_x = sum_{i<k-1} a_i u_i(x), and
-    log u_i(x) = (n/2 + log(x) (p^i - p^(k-1))) mod n for n = q - 1,
-    since -1 = g^(n/2).
+    Entries are logs of element codes (None for zero, so the pivot 1
+    is log 0), products are sums of logs and each addition is one
+    Zech-table lookup (fields.code_tables): a code path disjoint from
+    the trace form of the hyperplane search.
     """
-    check_oracle_cap(ctx)
-    pts = _point_pairs(points, ctx)
     exp, log, zech = code_tables(ctx)
     n = len(zech)
     k = ctx.k
-    top = pow(ctx.p, k - 1, n)
-    steps = [(pow(ctx.p, i, n) - top) % n for i in range(k - 1)]
     half = n // 2
+    # log(x^(p^j)) = log(x) p^j mod n
+    steps = [pow(ctx.p, j, n) for j in range(k)]
 
-    # one (log u_i(x), log u_i(y)) pair per point with no zero
+    # one (h_x, h_y) pair of log vectors per point with no zero
     # coordinate; (x, y) and (y, x) constrain alike, so keep one
     constraints = []
     seen = set()
@@ -320,54 +327,109 @@ def decide_by_exhaustion(points, ctx):
         if key in seen:
             continue
         seen.add(key)
-        constraints.append(
-            tuple(tuple((half + lv * s) % n for s in steps) for lv in key)
-        )
+        constraints.append(tuple(tuple(lv * s % n for s in steps) for lv in key))
 
-    def solve(alogs, ulogs):
-        # the code of sum a_i u_i, by Zech additions on logs
+    def add(a, b):
+        # the log of g^a + g^b
+        if a is None:
+            return b
+        if b is None:
+            return a
+        z = zech[(b - a) % n]
+        return None if z is None else (a + z) % n
+
+    def dot(row, h):
+        # the log of row . h, left unreduced mod n
         acc = None
-        for a, u in zip(alogs, ulogs):
+        for a, b in zip(row, h):
             if a is None:
                 continue
-            t = a + u
+            t = a + b
             if acc is None:
                 acc = t
             else:
                 z = zech[(t - acc) % n]
                 acc = None if z is None else acc + z
-        return 0 if acc is None else exp[acc % n]
+        return acc
 
-    def found(alogs, last):
-        witness = LinearizedMap(
-            ctx,
-            [ctx.decode(0 if a is None else exp[a]) for a in alogs]
-            + [ctx.decode(last)],
-        )
-        return CoverVerdict(
-            exists_nonzero=True,
-            witness_map=witness,
-            witness_subspace=witness.kernel(),
-            method="exhaustive-oracle",
-        )
+    def cut(rows, s):
+        t = max(i for i, v in enumerate(s) if v is not None)
+        pivot_row, st = rows[t], s[t]
+        out = []
+        for i, row in enumerate(rows[:t]):
+            if s[i] is None:
+                out.append(row)
+            else:
+                # -(s_i / s_t) has log s_i - s_t + n/2, since -1 = g^(n/2)
+                c = s[i] - st + half
+                out.append(tuple(
+                    add(a, None if b is None else (b + c) % n)
+                    for a, b in zip(row, pivot_row)
+                ))
+        return tuple(out) + rows[t + 1:]
 
-    # log lists the logs in code order, so this is code order too
-    prefixes = itertools.product(log, repeat=k - 1)
-    zero_prefix = next(prefixes)
-    if not constraints:
-        # every map works; the first nonzero one is (0, ..., 0, 1)
-        return found(zero_prefix, 1)
-    # under the all-zero prefix every c_x is 0, the zero map: skip it
-    (ux, uy), rest = constraints[0], constraints[1:]
-    for alogs in prefixes:
-        alive = {solve(alogs, ux), solve(alogs, uy)}
-        for vx, vy in rest:
-            alive &= {solve(alogs, vx), solve(alogs, vy)}
-            if not alive:
+    memo = {}
+    nodes = 0
+
+    def walk(rows, start):
+        nonlocal nodes
+        if (rows, start) in memo:
+            return memo[rows, start]
+        nodes += 1
+        best = None
+        if rows:
+            for i in range(start, len(constraints)):
+                hx, hy = constraints[i]
+                sx = [dot(row, hx) for row in rows]
+                if all(v is None for v in sx):
+                    continue
+                sy = [dot(row, hy) for row in rows]
+                if all(v is None for v in sy):
+                    continue
+                found = (walk(cut(rows, s), i + 1) for s in (sx, sy))
+                best = min((f for f in found if f is not None), default=None)
                 break
-        else:
-            return found(alogs, min(alive))
-    return CoverVerdict(exists_nonzero=False, method="exhaustive-oracle")
+            else:
+                best = tuple(0 if a is None else exp[a] for a in rows[-1])
+        memo[rows, start] = best
+        return best
+
+    identity = tuple(
+        tuple(0 if i == j else None for j in range(k)) for i in range(k)
+    )
+    return walk(identity, 0), nodes
+
+
+def decide_by_exhaustion(points, ctx):
+    """Exhaustive oracle: the first working map in code order, found by
+    branching on subspaces of the coefficient space instead of walking
+    the maps.
+
+    The maps f(x) = sum a_i x^(p^i) are ordered by the codes of
+    (a_0, ..., a_{k-1}) with a_{k-1} fastest, and the reported witness
+    is the first working map in that order.  The working maps are the
+    nonzero vectors of the leaves of a depth-first walk that cuts F_q^k
+    by the kernel hyperplane of one coordinate of a point at a time
+    (_subspace_walk).  Every one of the q^k maps is decided: a map that
+    works lies in the leaf reached by following, at each cut, a
+    coordinate where it vanishes, and a map that fails at some point
+    lies in no leaf.  So the oracle stays complete while the walk has
+    at most 2^(k+1) - 1 nodes; its cap still counts the q^k maps.
+    Arithmetic runs on the logs of element codes with Zech-table sums,
+    independent of the hyperplane search and of verify_witness.
+    """
+    check_oracle_cap(ctx)
+    pts = _point_pairs(points, ctx)
+    codes, _ = _subspace_walk(pts, ctx)
+    if codes is None:
+        return CoverVerdict(exists_nonzero=False, method="exhaustive-oracle")
+    witness = LinearizedMap(ctx, [ctx.decode(c) for c in codes])
+    return CoverVerdict(
+        exists_nonzero=True,
+        witness_map=witness,
+        witness_subspace=witness.kernel(),
+        method="exhaustive-oracle",
+    )
 
 
 def verify_witness(verdict, points):

@@ -19,6 +19,7 @@ guessing an embedding.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .caps import check_cap
@@ -509,7 +510,9 @@ class CodeTables(NamedTuple):
     In logs, a product is a sum, and g^a + g^b = g^a * (1 + g^(b-a))
     has log a + zech[(b - a) % n], so polynomials evaluate on logs with
     no element arithmetic at all (Huber, "Some comments on Zech's
-    logarithms", IEEE Trans. IT 36(4), 1990).
+    logarithms", IEEE Trans. IT 36(4), 1990): the row scans, the
+    embedding root and the exhaustive oracle's row reductions all run
+    on them, and code_tables builds them on integers alone.
     """
 
     exp: tuple
@@ -518,24 +521,36 @@ class CodeTables(NamedTuple):
 
 
 def _first_primitive(ctx):
-    """The first element in code order whose powers fill F_q^*."""
+    """The code of the first element in code order whose powers fill
+    F_q^*: the first whose (n/r)-th power is not 1 for any prime r
+    dividing n = q - 1.  The powers are taken by pow mod p when k = 1
+    and by _ppowmod on coefficient lists modulo the modulus otherwise,
+    with no element arithmetic."""
+    p, k = ctx.p, ctx.k
     n = ctx.order - 1
-    factors = []
+    cofactors = []
     rest = n
     f = 2
     while f * f <= rest:
         if rest % f == 0:
-            factors.append(f)
+            cofactors.append(n // f)
             while rest % f == 0:
                 rest //= f
         f += 1
     if rest > 1:
-        factors.append(rest)
-    one = ctx.one()
-    for code in range(2, ctx.order):
-        el = ctx.decode(code)
-        if all(el ** (n // r) != one for r in factors):
-            return el
+        cofactors.append(n // rest)
+    if k == 1:
+        for code in range(2, p):
+            if all(pow(code, e, p) != 1 for e in cofactors):
+                return code
+    modulus = list(ctx.modulus)
+    # codes below p are the constants, whose orders divide p - 1 < n
+    for code in range(p, ctx.order):
+        if all(
+            _ppowmod(_trim(list(ctx.decode(code).coeffs)), e, modulus, p) != [1]
+            for e in cofactors
+        ):
+            return code
     raise RuntimeError(f"no primitive element in {ctx!r}")
 
 
@@ -543,18 +558,38 @@ def _first_primitive(ctx):
 def code_tables(ctx):
     """The CodeTables of ctx, built on first use and cached per context
     (tuples, since every caller shares them): O(q) entries, so callers
-    check their caps before asking."""
-    q, p = ctx.order, ctx.p
+    check their caps before asking.
+
+    Multiplying by the generator g is F_p-linear on coefficient
+    vectors, so each power g^(i+1) is the k x k matrix of that map
+    (column j: the digits of g * x^j reduced by the modulus) applied to
+    the digits of g^i, and each entry costs k dot products mod p, with
+    no element arithmetic; for k = 1 it is one product mod p."""
+    q, p, k = ctx.order, ctx.p, ctx.k
     n = q - 1
     gen = _first_primitive(ctx)
     exp = [0] * (2 * n)
     log = [None] * q
-    cur = ctx.one()
-    for i in range(n):
-        code = int(cur)
-        exp[i] = exp[i + n] = code
-        log[code] = i
-        cur = cur * gen
+    if k == 1:
+        code = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = code
+            log[code] = i
+            code = code * gen % p
+    else:
+        g, modulus = list(ctx.decode(gen).coeffs), list(ctx.modulus)
+        columns = []
+        for j in range(k):
+            column = _pmod(_pmul(g, [0] * j + [1], p), modulus, p)
+            columns.append(column + [0] * (k - len(column)))
+        rows = list(zip(*columns))
+        weights = [p**i for i in range(k)]
+        digits = [1] + [0] * (k - 1)
+        for i in range(n):
+            code = sum(map(mul, digits, weights))
+            exp[i] = exp[i + n] = code
+            log[code] = i
+            digits = [sum(map(mul, row, digits)) % p for row in rows]
     # adding 1 changes only the lowest base-p digit of a code
     zech = tuple(
         log[code + 1 if code % p != p - 1 else code + 1 - p] for code in exp[:n]

@@ -40,7 +40,7 @@ from conftest import (
     corpus_curves,
     random_point_set,
 )
-from oracle_reference import map_walk_oracle
+from oracle_reference import map_walk_oracle, prefix_walk_oracle
 
 
 def test_criterion_1_case_split_table():
@@ -74,14 +74,14 @@ def test_criterion_2_oracle_equivalence():
             v1 = decide_by_hyperplanes(pts, ctx)
             v2 = decide_by_exhaustion(pts, ctx)
             assert v1.exists_nonzero == v2.exists_nonzero, (p, k, pts)
-            assert v2 == map_walk_oracle(pts, ctx), (p, k, pts)
+            assert v2 == map_walk_oracle(pts, ctx) == prefix_walk_oracle(pts, ctx), (p, k, pts)
             assert verify_witness(v1, pts), (p, k, pts)
             assert verify_witness(v2, pts), (p, k, pts)
             checked += 1
     assert checked == 200 * len(HYPERBOLA_FIELDS)
     print(f"PASS criterion 2: hyperplane and exhaustive deciders agree on "
           f"{checked} seeded point sets over {len(HYPERBOLA_FIELDS)} fields, "
-          f"the oracle matches the all-maps walk witness for witness, "
+          f"the oracle matches the all-maps and prefix walks witness for witness, "
           f"all witnesses re-verified")
 
 

@@ -10,8 +10,10 @@ from curvadd import (
     CapExceeded,
     ContextMismatch,
     FqContext,
+    FqElement,
     Inconsistent,
     LinearizedMap,
+    affine_points,
     analyze,
     conic_bound,
     conic_claimed,
@@ -30,7 +32,7 @@ from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 from curvadd.curve import PointSet
 
 from conftest import CUSTOM_MODULI, build_curve, odd_prime_powers, random_point_set, span_elements
-from oracle_reference import map_walk_oracle
+from oracle_reference import map_walk_oracle, prefix_walk_oracle
 
 
 def test_inequality_exact_values():
@@ -142,7 +144,7 @@ def test_deciders_agree_on_seeded_sets():
             v1 = decide_by_hyperplanes(pts, ctx)
             v2 = decide_by_exhaustion(pts, ctx)
             assert v1.exists_nonzero == v2.exists_nonzero, pts
-            assert v2 == map_walk_oracle(pts, ctx), pts
+            assert v2 == map_walk_oracle(pts, ctx) == prefix_walk_oracle(pts, ctx), pts
             for v in (v1, v2):
                 assert verify_witness(v, pts)
 
@@ -164,7 +166,8 @@ def test_decider_methods_and_determinism():
 
 def test_oracle_without_constrained_points_returns_first_nonzero_map():
     # f(0) = 0 for every map, so the empty set and points that all have
-    # a zero coordinate leave the witness (0, ..., 0, 1): a zero prefix
+    # a zero coordinate leave all of F_q^k, whose least nonzero vector
+    # is the last row (0, ..., 0, 1) of its echelon basis
     for p, k in ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3)):
         ctx = FqContext(p, k)
         zero = ctx.zero()
@@ -172,13 +175,13 @@ def test_oracle_without_constrained_points_returns_first_nonzero_map():
         for pts in ([], axes):
             v = decide_by_exhaustion(pts, ctx)
             assert [int(a) for a in v.witness_map.coeffs] == [0] * (k - 1) + [1]
-            assert v == map_walk_oracle(pts, ctx)
+            assert v == map_walk_oracle(pts, ctx) == prefix_walk_oracle(pts, ctx)
             assert verify_witness(v, pts)
 
 
 def test_oracle_over_prime_field():
-    # k = 1: the prefix is empty and the maps are x -> a x, which vanish
-    # only at 0, so one point off the axes leaves no witness
+    # k = 1: the maps are x -> a x, which vanish only at 0, so one
+    # point off the axes leaves no witness
     ctx = FqContext(7)
     on_axes = [(ctx.zero(), ctx.decode(3)), (ctx.decode(5), ctx.zero())]
     v = decide_by_exhaustion(on_axes, ctx)
@@ -211,10 +214,117 @@ def test_oracle_matches_map_walk_under_custom_moduli(p, k, modulus):
     for i in range(16):
         pts = kernel_point_set(rng, ctx) if i % 2 else random_point_set(rng, ctx)
         v = decide_by_exhaustion(pts, ctx)
-        assert v == map_walk_oracle(pts, ctx), pts
+        assert v == map_walk_oracle(pts, ctx) == prefix_walk_oracle(pts, ctx), pts
         assert v.exists_nonzero == decide_by_hyperplanes(pts, ctx).exists_nonzero
         witnesses += v.exists_nonzero
     assert witnesses >= 8
+
+
+SEEDED_ORACLE_FIELDS = ((3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3), (13, 2))
+
+
+def test_oracle_matches_walks_on_seeded_sets():
+    # half random sets, half with one coordinate in a map's kernel; the
+    # all-maps walk joins in where its q^k maps stay few
+    checked = witnesses = 0
+    for p, k in SEEDED_ORACLE_FIELDS:
+        ctx = FqContext(p, k)
+        rng = random.Random(f"subspace walk {p}^{k}")
+        for i in range(30):
+            pts = kernel_point_set(rng, ctx) if i % 2 else random_point_set(rng, ctx)
+            v = decide_by_exhaustion(pts, ctx)
+            assert v == prefix_walk_oracle(pts, ctx), (p, k, pts)
+            if ctx.order**k <= 3**10:
+                assert v == map_walk_oracle(pts, ctx), (p, k, pts)
+            assert v.exists_nonzero == decide_by_hyperplanes(pts, ctx).exists_nonzero
+            assert verify_witness(v, pts)
+            assert cover._subspace_walk(pts, ctx)[1] <= 2 ** (k + 1) - 1
+            checked += 1
+            witnesses += v.exists_nonzero
+    assert checked >= 200 and witnesses >= 60, (checked, witnesses)
+
+
+def deep_point_set(ctx, rng):
+    """Points that hold for the trace map x + x^p + ... + x^(p^(k-1))
+    only through its kernel: one coordinate from a spanning set of the
+    trace-zero hyperplane, the other off it.  Reaching that map takes
+    k - 1 cuts, one per independent kernel coordinate, so the walk
+    goes to depth k - 1.  Zero coordinates, a repeated point and both
+    (x, y) and (y, x) ride along."""
+    trace_map = LinearizedMap(ctx, [ctx.one()] * ctx.k)
+    kernel = trace_map.kernel()
+    off = [e for e in ctx.elements() if not trace_map(e).is_zero()]
+    pts = []
+    for row in kernel.rows:
+        x = ctx.element(row)
+        pts.append((x, rng.choice(off)) if rng.random() < 0.5 else (rng.choice(off), x))
+    a, b = pts[0]
+    pts += [(b, a), pts[-1], (ctx.zero(), rng.choice(off)), (rng.choice(off), ctx.zero())]
+    return trace_map, pts
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (5, 3), (3, 4), (3, 5), (7, 3)])
+def test_oracle_walks_to_depth_k_minus_1(p, k, monkeypatch):
+    ctx = FqContext(p, k)
+    # F_81, F_243 and F_343 have more than 2^24 maps
+    monkeypatch.setenv("CURVADD_CAP", str(max(ctx.order**k, DEFAULT_ORACLE_CAP)))
+    rng = random.Random(f"deep {p}^{k}")
+    for _ in range(4):
+        trace_map, pts = deep_point_set(ctx, rng)
+        v = decide_by_exhaustion(pts, ctx)
+        assert v.exists_nonzero and verify_witness(v, pts)
+        assert decide_by_hyperplanes(pts, ctx).exists_nonzero
+        codes, nodes = cover._subspace_walk(pts, ctx)
+        # k - 1 branchings down one path leave at least 2k - 1 nodes
+        assert 2 * k - 1 <= nodes <= 2 ** (k + 1) - 1
+        witness = [int(a) for a in v.witness_map.coeffs]
+        assert witness == list(codes) <= [int(a) for a in trace_map.coeffs]
+        if ctx.order ** (k - 1) <= 5**6:
+            assert v == prefix_walk_oracle(pts, ctx), pts
+
+
+def test_oracle_node_bound_on_curves():
+    for p, k, expr in (
+        (3, 3, "x*y - 1"),
+        (5, 3, "y - 2*x^5 + 2*x"),
+        (3, 4, "y - x^3 + x"),
+        (3, 4, "y^2 - x^3 - x"),
+        (3, 5, "x*y - 1"),
+    ):
+        c = build_curve(p, k, expr)
+        pts = list(affine_points(c))
+        codes, nodes = cover._subspace_walk(pts, c.ctx)
+        assert nodes <= 2 ** (k + 1) - 1, (p, k, expr, nodes)
+        assert (codes is not None) == decide_by_hyperplanes(pts, c.ctx).exists_nonzero
+        if c.ctx.order ** (k - 1) <= 5**6:
+            assert decide_by_exhaustion(pts, c.ctx) == prefix_walk_oracle(pts, c.ctx)
+
+
+def test_oracle_walk_uses_no_element_arithmetic(monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("FqElement arithmetic inside the subspace walk")
+
+    c = build_curve(5, 3, "y - 2*x^5 + 2*x")
+    pts = list(affine_points(c))
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(FqElement, name, no_arithmetic)
+    assert cover._subspace_walk(pts, c.ctx)[0] is not None
+
+
+def test_oracle_decides_past_the_prefix_walk_under_raised_cap(monkeypatch):
+    # 729^6 = 3^36 maps: the prefix walk would visit 3^30 prefixes
+    monkeypatch.setenv("CURVADD_CAP", str(3**36))
+    for expr, has_witness in (("x*y - 1", False), ("y - x^3 + x", True)):
+        c = build_curve(3, 6, expr)
+        pts = affine_points(c)
+        v = decide_by_exhaustion(pts, c.ctx)
+        assert v.method == "exhaustive-oracle"
+        assert v.exists_nonzero == has_witness
+        assert v.exists_nonzero == decide_by_hyperplanes(pts, c.ctx).exists_nonzero
+        assert verify_witness(v, pts)
+    monkeypatch.setenv("CURVADD_CAP", str(3**36 - 1))
+    with pytest.raises(CapExceeded):
+        decide_by_exhaustion(pts, c.ctx)
 
 
 TRACE_FORM_FIELDS = [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)

@@ -280,6 +280,62 @@ def test_code_tables_non_default_modulus(p, k, modulus):
     assert code_tables(ctx) != code_tables(FqContext(p, k))
 
 
+def element_first_primitive(ctx):
+    """The generator search on element powers, as code_tables did it
+    before it moved to coefficient lists."""
+    n = ctx.order - 1
+    factors = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    one = ctx.one()
+    for code in range(2, ctx.order):
+        el = ctx.decode(code)
+        if all(el ** (n // r) != one for r in factors):
+            return el
+    raise RuntimeError(f"no primitive element in {ctx!r}")
+
+
+def element_code_tables(ctx):
+    """code_tables built with one element product per exp entry: the
+    reference for the digit-vector stepping."""
+    q, p = ctx.order, ctx.p
+    n = q - 1
+    gen = element_first_primitive(ctx)
+    exp = [0] * (2 * n)
+    log = [None] * q
+    cur = ctx.one()
+    for i in range(n):
+        code = int(cur)
+        exp[i] = exp[i + n] = code
+        log[code] = i
+        cur = cur * gen
+    zech = tuple(log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:n])
+    return tuple(exp), tuple(log), zech
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", list(CUSTOM_MODULI) + [(3, 7, None), (5, 5, None), (1031, 1, None)]
+)
+def test_code_tables_match_element_builder(p, k, modulus):
+    ctx = FqContext(p, k, modulus)
+    assert fields._first_primitive(ctx) == int(element_first_primitive(ctx))
+    assert tuple(code_tables(ctx)) == element_code_tables(ctx)
+
+
+def test_code_tables_build_without_element_products(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("FqElement.__mul__ called while building code tables")
+
+    contexts = [FqContext(p, k, modulus) for p, k, modulus in CUSTOM_MODULI]
+    contexts += [FqContext(13, 2), FqContext(7, 3), FqContext(31)]
+    monkeypatch.setattr(FqElement, "__mul__", no_product)
+    monkeypatch.setattr(FqElement, "__rmul__", no_product)
+    for ctx in contexts:
+        # __wrapped__ builds afresh, bypassing the per-context cache
+        code_tables.__wrapped__(ctx)
+    # the patch does catch the element builder
+    with pytest.raises(AssertionError, match="__mul__"):
+        element_code_tables(contexts[-2])
+
+
 @pytest.mark.parametrize(
     "p,k,modulus", [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)
 )

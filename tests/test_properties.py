@@ -10,8 +10,9 @@ at most 4, some with a line x = a or y = b as a component.
 The hyperplane decider runs on the trace form over F_p; it must agree
 with the exhaustive oracle and, witness for witness, with the
 Frobenius-orbit dot products on field elements kept below.  The
-oracle, which solves for the last coefficient of each map, must match
-the plain walk over all maps (oracle_reference.py) witness for
+oracle, which branches on subspaces of the coefficient space, must
+match the plain walk over all maps and the walk over prefixes that
+solves for the last coefficient (oracle_reference.py) witness for
 witness.
 verify_witness runs on the witness's F_p matrix; the reference
 evaluates the map pointwise with LinearizedMap.__call__.
@@ -65,7 +66,7 @@ from curvadd.poly import (
 
 import unipoly_reference as element_loops
 from conftest import CUSTOM_MODULI, span_elements
-from oracle_reference import map_walk_oracle
+from oracle_reference import map_walk_oracle, prefix_walk_oracle
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
 # hypothesis draws most often
@@ -238,7 +239,7 @@ def test_deciders_and_witness_check_match_references(case):
     verdict = decide_by_hyperplanes(pts, ctx)
     assert verdict == reference_decider(pts, ctx)
     oracle = decide_by_exhaustion(pts, ctx)
-    assert oracle == map_walk_oracle(pts, ctx)
+    assert oracle == map_walk_oracle(pts, ctx) == prefix_walk_oracle(pts, ctx)
     assert oracle.exists_nonzero == verdict.exists_nonzero
     assert verify_witness(oracle, pts)
     assert verify_witness(verdict, pts)
