@@ -293,6 +293,22 @@ def cmd_search(args):
     return 0
 
 
+def _fraction(tok):
+    """Fraction(tok), refused with ValueError before it is built when
+    an exponent would give the numerator or the denominator more digits
+    than Python's int string-conversion limit.  Without an exponent,
+    Fraction's own int() calls already refuse such digit strings."""
+    mantissa, _, exp = tok.lower().partition("e")
+    if exp:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        e = int(exp)
+        digits = "".join(ch for ch in mantissa if ch.isdecimal()).lstrip("0")
+        frac = sum(ch.isdecimal() for ch in mantissa.partition(".")[2])
+        if digits and max(len(digits) + e - frac, frac - e + 1) > limit:
+            raise ValueError(f"{tok!r} has more than {limit} digits")
+    return Fraction(tok)
+
+
 def _parse_coeff_csv(text, domain):
     tokens = [tok.strip() for tok in text.split(",")]
     if not tokens or any(not tok for tok in tokens):
@@ -301,7 +317,7 @@ def _parse_coeff_csv(text, domain):
     for tok in tokens:
         try:
             if domain == QQ:
-                coeffs.append(Fraction(tok))
+                coeffs.append(_fraction(tok))
             else:
                 coeffs.append(domain.ctx.constant(int(tok)))
         except (ValueError, ZeroDivisionError):
@@ -427,7 +443,7 @@ def cmd_valuation(args):
         return 0
     # --padic
     try:
-        x = Fraction(args.padic[0])
+        x = _fraction(args.padic[0])
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {args.padic[0]!r}") from None
     try:

@@ -29,7 +29,8 @@ from .errors import ContextMismatch
 # fixed Miller-Rabin base set below is a proven primality certificate.
 MAX_PRIME = (1 << 63) - 1
 
-# Witness set proven deterministic for n < 3.3 * 10^24.
+# Witness set proven deterministic for n < 318665857834031151167461
+# (about 3.2 * 10^23), well above MAX_PRIME.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -6,12 +6,14 @@ Three layers live here:
 * UniPoly: univariate polynomials with coefficients in a *domain*,
   which is either the rationals (stdlib Fraction, arbitrary precision)
   or a finite field context.  The zero polynomial has degree -infinity,
-  held as the float sentinel NEG_INF.  The domain runs the arithmetic:
-  over QQ and over a prime field F_p it works on lists of Python ints
-  (integer numerators over a common denominator, pseudo-division and
-  the primitive remainder sequence over Q; residues mod p over F_p),
-  and builds one Fraction or FqElement per output coefficient.  Over
-  F_{p^k} with k >= 2 it loops over field elements.
+  held as the float sentinel NEG_INF.  A polynomial holds its
+  coefficients in the domain's kernel form, and the domain runs the
+  arithmetic on it: over QQ integer numerators over one common
+  denominator (pseudo-division and the primitive remainder sequence),
+  over a prime field F_p residues mod p, over F_{p^k} with k >= 2 the
+  field elements themselves.  Fractions and FqElements appear only at
+  the edges: the constructor packs them, coeffs, coeff and leading
+  build them.
 * RationalFunction: quotients of UniPoly over the same domain, always
   in canonical form (coprime, monic denominator).  The constructor
   reduces an arbitrary pair by their full gcd; the operations start
@@ -52,9 +54,9 @@ NEG_INF = float("-inf")
 
 # ---------------------------------------------------------------------------
 # Integer kernels.  Over QQ and over prime fields, UniPoly arithmetic
-# runs on lists of Python ints, coefficients low to high: the helpers
-# below over Z, and the F_p list helpers of fields (_pmul, _pdivmod,
-# _pgcd), which also serve its modulus search and element inversion.
+# runs on Python ints, coefficients low to high: the helpers below over
+# Z, and the F_p list helpers of fields (_pmul, _pdivmod, _pgcd), which
+# also serve its modulus search and element inversion.
 
 
 def _lincomb(a, sa, b, sb):
@@ -102,25 +104,51 @@ def _primitive(xs):
     return [x // g for x in xs] if g > 1 else xs
 
 
+_Q_ZERO = ((), 1)
+
+
+def _rational(nums, den):
+    """The Q form of nums / den, for an int list nums and an int den !=
+    0: nums trimmed, den > 0, and the content of nums coprime to den."""
+    _trim(nums)
+    if not nums:
+        return _Q_ZERO
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple([x // g for x in nums]), den // g
+
+
 # ---------------------------------------------------------------------------
 # Coefficient domains.  A domain coerces raw values, supplies its zero
-# and one, and holds the arithmetic kernel UniPoly runs on: add, neg,
-# mul, scale, divmod and gcd take coefficient tuples (low to high,
-# no trailing zero) and return one, or a pair for divmod (b nonzero).
-# gcd is monic; the gcd of two zeros is zero.
+# and one, and holds the kernel UniPoly runs on.  A UniPoly stores its
+# coefficients in its domain's kernel form, which has no trailing zero
+# and is unique per polynomial, so forms compare and hash as the
+# polynomials do; one_form is the polynomial 1.  pack builds a form
+# from domain values, unpack and element give them back, and length
+# counts the coefficients.  add, neg, mul, divmod and gcd take forms
+# and return one, or a pair for divmod (b nonzero); gcd is monic, and
+# the gcd of two zeros is zero.  scale multiplies a form by a kernel
+# scalar: one from scalars (one per coefficient, None for zero) or
+# from monic_scalar (1 / leading coefficient, None when that is 1).
 
 
 class _RationalDomain:
-    """The field Q with Fraction coefficients.
+    """The field Q, with Fraction coefficients at the edges.
 
-    Polynomial arithmetic runs on integers: an operand becomes its
-    numerators over one common denominator (the lcm of its
-    coefficients' denominators), and a Fraction is built once per
-    output coefficient.  Division is pseudo-division over Z, and the
-    gcd is the primitive polynomial remainder sequence.
+    The kernel form is (nums, den): int numerators over one common
+    denominator den > 0, with gcd(content(nums), den) = 1; zero is
+    ((), 1).  A kernel scalar is an int pair (numerator, denominator),
+    not necessarily reduced.  Division is pseudo-division over Z, and
+    the gcd is the primitive polynomial remainder sequence.  Only unpack
+    and element build Fractions.
     """
 
     __slots__ = ()
+
+    one_form = ((1,), 1)
 
     @property
     def zero(self):
@@ -137,47 +165,68 @@ class _RationalDomain:
             return Fraction(value)
         raise TypeError(f"cannot use {value!r} as a rational coefficient")
 
-    @staticmethod
-    def _ints(coeffs):
-        """(numerators, common denominator) of Fraction coefficients."""
-        den = math.lcm(*[c.denominator for c in coeffs])
-        return [c.numerator * (den // c.denominator) for c in coeffs], den
+    def pack(self, values):
+        fs = [self.coerce(v) for v in values]
+        den = math.lcm(*[f.denominator for f in fs])
+        return _rational([f.numerator * (den // f.denominator) for f in fs], den)
 
     @staticmethod
-    def _fractions(nums, den):
-        return tuple([Fraction(n, den) for n in _trim(nums)])
+    def unpack(form):
+        nums, den = form
+        return tuple([Fraction(n, den) for n in nums])
 
-    def add(self, a, b):
-        (na, da), (nb, db) = self._ints(a), self._ints(b)
+    @staticmethod
+    def element(form, i):
+        return Fraction(form[0][i], form[1])
+
+    @staticmethod
+    def length(form):
+        return len(form[0])
+
+    @staticmethod
+    def scalars(form):
+        nums, den = form
+        return [(n, den) if n else None for n in nums]
+
+    @staticmethod
+    def monic_scalar(form):
+        nums, den = form
+        return None if nums[-1] == den else (den, nums[-1])
+
+    @staticmethod
+    def add(a, b):
+        (na, da), (nb, db) = a, b
         den = math.lcm(da, db)
-        return self._fractions(_lincomb(na, den // da, nb, den // db), den)
+        return _rational(_lincomb(na, den // da, nb, den // db), den)
 
-    def neg(self, a):
-        return tuple([-c for c in a])
+    @staticmethod
+    def neg(a):
+        return tuple([-x for x in a[0]]), a[1]
 
-    def mul(self, a, b):
-        (na, da), (nb, db) = self._ints(a), self._ints(b)
-        return self._fractions(_convolve(na, nb), da * db)
+    @staticmethod
+    def mul(a, b):
+        return _rational(_convolve(a[0], b[0]), a[1] * b[1])
 
-    def scale(self, a, c):
-        if not c:
-            return ()
-        nums, den = self._ints(a)
-        return self._fractions([n * c.numerator for n in nums], den * c.denominator)
+    @staticmethod
+    def scale(a, c):
+        n, d = c
+        return _rational([x * n for x in a[0]], a[1] * d) if n else _Q_ZERO
 
-    def divmod(self, a, b):
+    @staticmethod
+    def divmod(a, b):
         # a = na/da, b = nb/db and lc^e na = Q nb + R give
         # a = (Q db / (lc^e da)) b + R / (lc^e da)
-        (na, da), (nb, db) = self._ints(a), self._ints(b)
+        (na, da), (nb, db) = a, b
         q, r = _pseudo_divmod(na, nb)
         den = nb[-1] ** len(q) * da
-        return self._fractions([c * db for c in q], den), self._fractions(r, den)
+        return _rational([c * db for c in q], den), _rational(r, den)
 
-    def gcd(self, a, b):
-        a, b = _primitive(self._ints(a)[0]), _primitive(self._ints(b)[0])
+    @staticmethod
+    def gcd(a, b):
+        a, b = _primitive(list(a[0])), _primitive(list(b[0]))
         while b:
             a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-        return self._fractions(a, a[-1]) if a else ()
+        return _rational(a, a[-1]) if a else _Q_ZERO
 
     def __eq__(self, other):
         return isinstance(other, _RationalDomain)
@@ -195,14 +244,17 @@ QQ = _RationalDomain()
 class _FieldDomain:
     """A finite field context used as a coefficient domain.
 
-    This class runs the generic kernel, one FqElement operation per
-    coefficient step; field_domain gives it to F_{p^k} with k >= 2.
+    This class runs the generic kernel: the form is the tuple of
+    FqElement coefficients itself, a kernel scalar is an FqElement, and
+    every coefficient step is one element operation.  field_domain
+    gives it to F_{p^k} with k >= 2.
     """
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "one_form")
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self.one_form = self.pack((1,))
 
     @property
     def zero(self):
@@ -223,13 +275,38 @@ class _FieldDomain:
             return self.ctx.constant(value)
         raise TypeError(f"cannot use {value!r} as a coefficient over {self.ctx!r}")
 
+    def pack(self, values):
+        cs = [self.coerce(v) for v in values]
+        while cs and not cs[-1]:
+            cs.pop()
+        return tuple(cs)
+
+    @staticmethod
+    def unpack(form):
+        return form
+
+    @staticmethod
+    def element(form, i):
+        return form[i]
+
+    length = staticmethod(len)
+
+    @staticmethod
+    def scalars(form):
+        return [c if c else None for c in form]
+
+    def monic_scalar(self, form):
+        one = self.one
+        return None if form[-1] == one else one / form[-1]
+
     def add(self, a, b):
         out = [x + y for x, y in zip_longest(a, b, fillvalue=self.zero)]
         while out and out[-1].is_zero():
             out.pop()
         return tuple(out)
 
-    def neg(self, a):
+    @staticmethod
+    def neg(a):
         return tuple([-c for c in a])
 
     def mul(self, a, b):
@@ -244,7 +321,8 @@ class _FieldDomain:
                 out[i + j] = out[i + j] + x * y
         return tuple(out)
 
-    def scale(self, a, c):
+    @staticmethod
+    def scale(a, c):
         return tuple([x * c for x in a]) if c else ()
 
     def divmod(self, a, b):
@@ -279,43 +357,52 @@ class _FieldDomain:
 
 
 class _PrimeFieldDomain(_FieldDomain):
-    """F_p as a coefficient domain: polynomial arithmetic on ints in
-    [0, p), one modular inverse per division, Euclid on int lists made
-    monic at the end.  Nothing is tabulated, since p may be as large as
-    MAX_PRIME."""
+    """F_p as a coefficient domain.  The kernel form is a tuple of ints
+    in [0, p), and a kernel scalar is one such int.  Arithmetic runs on
+    int lists: one modular inverse per division, Euclid made monic at
+    the end.  Only unpack and element build FqElements.  Nothing is
+    tabulated, since p may be as large as MAX_PRIME."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _ints(coeffs):
-        return [c.coeffs[0] for c in coeffs]
+    def pack(self, values):
+        return tuple(_trim([self.coerce(v).coeffs[0] for v in values]))
 
-    def _elements(self, xs):
-        """Trusted FqElements for ints already in [0, p), trimmed."""
+    def unpack(self, form):
         ctx = self.ctx
-        return tuple([FqElement(ctx, (x,)) for x in _trim(xs)])
+        return tuple([FqElement(ctx, (x,)) for x in form])
+
+    def element(self, form, i):
+        return FqElement(self.ctx, (form[i],))
+
+    @staticmethod
+    def scalars(form):
+        return [x or None for x in form]
+
+    def monic_scalar(self, form):
+        return None if form[-1] == 1 else pow(form[-1], -1, self.ctx.p)
 
     def add(self, a, b):
         p = self.ctx.p
-        return self._elements([x % p for x in _lincomb(self._ints(a), 1, self._ints(b), 1)])
+        return tuple(_trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]))
 
     def neg(self, a):
         p = self.ctx.p
-        return self._elements([-x % p for x in self._ints(a)])
+        return tuple([-x % p for x in a])
 
     def mul(self, a, b):
-        return self._elements(_pmul(self._ints(a), self._ints(b), self.ctx.p))
+        return tuple(_pmul(a, b, self.ctx.p))
 
     def scale(self, a, c):
-        p, c = self.ctx.p, c.coeffs[0]
-        return self._elements([x * c % p for x in self._ints(a)] if c else [])
+        p = self.ctx.p
+        return tuple([x * c % p for x in a]) if c else ()
 
     def divmod(self, a, b):
-        q, r = _pdivmod(self._ints(a), self._ints(b), self.ctx.p)
-        return self._elements(q), self._elements(r)
+        q, r = _pdivmod(list(a), b, self.ctx.p)
+        return tuple(q), tuple(r)
 
     def gcd(self, a, b):
-        return self._elements(_pgcd(self._ints(a), self._ints(b), self.ctx.p))
+        return tuple(_pgcd(list(a), list(b), self.ctx.p))
 
 
 def field_domain(ctx):
@@ -331,27 +418,25 @@ def field_domain(ctx):
 class UniPoly:
     """Univariate polynomial over a domain; coefficients low to high.
 
-    Immutable; no trailing zeros are stored, so the zero polynomial has
-    an empty coefficient tuple and degree NEG_INF.  Arithmetic runs on
-    the domain's kernel.
+    Immutable.  The coefficients are held once, in the domain's kernel
+    form, which the arithmetic runs on and equality and hashing compare;
+    coeffs, coeff and leading build domain values on demand.  The zero
+    polynomial has no coefficients and degree NEG_INF.
     """
 
-    __slots__ = ("domain", "coeffs")
+    __slots__ = ("domain", "_form")
 
     def __init__(self, domain, coeffs=()):
-        cs = [domain.coerce(c) for c in coeffs]
-        while cs and cs[-1] == domain.zero:
-            cs.pop()
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_form", domain.pack(coeffs))
 
     @classmethod
-    def _trusted(cls, domain, coeffs):
-        """A kernel result: a tuple of canonical domain elements with no
-        trailing zero, taken as it is."""
+    def _trusted(cls, domain, form):
+        """A kernel result: a form of domain, canonical and trimmed,
+        taken as it is."""
         self = object.__new__(cls)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_form", form)
         return self
 
     def __setattr__(self, name, value):
@@ -363,7 +448,7 @@ class UniPoly:
 
     @classmethod
     def one(cls, domain):
-        return cls(domain, (domain.one,))
+        return cls._trusted(domain, domain.one_form)
 
     @classmethod
     def variable(cls, domain):
@@ -371,22 +456,29 @@ class UniPoly:
         return cls(domain, (domain.zero, domain.one))
 
     @property
+    def coeffs(self):
+        """The coefficients as domain values, low to high."""
+        return self.domain.unpack(self._form)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        n = self.domain.length(self._form)
+        return n - 1 if n else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.domain.length(self._form)
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < self.domain.length(self._form):
+            return self.domain.element(self._form, i)
         return self.domain.zero
 
     @property
     def leading(self):
-        if not self.coeffs:
+        n = self.domain.length(self._form)
+        if not n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.domain.element(self._form, n - 1)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -396,7 +488,7 @@ class UniPoly:
                 raise ContextMismatch("polynomials over different domains")
             return other
         try:
-            return UniPoly(self.domain, (self.domain.coerce(other),))
+            return UniPoly(self.domain, (other,))
         except (TypeError, ContextMismatch):
             return None
 
@@ -404,12 +496,12 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return UniPoly._trusted(self.domain, self.domain.add(self.coeffs, other.coeffs))
+        return UniPoly._trusted(self.domain, self.domain.add(self._form, other._form))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly._trusted(self.domain, self.domain.neg(self.coeffs))
+        return UniPoly._trusted(self.domain, self.domain.neg(self._form))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -427,13 +519,12 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return UniPoly._trusted(self.domain, self.domain.mul(self.coeffs, other.coeffs))
+        return UniPoly._trusted(self.domain, self.domain.mul(self._form, other._form))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = self.domain.coerce(c)
-        return UniPoly._trusted(self.domain, self.domain.scale(self.coeffs, c))
+        return self * UniPoly(self.domain, (c,))
 
     def __pow__(self, e):
         e = int(e)
@@ -459,9 +550,9 @@ class UniPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
-            return UniPoly._trusted(self.domain, ()), self
-        q, r = self.domain.divmod(self.coeffs, other.coeffs)
+        if self.degree < other.degree:
+            return UniPoly.zero(self.domain), self
+        q, r = self.domain.divmod(self._form, other._form)
         return UniPoly._trusted(self.domain, q), UniPoly._trusted(self.domain, r)
 
     def __floordiv__(self, other):
@@ -471,9 +562,10 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
+        s = None if self.is_zero() else self.domain.monic_scalar(self._form)
+        if s is None:
             return self
-        return self.scale(self.domain.one / self.leading)
+        return UniPoly._trusted(self.domain, self.domain.scale(self._form, s))
 
     def __call__(self, value):
         """Evaluate at a domain value, as the remainder mod t - value, or
@@ -483,40 +575,44 @@ class UniPoly:
                 raise ContextMismatch("composition across domains")
             return self._compose(value.num, value.den)
         value = self.domain.coerce(value)
-        return (self % UniPoly._trusted(self.domain, (-value, self.domain.one))).coeff(0)
+        return (self % UniPoly(self.domain, (-value, self.domain.one))).coeff(0)
 
     def _compose(self, n, d):
         """self(n/d) for coprime n, d with d monic, in the homogenised
         form sum c_i n^i d^(m-i) / d^m, m = deg self.  No gcd is needed:
         a prime factor of d divides every term but c_m n^m."""
+        domain = self.domain
         if self.is_zero():
-            return RationalFunction._coprime(self, UniPoly.one(self.domain))
-        zero = self.domain.zero
-        acc = UniPoly(self.domain, (self.coeffs[-1],))
-        d_power = UniPoly.one(self.domain)
-        for c in reversed(self.coeffs[:-1]):
-            d_power = d_power * d
-            acc = acc * n
-            if c != zero:
-                acc = acc + d_power.scale(c)
-        return RationalFunction._coprime(acc, d_power)
+            return RationalFunction._coprime(self, UniPoly.one(domain))
+        *rest, top = domain.scalars(self._form)
+        acc = domain.scale(domain.one_form, top)
+        d_power = domain.one_form
+        for c in reversed(rest):
+            d_power = domain.mul(d_power, d._form)
+            acc = domain.mul(acc, n._form)
+            if c is not None:
+                acc = domain.add(acc, domain.scale(d_power, c))
+        return RationalFunction._coprime(
+            UniPoly._trusted(domain, acc), UniPoly._trusted(domain, d_power)
+        )
 
     # -- protocol ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.domain == other.domain and self.coeffs == other.coeffs
+        return self.domain == other.domain and self._form == other._form
 
     def __hash__(self):
-        return hash((self.domain, self.coeffs))
+        return hash((self.domain, self._form))
 
     def render(self, var="t"):
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == self.domain.zero:
                 continue
             if i == 0:
@@ -546,7 +642,7 @@ def unipoly_gcd(a, b):
     """Monic gcd; gcd(0, 0) = 0."""
     if a.domain is not b.domain and a.domain != b.domain:
         raise ContextMismatch("gcd across domains")
-    return UniPoly._trusted(a.domain, a.domain.gcd(a.coeffs, b.coeffs))
+    return UniPoly._trusted(a.domain, a.domain.gcd(a._form, b._form))
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +702,14 @@ class RationalFunction:
         return self
 
     def _store(self, num, den):
+        domain = num.domain
         if num.is_zero():
-            den = UniPoly.one(num.domain)
+            den = UniPoly.one(domain)
         else:
-            inv_lead = num.domain.one / den.leading
-            if inv_lead != num.domain.one:
-                num = num.scale(inv_lead)
-                den = den.scale(inv_lead)
+            s = domain.monic_scalar(den._form)
+            if s is not None:
+                num = UniPoly._trusted(domain, domain.scale(num._form, s))
+                den = UniPoly._trusted(domain, domain.scale(den._form, s))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContextMismatch, Inconsistent
-from .fields import is_prime
+from .fields import MAX_PRIME, is_prime
 from .poly import QQ, RationalFunction, UniPoly
 
 # v(0); compares greater than every finite value, absorbs addition.
@@ -64,8 +64,11 @@ def check_x_or_inverse(x):
 
 
 def padic_valuation(x, p):
-    """Exponent of the prime p in the rational x; INFINITY for 0."""
+    """Exponent of the prime p in the rational x; INFINITY for 0.  p is
+    at most MAX_PRIME, the range where is_prime is a proof."""
     p = int(p)
+    if p > MAX_PRIME:
+        raise ValueError(f"p too large: {p} > {MAX_PRIME}")
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     x = Fraction(x)

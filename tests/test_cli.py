@@ -285,6 +285,8 @@ def test_valuation_ext2(capsys):
                "--char", "3"])
     assert rc == 0
     assert "F_3(t)" in capsys.readouterr().out
+    assert main(["valuation", "--ext2", "5/8,-3,0.5", "0,1", "--samples", "3"]) == 0
+    assert "P = 1/2*x^2 - 3*x + 5/8" in capsys.readouterr().out
 
 
 def test_valuation_ext2_bad_char(capsys):
@@ -296,8 +298,28 @@ def test_valuation_ext2_bad_char(capsys):
 def test_valuation_padic(capsys):
     assert main(["valuation", "--padic", "5/8", "2"]) == 0
     assert "-3" in capsys.readouterr().out
+    for token, want in (("-3", "v_2(-3) = 0"), ("0.5", "v_2(1/2) = -1")):
+        assert main(["valuation", "--padic", token, "2"]) == 0
+        assert want in capsys.readouterr().out
     assert main(["valuation", "--padic", "5/8", "6"]) == 2
     capsys.readouterr()
+    # a composite past MAX_PRIME that passes every Miller-Rabin base
+    assert main(["valuation", "--padic", "5/8", "318665857834031151167461"]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert main(["valuation", "--padic", "5/8", str(2**61 - 1)]) == 0
+    assert "= 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e-5000"])
+def test_valuation_refuses_huge_exponents_before_fraction(token, capsys, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built before the refusal")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    assert main(["valuation", "--ext2", f"{token},1", "0,1", "--samples", "2"]) == 2
+    assert f"bad coefficient {token!r}" in capsys.readouterr().err
+    assert main(["valuation", "--padic", token, "2"]) == 2
+    assert f"bad rational {token!r}" in capsys.readouterr().err
 
 
 def test_verify_paper(capsys):

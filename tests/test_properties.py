@@ -28,15 +28,22 @@ F_3, F_5 and F_9 share a denominator factor in most draws.
 UniPoly arithmetic runs on int lists over Q and prime fields; it must
 match the element loops of unipoly_reference.py result for result,
 over Q with heights up to 10^6, F_3, F_5, F_7, F_(2^61 - 1), and F_9
-under a non-default modulus (the generic loop, as a control).
+under a non-default modulus (the generic loop, as a control).  Every
+kernel result must repack from its coefficients to an equal polynomial
+with an equal hash, and over Q its stored form must be canonical.
+RationalFunction arithmetic over Q and F_p must build no Fraction and
+no FqElement once its operands exist.
 
 Runs are derandomized, so the suite stays deterministic.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -52,8 +59,10 @@ from curvadd import (
     singular_points,
     verify_witness,
 )
+from curvadd import poly
 from curvadd.additive import hyperplane_functionals
 from curvadd.cover import CoverVerdict
+from curvadd.fields import FqElement
 from curvadd.poly import (
     QQ,
     RationalFunction,
@@ -63,6 +72,7 @@ from curvadd.poly import (
     parse_bipoly,
     unipoly_gcd,
 )
+from curvadd.valuation import random_unipoly
 
 import unipoly_reference as element_loops
 from conftest import CUSTOM_MODULI, span_elements
@@ -386,3 +396,76 @@ def test_unipoly_kernels_match_element_loops(case):
             assert_same_poly(got_r, r)
             assert_same_poly(x // y, q)
             assert_same_poly(x % y, r)
+
+
+def assert_canonical_form(x):
+    """UniPoly(d, x.coeffs) rebuilds x with its hash; over Q the stored
+    form is canonical: den > 0, content coprime to den, no trailing
+    zero; over F_p it is ints in [0, p), no trailing zero."""
+    domain = x.domain
+    again = UniPoly(domain, x.coeffs)
+    assert again == x and hash(again) == hash(x)
+    if domain == QQ:
+        nums, den = x._form
+        assert den > 0 and math.gcd(den, *nums) == 1
+    elif domain.ctx.k == 1:
+        nums = x._form
+        assert all(0 <= v < domain.ctx.p for v in nums)
+    else:
+        return
+    assert not nums or nums[-1] != 0
+
+
+@settings(SETTINGS, max_examples=200)
+@given(kernel_operands())
+def test_unipoly_kernel_form_is_canonical(case):
+    a, b, ag, bg, c = case
+    results = [a, ag * bg, ag + bg, ag - bg, -a, a.scale(c), a.monic(), unipoly_gcd(ag, bg)]
+    if not b.is_zero():
+        results.extend(divmod(ag, b))
+    for x in results:
+        assert_canonical_form(x)
+
+
+def sample_pairs(domain, rng, count):
+    """Rational functions x, y, y nonzero, whose denominators share a
+    factor, and a polynomial P."""
+    out = []
+    for _ in range(count):
+        shared = random_unipoly(rng, domain, 2, nonzero=True)
+        x, y = (
+            RationalFunction(random_unipoly(rng, domain, 3, nonzero=nonzero), random_unipoly(rng, domain, 2, nonzero=True) * shared)
+            for nonzero in (False, True)
+        )
+        out.append((x, y, random_unipoly(rng, domain, 3)))
+    return out
+
+
+def rational_results(x, y, P):
+    return (
+        x + y,
+        x - y,
+        x * y,
+        y.inverse(),
+        x == y,
+        x.polynomial_part(),
+        unipoly_gcd(x.num, y.den),
+        P(x),
+    )
+
+
+@pytest.mark.parametrize("domain", KERNEL_DOMAINS[:-1], ids=repr)
+def test_rational_function_arithmetic_builds_no_coefficients(domain, monkeypatch):
+    cases = sample_pairs(domain, random.Random(12), 20)
+    want = [rational_results(*case) for case in cases]
+
+    def built(*args, **kwargs):
+        raise AssertionError("a Fraction or FqElement was built")
+
+    monkeypatch.setattr(poly, "Fraction", built)
+    monkeypatch.setattr(poly, "FqElement", built)
+    monkeypatch.setattr(Fraction, "__new__", built)
+    monkeypatch.setattr(FqElement, "__init__", built)
+    got = [rational_results(*case) for case in cases]
+    monkeypatch.undo()
+    assert got == want

@@ -181,6 +181,13 @@ def test_padic_valuation():
         padic_valuation(Fraction(1), 4)
     with pytest.raises(ValueError):
         padic_valuation(Fraction(1), 1)
+    # 399165290221 * 798330580441: a strong pseudoprime to every
+    # Miller-Rabin base is_prime uses, and larger than MAX_PRIME
+    with pytest.raises(ValueError, match="too large"):
+        padic_valuation(Fraction(5, 8), 318665857834031151167461)
+    mersenne = 2**61 - 1
+    assert padic_valuation(Fraction(5, 8), mersenne) == 0
+    assert padic_valuation(Fraction(mersenne**2, 8), mersenne) == 2
 
 
 def test_padic_axioms_spot():
