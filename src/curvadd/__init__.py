@@ -62,7 +62,6 @@ from .poly import (
     UniPoly,
     field_domain,
     parse_bipoly,
-    parse_poly,
 )
 from .valuation import (
     INFINITY,
@@ -129,7 +128,6 @@ __all__ = [
     "random_unipoly",
     "parse_bipoly",
     "parse_curve_file",
-    "parse_poly",
     "points_at_infinity_count",
     "singular_points",
     "trace_functional",

@@ -221,12 +221,13 @@ def hyperplane_functionals(ctx, cap=None):
     exp[log(a) p^i mod (q - 1)].  trace_functional computes the same
     map on field elements.
 
+    The cap counts the q entries of the code tables, which outnumber
+    the (q - 1)/(p - 1) hyperplanes, and refuses before they are built.
     `cap`, when given, stands in for the default cap; CURVADD_CAP
     overrides either.  Nothing in the package passes it.
     """
-    count = (ctx.order - 1) // (ctx.p - 1)
     default = DEFAULT_FIELD_CAP if cap is None else cap
-    check_cap("hyperplane enumeration", count, default)
+    check_cap("hyperplane enumeration", ctx.order, default)
     exp, log, _ = code_tables(ctx)
     n = ctx.order - 1
     steps = [pow(ctx.p, i, n) for i in range(ctx.k)]

@@ -52,6 +52,7 @@ from .curve import (
     hasse_weil_window,
     points_at_infinity_count,
     singular_points,
+    singular_scan_steps,
     singular_subset,
 )
 from .fields import check_pk, code_tables
@@ -269,10 +270,16 @@ def decide_by_hyperplanes(points, ctx):
     return CoverVerdict(exists_nonzero=False, method="hyperplane-search")
 
 
+def oracle_steps(ctx):
+    """The exhaustive oracle's step count, its q^k maps: what
+    check_oracle_cap refuses on and analyze(oracle="auto") skips on."""
+    return ctx.order**ctx.k
+
+
 def check_oracle_cap(ctx):
-    """Refuse the exhaustive oracle when its q^k maps exceed the
-    oracle cap, before any work starts."""
-    check_cap("exhaustive map scan", ctx.order**ctx.k, DEFAULT_ORACLE_CAP)
+    """Refuse the exhaustive oracle when its steps exceed the oracle
+    cap, before any work starts."""
+    check_cap("exhaustive map scan", oracle_steps(ctx), DEFAULT_ORACLE_CAP)
 
 
 def _subspace_walk(pts, ctx):
@@ -450,7 +457,7 @@ def verify_witness(verdict, points):
     zeros = {}
 
     def zero_at(v):
-        if v.ctx is not ctx and v.ctx != ctx:
+        if v.ctx != ctx:
             raise ContextMismatch("point from a different context")
         digits = v.coeffs
         hit = zeros.get(digits)
@@ -508,16 +515,13 @@ class AnalysisReport:
 
 
 def _feasible_singular_ext(ctx, requested):
-    """Largest extension degree <= requested whose pair scan fits the
-    cap in force (0 when even degree 1 does not fit).  The scan size
-    q^(2m) grows with m, so the search stops at the first m that does
-    not fit, however large `requested` is."""
+    """Largest extension degree <= requested whose singular scan fits
+    the cap in force (0 when even degree 1 does not fit).  The scan
+    grows with m, so the search stops at the first m that does not fit,
+    however large `requested` is."""
     best = 0
-    step = ctx.order**2
-    scan = step
-    while best < requested and fits(scan):
+    while best < requested and fits(singular_scan_steps(ctx, best + 1)):
         best += 1
-        scan *= step
     return best
 
 
@@ -545,7 +549,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
     if run_oracle:
         check_oracle_cap(ctx)
     elif oracle == "auto":
-        run_oracle = fits(ctx.order**ctx.k, DEFAULT_ORACLE_CAP)
+        run_oracle = fits(oracle_steps(ctx), DEFAULT_ORACLE_CAP)
 
     points = affine_points(c)
     inf_count = points_at_infinity_count(c)

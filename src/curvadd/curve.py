@@ -37,8 +37,6 @@ class Curve:
     assert_abs_irreducible: bool = False
 
     def __post_init__(self):
-        if self.defining.nvars != 2:
-            raise ValueError("a plane curve needs a polynomial in x and y")
         if self.defining.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
         if self.defining.total_degree < 1:
@@ -169,7 +167,7 @@ def singular_subset(c, points):
     partials = [f for f in partials if not f.is_zero()]
     rows = {}
     for x, y in points:
-        if any(v.ctx is not ctx and v.ctx != ctx for v in (x, y)):
+        if x.ctx != ctx or y.ctx != ctx:
             raise ContextMismatch("point from a different context")
         rows[int(x)] = []
     codes = list(rows)
@@ -192,6 +190,13 @@ def singular_subset(c, points):
     )
 
 
+def singular_scan_steps(ctx, ext_degree):
+    """The singular scan's step count over F_{q^m}, m = ext_degree: the
+    (q^m)^2 pairs that singular_points refuses on and that
+    cover._feasible_singular_ext picks m by."""
+    return ctx.order ** (2 * ext_degree)
+
+
 def singular_points(c, ext_degree=2):
     """Points over F_{p^(k*ext_degree)} where the defining polynomial
     and both partials vanish: the affine points of c lifted to that
@@ -204,14 +209,14 @@ def singular_points(c, ext_degree=2):
     if ext_degree < 1:
         raise ValueError(f"ext_degree must be >= 1, got {ext_degree}")
     ctx = c.ctx
-    if ext_degree == 1:
-        ext = ctx
-    else:
+    check_cap(
+        f"singular scan over F_{ctx.p}^{ctx.k * ext_degree}",
+        singular_scan_steps(ctx, ext_degree),
+    )
+    if ext_degree > 1:
         ext = FqContext(ctx.p, ctx.k * ext_degree)
-    check_cap(f"singular scan over F_{ctx.p}^{ext.k}", ext.order**2)
-    if ext is not ctx:
         lifted = {e: embed(v, ext) for e, v in c.defining.terms.items()}
-        c = Curve(SparsePoly(ext, 2, lifted))
+        c = Curve(SparsePoly(ext, lifted))
     return singular_subset(c, affine_points(c))
 
 

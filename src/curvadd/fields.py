@@ -253,6 +253,8 @@ class FqContext:
         object.__setattr__(self, name, value)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FqContext):
             return NotImplemented
         return (

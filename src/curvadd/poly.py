@@ -20,9 +20,10 @@ Three layers live here:
   from canonical operands and cancel only factors they can share
   (Henrici's cross-cancellation), so inverse, powers and composition
   need no gcd at all.
-* SparsePoly: sparse multivariate polynomials over a finite field
-  context, used for curve-defining polynomials in x and y.  Terms map
-  exponent tuples to nonzero coefficients.
+* SparsePoly: sparse polynomials in x and y over a finite field
+  context, the curve-defining polynomials.  Terms map exponent pairs
+  to nonzero coefficients; substituting a value for one variable gives
+  a UniPoly in the other.
 
 The expression grammar, shared by the parser and the renderer:
 
@@ -31,7 +32,7 @@ The expression grammar, shared by the parser and the renderer:
     factor := atom ('^' uint)?
     atom   := uint | <variable> | 'g' | '(' expr ')'
 
-Variables default to x and y; 'g' is the extension-field generator
+The variables are x and y; 'g' is the extension-field generator
 and is rejected when k = 1; integer literals reduce mod p; whitespace
 is ignored; the leading '-' is sugar for multiplying the first term by
 p - 1.  Parentheses nest at most MAX_NESTING deep, and a power or
@@ -347,7 +348,9 @@ class _FieldDomain:
         return self.scale(a, self.one / a[-1]) if a else ()
 
     def __eq__(self, other):
-        return isinstance(other, _FieldDomain) and self.ctx == other.ctx
+        return self is other or (
+            isinstance(other, _FieldDomain) and self.ctx == other.ctx
+        )
 
     def __hash__(self):
         return hash(("_FieldDomain", self.ctx))
@@ -366,7 +369,9 @@ class _PrimeFieldDomain(_FieldDomain):
     __slots__ = ()
 
     def pack(self, values):
-        return tuple(_trim([self.coerce(v).coeffs[0] for v in values]))
+        p = self.ctx.p
+        xs = [v % p if isinstance(v, int) else self.coerce(v).coeffs[0] for v in values]
+        return tuple(_trim(xs))
 
     def unpack(self, form):
         ctx = self.ctx
@@ -484,7 +489,7 @@ class UniPoly:
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
-            if other.domain is not self.domain and other.domain != self.domain:
+            if other.domain != self.domain:
                 raise ContextMismatch("polynomials over different domains")
             return other
         try:
@@ -640,7 +645,7 @@ class UniPoly:
 
 def unipoly_gcd(a, b):
     """Monic gcd; gcd(0, 0) = 0."""
-    if a.domain is not b.domain and a.domain != b.domain:
+    if a.domain != b.domain:
         raise ContextMismatch("gcd across domains")
     return UniPoly._trusted(a.domain, a.domain.gcd(a._form, b._form))
 
@@ -846,59 +851,53 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-_DEFAULT_NAMES = ("x", "y")
+def _check_index(index):
+    if index not in (0, 1):
+        raise ValueError(f"variable index {index} out of range")
 
 
 class SparsePoly:
-    """Sparse multivariate polynomial over a finite field context.
+    """Sparse polynomial in x and y over a finite field context.
 
-    terms maps exponent tuples (one entry per variable) to nonzero
-    FqElement coefficients.  Immutable.  Display order is graded
-    lexicographic, highest first.
+    terms maps exponent pairs (i, j), for x^i y^j, to nonzero FqElement
+    coefficients.  Immutable.  Display order is graded lexicographic,
+    highest first.
     """
 
-    __slots__ = ("ctx", "nvars", "terms")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx, nvars, terms=()):
+    def __init__(self, ctx, terms=None):
         clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, coeff in items:
+        for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps} needs {nvars} entries")
+            if len(exps) != 2:
+                raise ValueError(f"exponent tuple {exps} needs 2 entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             if isinstance(coeff, int):
                 coeff = ctx.constant(coeff)
             elif coeff.ctx != ctx:
                 raise ContextMismatch("coefficient from a different context")
-            if exps in clean:
-                coeff = clean[exps] + coeff
-            if coeff.is_zero():
-                clean.pop(exps, None)
-            else:
+            if not coeff.is_zero():
                 clean[exps] = coeff
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
 
     @classmethod
-    def zero(cls, ctx, nvars=2):
-        return cls(ctx, nvars)
+    def zero(cls, ctx):
+        return cls(ctx)
 
     @classmethod
-    def constant(cls, ctx, value, nvars=2):
-        return cls(ctx, nvars, {(0,) * nvars: value})
+    def constant(cls, ctx, value):
+        return cls(ctx, {(0, 0): value})
 
     @classmethod
-    def variable(cls, ctx, index, nvars=2):
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(ctx, nvars, {exps: ctx.one()})
+    def variable(cls, ctx, index):
+        _check_index(index)
+        return cls(ctx, {(1 - index, index): ctx.one()})
 
     @property
     def total_degree(self):
@@ -927,33 +926,24 @@ class SparsePoly:
     def _check(self, other):
         if not isinstance(other, SparsePoly):
             raise TypeError("expected a SparsePoly")
-        if other.ctx != self.ctx or other.nvars != self.nvars:
+        if other.ctx != self.ctx:
             raise ContextMismatch("polynomials over different contexts")
 
     def __add__(self, other):
         if isinstance(other, (int, FqElement)):
-            other = SparsePoly.constant(self.ctx, other, self.nvars)
+            other = SparsePoly.constant(self.ctx, other)
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return SparsePoly(self.ctx, self.nvars, out)
+            out[exps] = out[exps] + coeff if exps in out else coeff
+        return SparsePoly(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(
-            self.ctx, self.nvars, {e: -c for e, c in self.terms.items()}
-        )
+        return SparsePoly(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, FqElement)):
-            other = SparsePoly.constant(self.ctx, other, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -966,15 +956,10 @@ class SparsePoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = (e1[0] + e2[0], e1[1] + e2[1])
                 c = c1 * c2
-                acc = out.get(exps)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return SparsePoly(self.ctx, self.nvars, out)
+                out[exps] = out[exps] + c if exps in out else c
+        return SparsePoly(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -982,23 +967,21 @@ class SparsePoly:
         if isinstance(c, int):
             c = self.ctx.constant(c)
         if c.is_zero():
-            return SparsePoly.zero(self.ctx, self.nvars)
-        return SparsePoly(
-            self.ctx, self.nvars, {e: v * c for e, v in self.terms.items()}
-        )
+            return SparsePoly.zero(self.ctx)
+        return SparsePoly(self.ctx, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, e):
         e = int(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(SparsePoly.constant(self.ctx, 1, self.nvars), self, e)
+        return _power(SparsePoly.constant(self.ctx, 1), self, e)
 
     # -- evaluation and calculus ----------------------------------------------
 
     def evaluate(self, values):
         values = tuple(values)
-        if len(values) != self.nvars:
-            raise ValueError(f"need {self.nvars} values, got {len(values)}")
+        if len(values) != 2:
+            raise ValueError(f"need 2 values, got {len(values)}")
         for v in values:
             if v.ctx != self.ctx:
                 raise ContextMismatch("evaluation point from a different context")
@@ -1012,27 +995,20 @@ class SparsePoly:
         return acc
 
     def substitute(self, index, value):
-        """Plug a field element into one variable; one fewer variable."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
+        """Plug a field element into one variable: a UniPoly in the
+        other one, over field_domain(ctx)."""
+        _check_index(index)
         if value.ctx != self.ctx:
             raise ContextMismatch("substituted value from a different context")
-        out = {}
+        coeffs = [self.ctx.zero()] * (1 + max(self.degree_in(1 - index), -1))
         for exps, coeff in self.terms.items():
-            c = coeff * value ** exps[index] if exps[index] else coeff
-            rest = exps[:index] + exps[index + 1 :]
-            acc = out.get(rest)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = acc
-        return SparsePoly(self.ctx, self.nvars - 1, out)
+            e, i = exps[index], exps[1 - index]
+            coeffs[i] = coeffs[i] + (coeff * value**e if e else coeff)
+        return UniPoly(field_domain(self.ctx), coeffs)
 
     def partial(self, index):
         """Formal partial derivative; char-p annihilation applies."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
+        _check_index(index)
         out = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
@@ -1043,7 +1019,7 @@ class SparsePoly:
                 continue
             new = exps[:index] + (e - 1,) + exps[index + 1 :]
             out[new] = c
-        return SparsePoly(self.ctx, self.nvars, out)
+        return SparsePoly(self.ctx, out)
 
     def leading_form(self):
         """The top homogeneous part (terms of maximal total degree)."""
@@ -1051,9 +1027,7 @@ class SparsePoly:
             return self
         d = self.total_degree
         return SparsePoly(
-            self.ctx,
-            self.nvars,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
+            self.ctx, {e: c for e, c in self.terms.items() if sum(e) == d}
         )
 
     # -- protocol ------------------------------------------------------------
@@ -1061,27 +1035,19 @@ class SparsePoly:
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ctx, self.nvars, tuple(self.sorted_terms())))
+        return hash((self.ctx, tuple(self.sorted_terms())))
 
-    def render(self, names=None):
+    def render(self):
         """Canonical text in the expression grammar; reparses to self."""
-        if names is None:
-            names = _DEFAULT_NAMES[: self.nvars]
-        if len(names) != self.nvars:
-            raise ValueError(f"need {self.nvars} variable names")
         if not self.terms:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
             factors = []
-            for name, e in zip(names, exps):
+            for name, e in zip("xy", exps):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -1122,8 +1088,7 @@ def _check_degree(degree, what, pos):
         raise ParseError(f"{what} of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", pos)
 
 
-def _tokenize(text, names):
-    allowed = set(names) | {"g"}
+def _tokenize(text):
     tokens = []
     i = 0
     n = len(text)
@@ -1149,7 +1114,7 @@ def _tokenize(text, names):
             i += 1
             continue
         if ch.isalpha():
-            if ch in allowed:
+            if ch in "xyg":
                 tokens.append(("name", ch, i))
                 i += 1
                 continue
@@ -1160,10 +1125,9 @@ def _tokenize(text, names):
 
 
 class _Parser:
-    def __init__(self, text, ctx, names):
+    def __init__(self, text, ctx):
         self.ctx = ctx
-        self.names = tuple(names)
-        self.tokens = _tokenize(text, self.names)
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
@@ -1219,17 +1183,16 @@ class _Parser:
 
     def atom(self):
         kind, value, pos = self.take()
-        nvars = len(self.names)
         if kind == "int":
-            return SparsePoly.constant(self.ctx, value, nvars)
+            return SparsePoly.constant(self.ctx, value)
         if kind == "name":
             if value == "g":
                 if self.ctx.k == 1:
                     raise ParseError(
                         "generator 'g' needs an extension field (k >= 2)", pos
                     )
-                return SparsePoly.constant(self.ctx, self.ctx.gen(), nvars)
-            return SparsePoly.variable(self.ctx, self.names.index(value), nvars)
+                return SparsePoly.constant(self.ctx, self.ctx.gen())
+            return SparsePoly.variable(self.ctx, "xy".index(value))
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -1245,13 +1208,8 @@ class _Parser:
         raise ParseError(f"expected a value, got {what}", pos)
 
 
-def parse_poly(text, ctx, names=("x", "y")):
-    """Parse an expression in the grammar into a SparsePoly."""
+def parse_bipoly(text, ctx):
+    """Parse an expression in the grammar into a SparsePoly in x and y."""
     if not isinstance(text, str):
         raise TypeError("expected an expression string")
-    return _Parser(text, ctx, names).parse()
-
-
-def parse_bipoly(text, ctx):
-    """Parse a curve-defining polynomial in x and y."""
-    return parse_poly(text, ctx, ("x", "y"))
+    return _Parser(text, ctx).parse()

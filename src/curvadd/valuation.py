@@ -94,7 +94,9 @@ def _random_coeff(rng, domain, height):
     if domain == QQ:
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
     ctx = domain.ctx
-    return ctx.decode(rng.randrange(ctx.order))
+    code = rng.randrange(ctx.order)
+    # over F_p the code is the residue itself, which UniPoly packs as is
+    return code if ctx.k == 1 else ctx.decode(code)
 
 
 def random_unipoly(rng, domain, max_degree=8, height=9, nonzero=False):

@@ -71,6 +71,26 @@ def random_point_set(rng, ctx, max_points=8):
     return [(ctx.decode(a), ctx.decode(b)) for a, b in sorted(codes)]
 
 
+def reference_affine(c):
+    """The affine points by direct evaluation at every pair, in code
+    order: the route independent of the fibre scan."""
+    elements = list(c.ctx.elements())
+    return [
+        (a, b)
+        for a, b in itertools.product(elements, repeat=2)
+        if c.defining.evaluate((a, b)).is_zero()
+    ]
+
+
+def reference_infinity_count(c):
+    """The points at infinity by direct evaluation of the leading form
+    at every (a : 1) and at (1 : 0)."""
+    ctx = c.ctx
+    lead = c.defining.leading_form()
+    count = sum(lead.evaluate((a, ctx.one())).is_zero() for a in ctx.elements())
+    return count + lead.evaluate((ctx.one(), ctx.zero())).is_zero()
+
+
 def seeded_rng(seed):
     return random.Random(seed)
 

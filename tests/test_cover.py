@@ -30,6 +30,7 @@ from curvadd import (
 from curvadd import cover
 from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 from curvadd.curve import PointSet
+from curvadd.fields import code_tables
 
 from conftest import CUSTOM_MODULI, build_curve, odd_prime_powers, random_point_set, span_elements
 from oracle_reference import map_walk_oracle, prefix_walk_oracle
@@ -563,3 +564,40 @@ def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
     assert cover._feasible_singular_ext(c.ctx, 0) == 0
     monkeypatch.setenv("CURVADD_CAP", "8")
     assert cover._feasible_singular_ext(c.ctx, 10**9) == 0
+
+
+@pytest.mark.parametrize("slack", (0, 1))
+def test_each_capped_stage_refuses_exactly_when_it_is_skipped(monkeypatch, slack):
+    # F_27: the oracle's 27^3 maps outnumber the affine scan's 27^2
+    # pairs, so only the oracle meets the cap here
+    c = build_curve(3, 3, "x*y - 1")
+    monkeypatch.setenv("CURVADD_CAP", str(3**9 - slack))
+    try:
+        analyze(c, singular_ext=1, oracle="on")
+        allowed = True
+    except CapExceeded:
+        allowed = False
+    assert allowed == (slack == 0)
+    assert (analyze(c, singular_ext=1).oracle_verdict is not None) == allowed
+    # F_3: the singular scan at extension 2 counts (3^2)^2 pairs
+    c = build_curve(3, 1, "x*y - 1")
+    monkeypatch.setenv("CURVADD_CAP", str(3**4 - slack))
+    try:
+        cover.singular_points(c, 2)
+        allowed = True
+    except CapExceeded:
+        allowed = False
+    assert allowed == (slack == 0)
+    assert (analyze(c, oracle="off").singular_ext_used == 2) == allowed
+
+
+def test_hyperplane_search_refuses_before_building_tables(monkeypatch):
+    # one hyperplane over F_p, but p code table entries behind it
+    monkeypatch.setenv("CURVADD_CAP", "1000")
+    ctx = FqContext(10007)
+    built = code_tables.cache_info().misses
+    with pytest.raises(CapExceeded):
+        next(cover.hyperplane_functionals(ctx))
+    with pytest.raises(CapExceeded):
+        decide_by_hyperplanes([], ctx)
+    assert code_tables.cache_info().misses == built

@@ -18,7 +18,6 @@ from curvadd import (
     UniPoly,
     field_domain,
     parse_bipoly,
-    parse_poly,
 )
 from curvadd.poly import MAX_DEGREE, MAX_NESTING, unipoly_gcd
 
@@ -174,10 +173,21 @@ def test_sparsepoly_ring_ops():
     assert f == x**2 + 2 * x * y + y**2
     assert ((x + y) * (x - y)) == x**2 - y**2
     assert (f - f).is_zero()
-    # substitution eliminates the variable: the result is univariate
-    u = SparsePoly.variable(ctx, 0, nvars=1)
+    # substitution eliminates the variable: a UniPoly in the other one
+    u = UniPoly.variable(field_domain(ctx))
     assert f.substitute(0, ctx.constant(0)) == u**2
     assert f.substitute(1, ctx.constant(1)) == u**2 + 2 * u + 1
+    assert (x - x).substitute(0, ctx.constant(3)).is_zero()
+    # outside input: exponent pairs and variable indices only
+    with pytest.raises(ValueError):
+        SparsePoly(ctx, {(1, 0, 0): 1})
+    for index in (-1, 2):
+        with pytest.raises(ValueError):
+            SparsePoly.variable(ctx, index)
+        with pytest.raises(ValueError):
+            f.substitute(index, ctx.constant(1))
+        with pytest.raises(ValueError):
+            f.partial(index)
 
 
 def test_partial_derivative():
@@ -239,6 +249,7 @@ def test_parser_error_positions():
         ("(x + y", 6),
         ("x ^ y", 4),
         ("x @ y", 2),
+        ("x + u", 4),
         ("", 0),
     )
     for text, pos in cases:
@@ -278,14 +289,6 @@ def test_parser_degree_limit():
             parse_bipoly(text, ctx)
         assert err.value.position == pos, text
         assert f"MAX_DEGREE = {MAX_DEGREE}" in str(err.value)
-
-
-def test_parse_poly_custom_names():
-    ctx = FqContext(5)
-    f = parse_poly("u*v + 1", ctx, names=("u", "v"))
-    assert f.total_degree == 2
-    with pytest.raises(ParseError):
-        parse_poly("x + 1", ctx, names=("u", "v"))
 
 
 def test_fraction_coefficients_stay_exact():

@@ -75,7 +75,12 @@ from curvadd.poly import (
 from curvadd.valuation import random_unipoly
 
 import unipoly_reference as element_loops
-from conftest import CUSTOM_MODULI, span_elements
+from conftest import (
+    CUSTOM_MODULI,
+    reference_affine,
+    reference_infinity_count,
+    span_elements,
+)
 from oracle_reference import map_walk_oracle, prefix_walk_oracle
 
 # p in {3, 5, 7}, k <= 3, q <= 27; larger fields first, where
@@ -132,27 +137,11 @@ def curves(draw):
         # sparse draws otherwise contain often
         chosen = list(dict.fromkeys(chosen + [(0, 0)]))
     codes = draw(st.lists(st.integers(1, ctx.order - 1), min_size=len(chosen), max_size=len(chosen)))
-    poly = SparsePoly(ctx, 2, {e: ctx.decode(c) for e, c in zip(chosen, codes)})
+    poly = SparsePoly(ctx, {e: ctx.decode(c) for e, c in zip(chosen, codes)})
     if line is not None:
         value = ctx.decode(draw(st.integers(0, ctx.order - 1)))
         poly = poly * (SparsePoly.variable(ctx, line) - value)
     return Curve(poly)
-
-
-def reference_affine(c):
-    elements = list(c.ctx.elements())
-    return [
-        (a, b)
-        for a, b in itertools.product(elements, repeat=2)
-        if c.defining.evaluate((a, b)).is_zero()
-    ]
-
-
-def reference_infinity_count(c):
-    ctx = c.ctx
-    lead = c.defining.leading_form()
-    count = sum(lead.evaluate((a, ctx.one())).is_zero() for a in ctx.elements())
-    return count + lead.evaluate((ctx.one(), ctx.zero())).is_zero()
 
 
 def reference_axis_lines(c):
@@ -191,7 +180,7 @@ def bivariate_polys(draw):
     monomials = [(i, j) for i in range(MAX_DEGREE + 1) for j in range(MAX_DEGREE + 1 - i)]
     chosen = draw(st.lists(st.sampled_from(monomials), max_size=8, unique=True))
     codes = draw(st.lists(st.integers(1, ctx.order - 1), min_size=len(chosen), max_size=len(chosen)))
-    return SparsePoly(ctx, 2, {e: ctx.decode(c) for e, c in zip(chosen, codes)})
+    return SparsePoly(ctx, {e: ctx.decode(c) for e, c in zip(chosen, codes)})
 
 
 @settings(SETTINGS, max_examples=300)
