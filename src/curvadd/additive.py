@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .caps import DEFAULT_FIELD_CAP, check_cap
 from .errors import ContextMismatch
-from .fields import code_tables
+from .fields import _render_sum, code_tables
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +176,13 @@ class LinearizedMap:
         return hash((self.ctx, self.coeffs))
 
     def __repr__(self):
-        if self.is_zero():
-            return "LinearizedMap(0)"
         p = self.ctx.p
-        parts = []
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            var = "x" if i == 0 else f"x^{p**i}"
-            acoef = repr(a)
-            if acoef == "1":
-                parts.append(var)
-            elif "+" in acoef:
-                parts.append(f"({acoef})*{var}")
-            else:
-                parts.append(f"{acoef}*{var}")
-        return f"LinearizedMap({' + '.join(parts)})"
+        terms = _render_sum(
+            (repr(a), "x" if i == 0 else f"x^{p**i}")
+            for i, a in enumerate(self.coeffs)
+            if a
+        )
+        return f"LinearizedMap({terms})"
 
 
 def trace_functional(a):

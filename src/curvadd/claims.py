@@ -71,6 +71,12 @@ def claim_for_curve(curve):
     return None
 
 
+def identity_defeater(points):
+    """The first point with both coordinates nonzero: the point where
+    f(x) = x fails the vanishing condition, or None when it holds."""
+    return next((pt for pt in points if pt[0] and pt[1]), None)
+
+
 def claim_flags(curve, points, decision, singular=None):
     """Discrepancy notices comparing the computation to the claims."""
     claim = claim_for_curve(curve)
@@ -95,9 +101,7 @@ def claim_flags(curve, points, decision, singular=None):
             "from the paper's list"
         )
     if claim.claims_identity_witness:
-        defeating = next(
-            (pt for pt in computed_codes if pt[0] != 0 and pt[1] != 0), None
-        )
+        defeating = identity_defeater(computed_codes)
         if not decision.exists_nonzero:
             where = f"; point {defeating} defeats it" if defeating else ""
             flags.append(

@@ -38,7 +38,7 @@ applicable forcing bound contradicts the search verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -84,7 +84,7 @@ class BoundReport:
 
     name: str
     forced_zero: bool
-    exact_terms: dict
+    exact_terms: dict = field(hash=False)
     m: int = None
     d: int = None
     cover_lower_bound: Fraction = None
@@ -473,14 +473,24 @@ def verify_witness(verdict, points):
     return True
 
 
-def require_verified(verdict, points, c):
-    """Raise Inconsistent when verify_witness rejects the verdict's
-    witness on the points of curve c."""
-    if not verify_witness(verdict, points):
-        raise Inconsistent(
-            f"INCONSISTENT: {verdict.method} returned a witness that "
-            f"fails re-verification on {c!r}; this is a bug"
-        )
+def check_verdicts(verdicts, points, c):
+    """Raise Inconsistent unless verify_witness accepts the witness of
+    every verdict on the points of curve c, and the verdicts then agree
+    on exists_nonzero."""
+    for verdict in verdicts:
+        if not verify_witness(verdict, points):
+            raise Inconsistent(
+                f"INCONSISTENT: {verdict.method} returned a witness that "
+                f"fails re-verification on {c!r}; this is a bug"
+            )
+    first = verdicts[0]
+    for verdict in verdicts[1:]:
+        if verdict.exists_nonzero != first.exists_nonzero:
+            raise Inconsistent(
+                f"INCONSISTENT: {first.method} says exists_nonzero="
+                f"{first.exists_nonzero} but {verdict.method} says "
+                f"{verdict.exists_nonzero} for {c!r}; this is a bug"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +582,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
 
     decision = decide_by_hyperplanes(points, ctx)
 
-    oracle_verdict = None
-    agreement = "skipped"
-    if run_oracle:
-        oracle_verdict = decide_by_exhaustion(points, ctx)
-        agreement = "agree"
+    oracle_verdict = decide_by_exhaustion(points, ctx) if run_oracle else None
 
     notes = []
     if singular is not None and singular.count:
@@ -598,18 +604,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
             + "; the per-line point bound behind the counting argument fails"
         )
 
-    if oracle_verdict is not None and (
-        oracle_verdict.exists_nonzero != decision.exists_nonzero
-    ):
-        raise Inconsistent(
-            "INCONSISTENT: hyperplane search says exists_nonzero="
-            f"{decision.exists_nonzero} but the exhaustive oracle says "
-            f"{oracle_verdict.exists_nonzero} for {c!r}; this is a bug"
-        )
-
-    for verdict in (decision, oracle_verdict):
-        if verdict is not None:
-            require_verified(verdict, points, c)
+    check_verdicts([v for v in (decision, oracle_verdict) if v is not None], points, c)
 
     flags = list(claims.claim_flags(c, points, decision, singular=singular))
     for bound in (conic, elliptic):
@@ -631,7 +626,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
         conjectural_flag=conjectural,
         decision=decision,
         oracle_verdict=oracle_verdict,
-        oracle_agreement=agreement,
+        oracle_agreement="agree" if run_oracle else "skipped",
         paper_flags=tuple(flags),
     )
 

@@ -90,6 +90,39 @@ def _power(one, base, e):
     return result
 
 
+def _render_sum(terms):
+    """The sum of (coefficient text, monomial text) pairs, in the given
+    order, as every polynomial and element in the package prints it.
+    An empty monomial is a constant term, written as its coefficient.
+    Otherwise a coefficient "1" is dropped and one containing "+" is
+    parenthesised.  A term after the first that starts with "-" is
+    written as a subtraction; no terms at all is "0"."""
+    out = ""
+    for coeff, monomial in terms:
+        if not monomial:
+            term = coeff
+        elif coeff == "1":
+            term = monomial
+        else:
+            term = f"({coeff})*{monomial}" if "+" in coeff else f"{coeff}*{monomial}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"
+
+
+def _dense_terms(coeffs, var):
+    """The (coefficient text, monomial text) pairs of a dense polynomial
+    in var with coefficients low to high, highest power first, zero
+    coefficients left out."""
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i]:
+            yield str(coeffs[i]), "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+
 # ---------------------------------------------------------------------------
 # Coefficient-list polynomial helpers over F_p.  Lists are low-to-high
 # and trimmed; [] is the zero polynomial.  These are private plumbing
@@ -366,19 +399,7 @@ class FqElement:
         return hash((self.ctx, self.coeffs))
 
     def __repr__(self):
-        if not any(self.coeffs):
-            return "0"
-        parts = []
-        for i in range(self.ctx.k - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                power = "g" if i == 1 else f"g^{i}"
-                parts.append(power if c == 1 else f"{c}*{power}")
-        return " + ".join(parts)
+        return _render_sum(_dense_terms(self.coeffs, "g"))
 
     # -- arithmetic ----------------------------------------------------------
 

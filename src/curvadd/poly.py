@@ -48,7 +48,17 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import ContextMismatch, ParseError
-from .fields import FqContext, FqElement, _pdivmod, _pgcd, _pmul, _power, _trim
+from .fields import (
+    FqContext,
+    FqElement,
+    _dense_terms,
+    _pdivmod,
+    _pgcd,
+    _pmul,
+    _power,
+    _render_sum,
+    _trim,
+)
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -612,32 +622,7 @@ class UniPoly:
         return hash((self.domain, self._form))
 
     def render(self, var="t"):
-        if self.is_zero():
-            return "0"
-        coeffs = self.coeffs
-        parts = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if c == self.domain.zero:
-                continue
-            if i == 0:
-                parts.append(str(c))
-                continue
-            power = var if i == 1 else f"{var}^{i}"
-            if c == self.domain.one:
-                parts.append(power)
-            else:
-                cs = str(c)
-                if "+" in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{power}")
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return _render_sum(_dense_terms(self.coeffs, var))
 
     def __repr__(self):
         return self.render()
@@ -1042,26 +1027,17 @@ class SparsePoly:
 
     def render(self):
         """Canonical text in the expression grammar; reparses to self."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip("xy", exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            cs = repr(coeff)
-            if not factors:
-                parts.append(cs)
-            elif coeff == self.ctx.one():
-                parts.append("*".join(factors))
-            else:
-                if "+" in cs:
-                    cs = f"({cs})"
-                parts.append("*".join([cs] + factors))
-        return " + ".join(parts)
+        return _render_sum(
+            (
+                repr(coeff),
+                "*".join(
+                    name if e == 1 else f"{name}^{e}"
+                    for name, e in zip("xy", exps)
+                    if e
+                ),
+            )
+            for exps, coeff in self.sorted_terms()
+        )
 
     def __repr__(self):
         return self.render()

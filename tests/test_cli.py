@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from curvadd import LinearizedMap, cli, cover
+from curvadd import LinearizedMap, claims, cli, cover
 from curvadd.cli import main
 
 HYPERBOLA_F7 = "p = 7\nk = 1\nf = x*y - 1\n"
@@ -194,6 +194,42 @@ def test_bound_validation(capsys):
     assert "exactly one of --d or --class" in err
 
 
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize("k", [10000, 10**7, 10**400])
+def test_bound_refuses_terms_past_the_digit_limit_before_work(k, capsys, monkeypatch):
+    def no_bound(*args):
+        raise AssertionError("a bound was computed before the refusal")
+
+    for name in ("zero_forcing_inequality", "conic_bound", "elliptic_bound"):
+        monkeypatch.setattr(cli, name, no_bound)
+    for shape in (["--d", "2"], ["--class", "conic"], ["--class", "elliptic"]):
+        assert main(["bound", "--p", "3", "--k", str(k)] + shape) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: p^(k-1) at p = 3, k = {k} has more than {DIGIT_LIMIT} digits\n"
+        )
+
+
+def test_bound_digit_limit_edge(capsys):
+    # at p = 7 the elliptic term (p - 6)^2 p^(k-1) is p^(k-1) itself
+    # the largest k at which p^(k-1) < 10^DIGIT_LIMIT, so it still prints
+    k = next(k for k in range(1, 10**5) if 7**k >= 10**DIGIT_LIMIT)
+    assert main(["bound", "--p", "7", "--k", str(k), "--class", "elliptic"]) == 0
+    out = capsys.readouterr().out
+    assert f"  p_minus_6_sq_times_p_km1 = {7 ** (k - 1)}\n" in out
+    assert main(["bound", "--p", "7", "--k", str(k + 1), "--class", "elliptic"]) == 2
+    assert capsys.readouterr().out == ""
+    # p^(k-1) fits but A^2 ~ q^2 does not: Python's own refusal, still
+    # before anything is written
+    assert main(["bound", "--p", "3", "--k", "5000", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_search_subcommand(tmp_path, capsys):
     path = write_curve(tmp_path, HYPERBOLA_F7)
     assert main(["search", "--curve", path]) == 0
@@ -333,6 +369,40 @@ def test_verify_paper(capsys):
     assert "claimed by paper, not certified by its inequality" in out
     # the hyperbola row block covers several fields
     assert "F_3^2" in out
+
+
+def test_verify_paper_identity_claim_over_f9(capsys, monkeypatch):
+    # x^2 = (g + 1) y^2 has only (0, 0) over F_9, so f(x) = x works even
+    # though the first witness in code order is another map
+    claim = claims.CurveClaim(
+        label="identity-over-F9",
+        p=3,
+        k=2,
+        expression="x^2 - (g+1)*y^2",
+        claimed_point_codes=((0, 0),),
+        claimed_count=1,
+        claims_identity_witness=True,
+    )
+    monkeypatch.setattr(claims, "CURVE_CLAIMS", (claim,))
+    assert main(["verify-paper"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "  witness computed: exists_nonzero = True, "
+        "first witness coeffs [1, 1]   MATCH\n"
+    ) in out
+    assert "identity-over-F9:" not in out
+
+
+def test_search_refuses_deciders_that_disagree(tmp_path, capsys, monkeypatch):
+    def no_witness(points, ctx):
+        return cover.CoverVerdict(False, method="exhaustive-oracle")
+
+    path = write_curve(tmp_path, "p = 5\nk = 1\nf = y^2 - x^3 - x\n")
+    monkeypatch.setattr(cli, "decide_by_exhaustion", no_witness)
+    assert main(["search", "--curve", path, "--mode", "both"]) == 3
+    captured = capsys.readouterr()
+    assert "exists_nonzero" not in captured.out
+    assert "hyperplane-search says exists_nonzero=True but exhaustive-oracle" in captured.err
 
 
 def test_entry_point_subprocess():

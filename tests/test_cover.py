@@ -442,6 +442,27 @@ def test_analyze_oracle_modes():
     assert on.decision.exists_nonzero == off.decision.exists_nonzero
 
 
+def test_equal_reports_hash_equal():
+    assert hash(conic_bound(5, 2)) == hash(conic_bound(5, 2))
+    assert len({zero_forcing_inequality(7, 1, 2), zero_forcing_inequality(7, 1, 2)}) == 1
+    for c in (build_curve(3, 2, "x*y - 1"), build_curve(5, 1, "y^2 - x^3 - x")):
+        a, b = analyze(c), analyze(c)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_analyze_refuses_deciders_that_disagree(monkeypatch):
+    c = build_curve(5, 1, "y^2 - x^3 - x")
+    assert analyze(c, oracle="on").decision.exists_nonzero
+    def no_witness(points, ctx):
+        return cover.CoverVerdict(False, method="exhaustive-oracle")
+
+    monkeypatch.setattr(cover, "decide_by_exhaustion", no_witness)
+    message = "hyperplane-search says exists_nonzero=True but exhaustive-oracle says False"
+    with pytest.raises(Inconsistent, match=message):
+        analyze(c, oracle="on")
+    assert analyze(c, oracle="off").decision.exists_nonzero
+
+
 def test_analyze_claim_curve_flags():
     r3 = analyze(build_curve(3, 1, "y^2 + 2*x*y + 2*y + x"))
     assert len(r3.points) == 5
