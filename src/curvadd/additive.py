@@ -14,9 +14,11 @@ class yields each hyperplane exactly once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .caps import DEFAULT_FIELD_CAP, check_cap
 from .errors import ContextMismatch
-from .fields import _render_sum, code_tables
+from .fields import FqContext, _render_sum, code_tables
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,7 @@ def nullspace_mod_p(rows, p, ncols):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Subspace:
     """An F_p-subspace of F_{p^k} in canonical (RREF) basis form.
 
@@ -74,27 +77,17 @@ class Subspace:
     Two Subspace values are equal iff they are the same subspace.
     """
 
-    __slots__ = ("ctx", "rows")
+    ctx: FqContext
+    rows: tuple
 
     def __init__(self, ctx, rows):
         canon, _ = rref_mod_p([list(r) for r in rows], ctx.p)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in canon))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
     @property
     def dim(self):
         return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ctx == other.ctx and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ctx, self.rows))
 
     def __repr__(self):
         if not self.rows:
@@ -102,10 +95,12 @@ class Subspace:
         return f"Subspace(dim={self.dim}, basis={[list(r) for r in self.rows]})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class LinearizedMap:
     """f(x) = sum a_i x^(p^i), the canonical form of an additive map."""
 
-    __slots__ = ("ctx", "coeffs")
+    ctx: FqContext
+    coeffs: tuple
 
     def __init__(self, ctx, coeffs):
         coeffs = tuple(
@@ -118,9 +113,6 @@ class LinearizedMap:
                 raise ContextMismatch("coefficient from a different context")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearizedMap is immutable")
 
     @classmethod
     def zero(cls, ctx):
@@ -166,14 +158,6 @@ class LinearizedMap:
         matrix = self.to_matrix()
         basis = nullspace_mod_p([list(r) for r in matrix], self.ctx.p, self.ctx.k)
         return Subspace(self.ctx, basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearizedMap):
-            return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
 
     def __repr__(self):
         p = self.ctx.p

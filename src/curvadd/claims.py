@@ -124,7 +124,10 @@ def claim_flags(curve, points, decision, singular=None):
 
 
 def uncertified_flag(bound, p, k):
-    """Flag a case the paper claims at (p, k) that its inequality does not force."""
+    """Flag a case the paper claims at (p, k) that its inequality does
+    not force, or None; a forced case is always a claimed one."""
+    if not bound.claimed_by_statement or bound.forced_zero:
+        return None
     return (
         f"{bound.name} case (p={p}, k={k}): "
         "claimed by paper, not certified by its inequality"

@@ -505,7 +505,7 @@ class AnalysisReport:
     points: object  # PointSet
     infinity_count: int
     singular: object  # PointSet over the searched extension, or None
-    singular_ext_used: int  # 0 when the scan was skipped
+    singular_ext_used: int  # 0 only when singular_ext=0 asked for no scan
     hw: object  # HWWindow
     inequality1: BoundReport
     by_count: BoundReport
@@ -608,8 +608,8 @@ def analyze(c, singular_ext=2, oracle="auto"):
 
     flags = list(claims.claim_flags(c, points, decision, singular=singular))
     for bound in (conic, elliptic):
-        if bound.d == d and bound.claimed_by_statement and not bound.forced_zero:
-            flags.append(claims.uncertified_flag(bound, p, k))
+        if bound.d == d and (flag := claims.uncertified_flag(bound, p, k)):
+            flags.append(flag)
     flags.extend("hypothesis note: " + n for n in notes)
 
     report = AnalysisReport(

@@ -18,6 +18,7 @@ guessing an embedding.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -356,6 +357,7 @@ class FqContext:
             )
 
 
+@dataclass(frozen=True, slots=True)
 class FqElement:
     """An element of an FqContext.  Immutable.
 
@@ -365,14 +367,8 @@ class FqElement:
     sum(c_i * p^i), which also defines the canonical enumeration order.
     """
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FqElement is immutable")
+    ctx: FqContext
+    coeffs: tuple
 
     # -- basic protocol ------------------------------------------------------
 
@@ -387,16 +383,6 @@ class FqElement:
         for c in reversed(self.coeffs):
             code = code * self.ctx.p + c
         return code
-
-    def __eq__(self, other):
-        # Ints never compare equal: 1 and p + 1 both map to one, so no
-        # hash could agree with an int-coercing equality.
-        if not isinstance(other, FqElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
 
     def __repr__(self):
         return _render_sum(_dense_terms(self.coeffs, "g"))

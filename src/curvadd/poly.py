@@ -44,6 +44,7 @@ character position of the offending input.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -430,6 +431,7 @@ def field_domain(ctx):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class UniPoly:
     """Univariate polynomial over a domain; coefficients low to high.
 
@@ -439,7 +441,8 @@ class UniPoly:
     polynomial has no coefficients and degree NEG_INF.
     """
 
-    __slots__ = ("domain", "_form")
+    domain: object
+    _form: tuple
 
     def __init__(self, domain, coeffs=()):
         object.__setattr__(self, "domain", domain)
@@ -453,9 +456,6 @@ class UniPoly:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_form", form)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def zero(cls, domain):
@@ -613,14 +613,6 @@ class UniPoly:
 
     # -- protocol ------------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.domain == other.domain and self._form == other._form
-
-    def __hash__(self):
-        return hash((self.domain, self._form))
-
     def render(self, var="t"):
         return _render_sum(_dense_terms(self.coeffs, var))
 
@@ -647,6 +639,7 @@ def _nontrivial_gcd(a, b):
     return None if g.degree == 0 else g
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class RationalFunction:
     """Quotient of two UniPoly over one domain, canonical form.
 
@@ -667,7 +660,8 @@ class RationalFunction:
     A gcd with a constant argument is skipped, since it is 1.
     """
 
-    __slots__ = ("num", "den")
+    num: UniPoly
+    den: UniPoly
 
     def __init__(self, num, den=None):
         if den is None:
@@ -702,9 +696,6 @@ class RationalFunction:
                 den = UniPoly._trusted(domain, domain.scale(den._form, s))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @property
     def domain(self):
@@ -819,14 +810,6 @@ class RationalFunction:
         function lies in the valuation ring of the degree valuation."""
         return self.num // self.den
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __repr__(self):
         if self.den.degree == 0:
             return self.num.render()
@@ -841,6 +824,7 @@ def _check_index(index):
         raise ValueError(f"variable index {index} out of range")
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SparsePoly:
     """Sparse polynomial in x and y over a finite field context.
 
@@ -849,7 +833,8 @@ class SparsePoly:
     highest first.
     """
 
-    __slots__ = ("ctx", "terms")
+    ctx: FqContext
+    terms: dict
 
     def __init__(self, ctx, terms=None):
         clean = {}
@@ -867,9 +852,6 @@ class SparsePoly:
                 clean[exps] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
 
     @classmethod
     def zero(cls, ctx):
@@ -1016,11 +998,6 @@ class SparsePoly:
         )
 
     # -- protocol ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ctx, tuple(self.sorted_terms())))

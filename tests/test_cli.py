@@ -1,5 +1,6 @@
 """Command line surface: subcommands, exit codes, JSON round trips."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -32,6 +33,14 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "inequality1: forced_zero = True" in out
     assert "hasse-weil: N = 8 vs window [8, 8]" in out
     assert "paper_flags: none" in out
+
+
+def test_analyze_singular_ext_0_is_not_blamed_on_the_cap(tmp_path, capsys):
+    path = write_curve(tmp_path, HYPERBOLA_F7)
+    assert main(["analyze", "--curve", path, "--singular-ext", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "singular points: scan not requested (--singular-ext 0)\n" in out
+    assert "cap" not in out
 
 
 def test_analyze_tags_bounds_of_another_degree(tmp_path, capsys):
@@ -222,12 +231,23 @@ def test_bound_digit_limit_edge(capsys):
     assert f"  p_minus_6_sq_times_p_km1 = {7 ** (k - 1)}\n" in out
     assert main(["bound", "--p", "7", "--k", str(k + 1), "--class", "elliptic"]) == 2
     assert capsys.readouterr().out == ""
-    # p^(k-1) fits but A^2 ~ q^2 does not: Python's own refusal, still
-    # before anything is written
+    # p^(k-1) fits but A^2 ~ q^2 does not: refused by name before
+    # anything is written
     assert main(["bound", "--p", "3", "--k", "5000", "--d", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == (
+        f"error: A_squared at p = 3, k = 5000 has more than {DIGIT_LIMIT} digits\n"
+    )
+
+
+def test_decimal_digits_is_exact_next_to_powers_of_ten():
+    # log10(10^e - 1) rounds up to e from e = 15 on
+    for e in (1, 2, 14, 15, 16, 300, DIGIT_LIMIT - 1):
+        for n in (10**e - 1, 10**e, -(10**e)):
+            assert cli._decimal_digits(n) == len(str(abs(n))), n
+    assert cli._decimal_digits(0) == 1
+    assert cli._decimal_digits(10**DIGIT_LIMIT) == DIGIT_LIMIT + 1
 
 
 def test_search_subcommand(tmp_path, capsys):
@@ -391,6 +411,26 @@ def test_verify_paper_identity_claim_over_f9(capsys, monkeypatch):
         "first witness coeffs [1, 1]   MATCH\n"
     ) in out
     assert "identity-over-F9:" not in out
+
+
+def test_verify_paper_hyperbola_row_checks_the_claim(capsys, monkeypatch):
+    real_analyze = cli.analyze
+
+    def analyze_with_witness(curve):
+        witness = LinearizedMap.identity(curve.ctx)
+        verdict = cover.CoverVerdict(True, witness, witness.kernel())
+        return dataclasses.replace(real_analyze(curve), decision=verdict)
+
+    monkeypatch.setattr(claims, "CURVE_CLAIMS", ())
+    monkeypatch.setattr(cli, "analyze", analyze_with_witness)
+    assert main(["verify-paper"]) == 0
+    out = capsys.readouterr().out
+    rows = out.split("[hyperbola x*y - 1 = 0]")[1].split("\n\n")[0]
+    assert rows.count("True    MISMATCH") == 4 and " MATCH" not in rows
+    assert (
+        "  - hyperbola over F_3^2: witness LinearizedMap(x), but the paper "
+        "rules out a nonzero f over a finite field\n"
+    ) in out
 
 
 def test_search_refuses_deciders_that_disagree(tmp_path, capsys, monkeypatch):

@@ -22,12 +22,13 @@ from curvadd import (
     decide_by_hyperplanes,
     elliptic_bound,
     elliptic_claimed,
+    is_prime,
     parse_curve_file,
     verify_witness,
     zero_forcing_by_count,
     zero_forcing_inequality,
 )
-from curvadd import cover
+from curvadd import claims, cover
 from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
 from curvadd.curve import PointSet
 from curvadd.fields import code_tables
@@ -134,6 +135,19 @@ def test_claim_formula_matches_computed_on_grid():
     for p in (5, 7, 11, 13, 17, 19, 23):
         for k in (1, 2, 3, 4):
             assert elliptic_bound(p, k).forced_zero == elliptic_claimed(p, k)
+
+
+def test_forced_case_is_always_claimed():
+    # so an uncertified claim is the only mismatch the case split can show
+    for p in range(3, 200, 2):
+        if not is_prime(p):
+            continue
+        for k in range(1, 9):
+            for bound in (conic_bound(p, k), elliptic_bound(p, k)):
+                assert not bound.forced_zero or bound.claimed_by_statement, (p, k)
+                flag = claims.uncertified_flag(bound, p, k)
+                uncertified = bound.claimed_by_statement and not bound.forced_zero
+                assert (flag is not None) == uncertified, (p, k)
 
 
 def test_deciders_agree_on_seeded_sets():
@@ -478,6 +492,29 @@ def test_analyze_claim_curve_flags():
     assert sum("cubic-over-F5" in f for f in r5.paper_flags) == 3
     assert any("(2, 0)" in f and "singular" in f for f in r5.paper_flags)
     assert r5.singular and [int(x) for x, _ in r5.singular] == [2]
+
+
+def test_claim_flags_for_a_wrong_point_and_a_defeated_identity(monkeypatch):
+    # x^2 + y^2 = 1 over F_9 has a witness, but not f(x) = x: (g, g) is on it
+    claim = claims.CurveClaim(
+        label="circle-over-F9",
+        p=3,
+        k=2,
+        expression="x^2 + y^2 - 1",
+        claimed_point_codes=((0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (3, 3), (3, 6)),
+        claimed_count=8,
+        claims_identity_witness=True,
+    )
+    monkeypatch.setattr(claims, "CURVE_CLAIMS", (claim,))
+    report = analyze(build_curve(3, 2, "x^2 + y^2 - 1"))
+    assert report.decision.exists_nonzero
+    flags = [f for f in report.paper_flags if f.startswith("circle-over-F9: ")]
+    assert "circle-over-F9: claimed point (1, 1) is not on the curve" in flags
+    assert (
+        "circle-over-F9: paper claims f(x) = x works, but point (3, 3) "
+        "defeats f(x) = x (another witness exists)"
+    ) in flags
+    assert not any("affine points" in f for f in flags)
 
 
 def test_analyze_vacuous_curve():
