@@ -139,16 +139,22 @@ class LinearizedMap:
 
     def to_matrix(self):
         """k x k matrix over F_p whose column j holds the coordinates
-        of f(g^j)."""
+        of f(g^j) = sum_i a_i h_i^j, with h_i = g^(p^i).
+
+        The Frobenius images h_i are taken once, k - 1 p-th powers, and
+        each column steps every term a_i h_i^j to the next by one
+        multiplication by h_i, all in FqElement arithmetic."""
         ctx = self.ctx
         k = ctx.k
+        frobenius = [ctx.element([0, 1]) if k > 1 else ctx.one()]
+        for _ in range(k - 1):
+            frobenius.append(frobenius[-1] ** ctx.p)
+        terms = list(self.coeffs)
         cols = []
-        basis = ctx.one()
-        g = ctx.element([0, 1]) if k > 1 else None
         for j in range(k):
             if j:
-                basis = basis * g
-            cols.append(self(basis).coeffs)
+                terms = [t * h for t, h in zip(terms, frobenius)]
+            cols.append(sum(terms[1:], terms[0]).coeffs)
         return tuple(
             tuple(cols[j][r] for j in range(k)) for r in range(k)
         )

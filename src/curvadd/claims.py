@@ -10,6 +10,7 @@ silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poly import parse_bipoly
 
@@ -58,32 +59,44 @@ def _normalized(poly):
     return poly.scale(lead.inverse())
 
 
+@lru_cache(maxsize=None)
+def _claimed_poly(claim, ctx):
+    """The claim's polynomial over ctx, normalized: parsed once per
+    (claim, context).  Only contexts of the claim's (p, k) reach it,
+    so the cache holds a few entries per claim."""
+    return _normalized(parse_bipoly(claim.expression, ctx))
+
+
 def claim_for_curve(curve):
     """The registry entry matching this curve, if any (same field,
     same polynomial up to a nonzero constant factor)."""
     ctx = curve.ctx
+    mine = None
     for claim in CURVE_CLAIMS:
         if ctx.p != claim.p or ctx.k != claim.k:
             continue
-        claimed_poly = parse_bipoly(claim.expression, ctx)
-        if _normalized(claimed_poly) == _normalized(curve.defining):
+        if mine is None:
+            mine = _normalized(curve.defining)
+        if _claimed_poly(claim, ctx) == mine:
             return claim
     return None
 
 
-def identity_defeater(points):
-    """The first point with both coordinates nonzero: the point where
-    f(x) = x fails the vanishing condition, or None when it holds."""
-    return next((pt for pt in points if pt[0] and pt[1]), None)
+def identity_defeater(codes):
+    """The first (x, y) code pair with both codes nonzero: the point
+    where f(x) = x fails the vanishing condition, or None when it
+    holds."""
+    return next((pt for pt in codes if pt[0] and pt[1]), None)
 
 
 def claim_flags(curve, points, decision, singular=None):
-    """Discrepancy notices comparing the computation to the claims."""
+    """Discrepancy notices comparing the computation to the claims;
+    points and singular are PointSets, read as codes."""
     claim = claim_for_curve(curve)
     if claim is None:
         return []
     flags = []
-    computed_codes = [(int(x), int(y)) for x, y in points]
+    computed_codes = points.codes
     if points.count != claim.claimed_count:
         flags.append(
             f"{claim.label}: paper claims {claim.claimed_count} affine "
@@ -115,7 +128,7 @@ def claim_flags(curve, points, decision, singular=None):
                 f"{defeating} defeats f(x) = x (another witness exists)"
             )
     if claim.claimed_smooth and singular is not None and singular.count:
-        x, y = singular.points[0]
+        x, y = next(iter(singular))
         flags.append(
             f"{claim.label}: paper calls this curve smooth, but "
             f"({x!r}, {y!r}) is a singular point"

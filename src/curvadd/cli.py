@@ -94,9 +94,9 @@ def report_json(report):
     so dumps(loads(text)) reproduces text byte for byte.
     """
     ctx = report.curve.ctx
-    affine = [[int(x), int(y)] for x, y in list(report.points)[:AFFINE_LIST_CAP]]
+    affine = [list(pt) for pt in report.points.codes[:AFFINE_LIST_CAP]]
     singular = (
-        [[int(x), int(y)] for x, y in report.singular]
+        [list(pt) for pt in report.singular.codes]
         if report.singular is not None
         else []
     )
@@ -487,9 +487,7 @@ def cmd_verify_paper(args):
         report = analyze(curve)
         print(f"\n[{claim.label}] {claim.expression} = 0 over {_field_str(ctx)}")
         claimed_pts = ", ".join(str(pt) for pt in claim.claimed_point_codes)
-        computed_pts = ", ".join(
-            str((int(x), int(y))) for x, y in report.points
-        )
+        computed_pts = ", ".join(str(pt) for pt in report.points.codes)
         print(f"  affine points claimed : {claim.claimed_count}  [{claimed_pts}]")
         print(
             f"  affine points computed: {report.points.count}  [{computed_pts}]"
@@ -499,7 +497,7 @@ def cmd_verify_paper(args):
             print("  witness claimed : f(x) = x satisfies the vanishing condition")
             if report.decision.exists_nonzero:
                 coeffs = [int(c) for c in report.decision.witness_map.coeffs]
-                identity_works = claims_mod.identity_defeater(report.points) is None
+                identity_works = claims_mod.identity_defeater(report.points.codes) is None
                 print(
                     f"  witness computed: exists_nonzero = True, "
                     f"first witness coeffs {coeffs}   "

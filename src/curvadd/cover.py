@@ -47,15 +47,18 @@ from .additive import LinearizedMap, hyperplane_functionals
 from .caps import DEFAULT_ORACLE_CAP, check_cap, fits
 from .errors import ContextMismatch, Inconsistent
 from .curve import (
-    affine_points,
-    axis_parallel_lines,
+    PointSet,
+    fibre_scan,
     hasse_weil_window,
     points_at_infinity_count,
     singular_points,
     singular_scan_steps,
-    singular_subset,
 )
-from .fields import check_pk, code_tables
+from .fields import _digits, check_pk, code_tables
+
+# Not called here any more, but bench/spans.py times the pipeline by
+# wrapping these names on this module.
+from .curve import affine_points, axis_parallel_lines  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -203,12 +206,19 @@ def elliptic_bound(p, k):
 # Decision procedures.
 
 
-def _point_pairs(points, ctx):
+def _point_codes(points, ctx):
+    """The (x, y) code pairs of points over ctx: a PointSet's own, or
+    int() of each pair of FqElements.  A point of another context
+    raises ContextMismatch."""
+    if isinstance(points, PointSet):
+        if points.codes and points.ctx != ctx:
+            raise ContextMismatch("point from a different context")
+        return points.codes
     pairs = []
     for x, y in points:
         if x.ctx != ctx or y.ctx != ctx:
             raise ContextMismatch("point from a different context")
-        pairs.append((x, y))
+        pairs.append((int(x), int(y)))
     return pairs
 
 
@@ -239,27 +249,30 @@ def decide_by_hyperplanes(points, ctx):
     containing ker f, covers all points in one coordinate; so testing
     hyperplanes alone is complete.  Membership x in ker Tr(a .) is
     a . w_x = 0 mod p, where w_x = T x is the trace covector of x
-    (see _trace_gram), computed once per distinct coordinate.
+    (see _trace_gram).  Points are read as codes, and w_x is computed
+    from the base-p digits of x's code when a functional's test first
+    reaches x: with no witness, most functionals fail within a few
+    points.
     """
-    pts = _point_pairs(points, ctx)
-    p = ctx.p
+    pairs = _point_codes(points, ctx)
+    p, k = ctx.p, ctx.k
     gram = _trace_gram(ctx)
     covectors = {}
 
-    def covector(e):
-        digits = e.coeffs
-        got = covectors.get(digits)
-        if got is None:
-            got = covectors[digits] = tuple(sum(map(mul, row, digits)) % p for row in gram)
+    def covector(code):
+        digits = _digits(code, p, k)
+        got = covectors[code] = tuple(sum(map(mul, row, digits)) % p for row in gram)
         return got
 
-    pairs = [(covector(x), covector(y)) for x, y in pts]
     for functional in hyperplane_functionals(ctx):
         # the functional is x -> Tr(a x), and a is its first coefficient
         a = functional.coeffs[0].coeffs
-        for wx, wy in pairs:
-            if sum(map(mul, a, wx)) % p and sum(map(mul, a, wy)) % p:
-                break
+        for x, y in pairs:
+            wx = covectors.get(x) or covector(x)
+            if sum(map(mul, a, wx)) % p:
+                wy = covectors.get(y) or covector(y)
+                if sum(map(mul, a, wy)) % p:
+                    break
         else:
             return CoverVerdict(
                 exists_nonzero=True,
@@ -282,9 +295,10 @@ def check_oracle_cap(ctx):
     check_cap("exhaustive map scan", oracle_steps(ctx), DEFAULT_ORACLE_CAP)
 
 
-def _subspace_walk(pts, ctx):
+def _subspace_walk(pairs, ctx):
     """The least working map as a tuple of coefficient codes, or None
-    when only the zero map works, and the number of nodes walked.
+    when only the zero map works, and the number of nodes walked, for
+    the points given as (x, y) code pairs.
 
     A map a = (a_0, ..., a_{k-1}) vanishes at x iff a . h_x = 0 with
     h_x = (x, x^p, ..., x^(p^(k-1))): a hyperplane H_x of F_q^k when
@@ -326,8 +340,8 @@ def _subspace_walk(pts, ctx):
     # coordinate; (x, y) and (y, x) constrain alike, so keep one
     constraints = []
     seen = set()
-    for x, y in pts:
-        lx, ly = log[int(x)], log[int(y)]
+    for x, y in pairs:
+        lx, ly = log[x], log[y]
         if lx is None or ly is None:
             continue
         key = (lx, ly) if lx <= ly else (ly, lx)
@@ -426,8 +440,7 @@ def decide_by_exhaustion(points, ctx):
     independent of the hyperplane search and of verify_witness.
     """
     check_oracle_cap(ctx)
-    pts = _point_pairs(points, ctx)
-    codes, _ = _subspace_walk(pts, ctx)
+    codes, _ = _subspace_walk(_point_codes(points, ctx), ctx)
     if codes is None:
         return CoverVerdict(exists_nonzero=False, method="exhaustive-oracle")
     witness = LinearizedMap(ctx, [ctx.decode(c) for c in codes])
@@ -444,30 +457,31 @@ def verify_witness(verdict, points):
     coordinate of every point.
 
     f(v) = M v over F_p with M = f.to_matrix(), so each distinct
-    coordinate costs one integer matrix-vector product; f itself is
-    evaluated only on the k basis elements.
+    coordinate costs one integer matrix-vector product on the base-p
+    digits of its code; f itself is evaluated only on the k basis
+    elements, and no point is decoded.
     """
     if not verdict.exists_nonzero:
         return True
     f = verdict.witness_map
     if f is None or f.is_zero():
         return False
-    ctx, p = f.ctx, f.ctx.p
+    ctx = f.ctx
+    pairs = _point_codes(points, ctx)
+    p, k = ctx.p, ctx.k
     matrix = f.to_matrix()
     zeros = {}
 
-    def zero_at(v):
-        if v.ctx != ctx:
-            raise ContextMismatch("point from a different context")
-        digits = v.coeffs
-        hit = zeros.get(digits)
+    def zero_at(code):
+        hit = zeros.get(code)
         if hit is None:
-            hit = zeros[digits] = not any(
+            digits = _digits(code, p, k)
+            hit = zeros[code] = not any(
                 sum(map(mul, row, digits)) % p for row in matrix
             )
         return hit
 
-    for x, y in points:
+    for x, y in pairs:
         if not (zero_at(x) or zero_at(y)):
             return False
     return True
@@ -561,14 +575,14 @@ def analyze(c, singular_ext=2, oracle="auto"):
     elif oracle == "auto":
         run_oracle = fits(oracle_steps(ctx), DEFAULT_ORACLE_CAP)
 
-    points = affine_points(c)
+    scan = fibre_scan(c)
+    points = scan.points
     inf_count = points_at_infinity_count(c)
     hw = hasse_weil_window(c, affine_count=points.count, infinity_count=inf_count)
 
     ext_used = _feasible_singular_ext(ctx, requested_ext)
     if ext_used == 1:
-        # over F_q itself the singular points are among the affine points
-        singular = singular_subset(c, points)
+        singular = scan.singular
     elif ext_used:
         singular = singular_points(c, ext_used)
     else:
@@ -596,11 +610,10 @@ def analyze(c, singular_ext=2, oracle="auto"):
             f"[{hw.lower}, {hw.upper}]; the curve cannot be smooth and "
             "absolutely irreducible"
         )
-    lines = axis_parallel_lines(c)
-    if lines:
+    if scan.lines:
         notes.append(
             "axis-parallel line component(s) on the curve: "
-            + ", ".join(lines)
+            + ", ".join(scan.lines)
             + "; the per-line point bound behind the counting argument fails"
         )
 

@@ -2,10 +2,13 @@
 singular-point search over small extensions, the Hasse-Weil window
 check, and the curve file format.
 
-All three point searches run one fibre scan: each row f(x, .) is built
-as coefficient logs and its roots come from fields._row_roots, by
-formula when the row has degree <= 2 in y (every curve the paper works
-with) and by Horner's rule on logs above that.
+The affine points, the singular points among them and the axis-parallel
+lines come from one pass over the rows f(x, .) (fibre_scan), all on
+integer codes: each row is built as coefficient logs and its roots come
+from fields._row_roots, by formula when the row has degree <= 2 in y
+(every curve the paper works with) and by Horner's rule on logs above
+that.  Points are held as code pairs (PointSet) and decoded to field
+elements only when iterated.
 
 Smoothness and absolute irreducibility are treated as user assertions
 plus best-effort refutation: the tool looks for singular points over a
@@ -18,10 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caps import check_cap
-from .errors import ContextMismatch, ParseError
-from .fields import FqContext, _row_roots, _vanishing_logs, code_tables, embed
+from .errors import ParseError
+from .fields import (
+    FqContext,
+    _dense_terms,
+    _digits,
+    _render_sum,
+    _row_roots,
+    _vanishing_logs,
+    code_tables,
+    embed,
+)
 from .poly import SparsePoly, parse_bipoly
 
 
@@ -59,27 +72,47 @@ class Curve:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Sorted, duplicate-free points; order is by coordinate codes."""
+    """Sorted, duplicate-free points of one field.
 
-    points: tuple = ()
+    codes holds each point as its pair of element codes
+    (int(x), int(y)), in increasing order; iteration decodes the pairs
+    to FqElements of ctx one at a time.  Consumers that count, compare
+    or print codes read codes and build no element."""
+
+    ctx: FqContext = None
+    codes: tuple = ()
 
     @property
     def count(self):
-        return len(self.points)
+        return len(self.codes)
 
     def __iter__(self):
-        return iter(self.points)
+        return ((self.ctx.decode(x), self.ctx.decode(y)) for x, y in self.codes)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.codes)
 
 
-def _rows(poly, index, tables, codes):
-    """Yield the rows of the bivariate `poly` with variable `index` set
-    to each value (by code) in `codes`: the coefficient logs (see
-    fields.CodeTables) of the other variable, highest power first.
-    None is a zero coefficient, so an all-None row means poly vanishes
-    on the whole line.
+class FibreScan(NamedTuple):
+    """What one pass over the rows of a curve finds (fibre_scan)."""
+
+    points: PointSet  # the affine points
+    singular: PointSet  # those where both partials vanish too
+    lines: list  # axis-parallel line components, as "x = a" / "y = b"
+
+
+def _log_terms(poly, log):
+    """The terms of poly with each coefficient replaced by its log."""
+    return {exps: log[int(coeff)] for exps, coeff in poly.terms.items()}
+
+
+def _rows(terms, index, tables, codes):
+    """Yield the rows of a bivariate polynomial, given by `terms`
+    (exponent pair -> coefficient log, see fields.CodeTables), with
+    variable `index` set to each value (by code) in `codes`: the
+    coefficient logs of the other variable, highest power first.  None
+    is a zero coefficient, so an all-None row means the polynomial
+    vanishes on the whole line.
 
     Each coefficient sum(a_i * v^i) is built in logs, a product being
     a sum of logs and each addition one Zech-table lookup; no field
@@ -88,10 +121,10 @@ def _rows(poly, index, tables, codes):
     log, zech = tables.log, tables.zech
     n = len(zech)
     other = 1 - index
-    top = poly.degree_in(other)
+    top = max(exps[other] for exps in terms)
     groups = [[] for _ in range(top + 1)]
-    for exps, coeff in poly.terms.items():
-        groups[top - exps[other]].append((exps[index], log[int(coeff)]))
+    for exps, lc in terms.items():
+        groups[top - exps[other]].append((exps[index], lc))
     for code in codes:
         lv = log[code]
         if lv is None:  # v = 0 keeps the terms free of the variable
@@ -111,26 +144,86 @@ def _rows(poly, index, tables, codes):
         yield row
 
 
-def affine_points(c):
-    """All (x, y) with defining(x, y) = 0, in code order.
+def _vanishes(row, y, tables):
+    """Whether a row of coefficient logs (highest power first) vanishes
+    at the element with code y; the empty row is the zero polynomial."""
+    ly = tables.log[y]
+    if ly is None:
+        return not row or row[-1] is None
+    return bool(_vanishing_logs(row, (ly,), tables.zech))
 
-    For each x, the fibre's points are the roots of the row f(x, .); a
-    zero row means the vertical line x = const lies on the curve.  The
-    cap still counts the p^{2k} pairs (x, y) before starting, though a
-    row of degree <= 2 in y is solved in O(1), not tried at every y.
+
+def _code_str(ctx, code):
+    """The element with this code as its repr prints it, unbuilt."""
+    return _render_sum(_dense_terms(_digits(code, ctx.p, ctx.k), "g"))
+
+
+def fibre_scan(c):
+    """One pass over the rows f(x, .) of c, x in code order, on code
+    logs throughout; it decodes no point.
+
+    * The affine points of each fibre are the roots of its row
+      (fields._row_roots), by formula for degree <= 2 in y.
+    * f_y(x, .) is the derivative of that row: j * c_j, in logs
+      log c_j + log(j mod p), and zero when p divides j.  A root where
+      it vanishes is a candidate, and only an x with a candidate gets
+      its row of f_x built; the singular points are the candidates
+      where that vanishes too.  A row of degree d with d distinct roots
+      has only simple ones, where f_y does not vanish, so such a row
+      (every row of degree 1, and of degree 2 unless D = 0) skips the
+      test.
+    * An all-None row f(a, .) is the line x = a.  A line y = b puts a
+      point in column b on every row, so only a column that every row
+      has a root in gets its row f(., b) built, to confirm the line.
+
+    The cap counts the q^2 pairs (x, y) before starting, though a row
+    of degree <= 2 in y is solved in O(1), not tried at every y.
     """
     ctx = c.ctx
-    check_cap("affine point scan", ctx.order**2)
+    q, p = ctx.order, ctx.p
+    check_cap("affine point scan", q**2)
     tables = code_tables(ctx)
-    codes = range(ctx.order)
-    elements = [ctx.decode(code) for code in codes]
-    return PointSet(
-        tuple(
-            (x, elements[y])
-            for x, row in zip(elements, _rows(c.defining, 0, tables, codes))
-            for y in _row_roots(row, tables)
-        )
+    log = tables.log
+    terms = _log_terms(c.defining, log)
+    # f_x on logs: i * a_ij x^(i-1) y^j, gone when p divides i
+    fx_terms = {(i - 1, j): lc + log[i % p] for (i, j), lc in terms.items() if i % p}
+    fy_logs = [log[j % p] for j in range(c.defining.degree_in(1), 0, -1)]
+    codes = range(q)
+    points, singular, lines = [], [], []
+    full = None  # the columns every row so far has a root in
+    for x, row in zip(codes, _rows(terms, 0, tables, codes)):
+        roots = _row_roots(row, tables)
+        if full is None:
+            full = set(roots)
+        elif full:
+            full.intersection_update(roots)
+        if not roots:
+            continue
+        points.extend([(x, y) for y in roots])
+        if row[0] is not None and len(roots) == len(row) - 1:
+            continue
+        if len(roots) == q and all(v is None for v in row):
+            lines.append((x, "x"))
+        fy = [None if a is None or b is None else a + b for a, b in zip(row, fy_logs)]
+        hits = [y for y in roots if _vanishes(fy, y, tables)]
+        if hits and fx_terms:
+            (fx,) = _rows(fx_terms, 0, tables, (x,))
+            hits = [y for y in hits if _vanishes(fx, y, tables)]
+        singular.extend([(x, y) for y in hits])
+    for b in sorted(full):
+        if all(v is None for v in next(_rows(terms, 1, tables, (b,)))):
+            lines.append((b, "y"))
+    return FibreScan(
+        PointSet(ctx, tuple(points)),
+        PointSet(ctx, tuple(singular)),
+        [f"{var} = {_code_str(ctx, code)}" for code, var in sorted(lines)],
     )
+
+
+def affine_points(c):
+    """All (x, y) with defining(x, y) = 0, in code order, as a PointSet
+    of code pairs: the points of fibre_scan, under its cap."""
+    return fibre_scan(c).points
 
 
 def points_at_infinity_count(c):
@@ -143,51 +236,11 @@ def points_at_infinity_count(c):
     check_cap("infinity root scan", ctx.order)
     lead = c.defining.leading_form()
     tables = code_tables(ctx)
-    (row,) = _rows(lead, 1, tables, (1,))
+    (row,) = _rows(_log_terms(lead, tables.log), 1, tables, (1,))
     count = len(_row_roots(row, tables))
     if (c.degree, 0) not in lead.terms:
         count += 1
     return count
-
-
-def singular_subset(c, points):
-    """The points among `points` (on c) where both partials of the
-    defining polynomial vanish too, in the same order.
-
-    Each partial is evaluated on code logs: one _rows row per distinct
-    x, then _vanishing_logs at y (the constant term when y = 0).  The
-    field's O(q) code tables are built if need be, so callers hold
-    points found by a capped scan of the same field.
-    """
-    ctx = c.ctx
-    tables = code_tables(ctx)
-    log, zech = tables.log, tables.zech
-    partials = [c.defining.partial(0), c.defining.partial(1)]
-    # a zero partial vanishes everywhere and needs no rows
-    partials = [f for f in partials if not f.is_zero()]
-    rows = {}
-    for x, y in points:
-        if x.ctx != ctx or y.ctx != ctx:
-            raise ContextMismatch("point from a different context")
-        rows[int(x)] = []
-    codes = list(rows)
-    for f in partials:
-        for code, row in zip(codes, _rows(f, 0, tables, codes)):
-            rows[code].append(row)
-
-    def vanishes(row, y):
-        ly = log[int(y)]
-        if ly is None:
-            return row[-1] is None
-        return bool(_vanishing_logs(row, (ly,), zech))
-
-    return PointSet(
-        tuple(
-            (x, y)
-            for x, y in points
-            if all(vanishes(row, y) for row in rows[int(x)])
-        )
-    )
 
 
 def singular_scan_steps(ctx, ext_degree):
@@ -199,8 +252,10 @@ def singular_scan_steps(ctx, ext_degree):
 
 def singular_points(c, ext_degree=2):
     """Points over F_{p^(k*ext_degree)} where the defining polynomial
-    and both partials vanish: the affine points of c lifted to that
-    field, passed through singular_subset.
+    and both partials vanish, as a PointSet of code pairs over that
+    field: fibre_scan's singular points of c, for ext_degree 1, or of
+    c lifted to the extension field (embed), where only the singular
+    pairs it returns are ever decoded.
 
     An empty result only means no singular point was found up to this
     extension degree; it is not a smoothness certificate.
@@ -217,7 +272,7 @@ def singular_points(c, ext_degree=2):
         ext = FqContext(ctx.p, ctx.k * ext_degree)
         lifted = {e: embed(v, ext) for e, v in c.defining.terms.items()}
         c = Curve(SparsePoly(ext, lifted))
-    return singular_subset(c, affine_points(c))
+    return fibre_scan(c).singular
 
 
 @dataclass(frozen=True)
@@ -272,25 +327,15 @@ def hasse_weil_window(c, affine_count=None, infinity_count=None):
 
 
 def axis_parallel_lines(c):
-    """Lines x = a or y = b contained in the curve, as strings.
+    """Lines x = a or y = b contained in the curve, as strings, x = a
+    before y = a and in code order: the lines of fibre_scan, under its
+    cap.
 
     Such a component makes the vanishing condition degenerate (the
     coordinate 0 case) or breaks the vertex-degree bound behind the
     counting argument, so analyze surfaces them as hypothesis notes.
     """
-    ctx = c.ctx
-    check_cap("axis line scan", ctx.order)
-    tables = code_tables(ctx)
-    codes = range(ctx.order)
-    rows = _rows(c.defining, 0, tables, codes)
-    columns = _rows(c.defining, 1, tables, codes)
-    lines = []
-    for code, row, column in zip(codes, rows, columns):
-        if all(v is None for v in row):
-            lines.append(f"x = {ctx.decode(code)!r}")
-        if all(v is None for v in column):
-            lines.append(f"y = {ctx.decode(code)!r}")
-    return lines
+    return fibre_scan(c).lines
 
 
 # ---------------------------------------------------------------------------

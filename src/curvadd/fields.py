@@ -124,6 +124,16 @@ def _dense_terms(coeffs, var):
             yield str(coeffs[i]), "" if i == 0 else var if i == 1 else f"{var}^{i}"
 
 
+def _digits(code, p, k):
+    """The k base-p digits of an element code, low to high: the
+    coefficients of the element it encodes (see FqElement.__int__)."""
+    out = []
+    for _ in range(k):
+        code, digit = divmod(code, p)
+        out.append(digit)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient-list polynomial helpers over F_p.  Lists are low-to-high
 # and trimmed; [] is the zero polynomial.  These are private plumbing
@@ -338,11 +348,7 @@ class FqContext:
         code = int(code)
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} out of range [0, {self.order})")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FqElement(self, tuple(coeffs))
+        return FqElement(self, _digits(code, self.p, self.k))
 
     def elements(self):
         """All field elements in code order (0, 1, ..., p-1, g, 1+g, ...)."""
@@ -557,7 +563,7 @@ def _first_primitive(ctx):
     # codes below p are the constants, whose orders divide p - 1 < n
     for code in range(p, ctx.order):
         if all(
-            _ppowmod(_trim(list(ctx.decode(code).coeffs)), e, modulus, p) != [1]
+            _ppowmod(_trim(list(_digits(code, p, k))), e, modulus, p) != [1]
             for e in cofactors
         ):
             return code
@@ -587,7 +593,7 @@ def code_tables(ctx):
             log[code] = i
             code = code * gen % p
     else:
-        g, modulus = list(ctx.decode(gen).coeffs), list(ctx.modulus)
+        g, modulus = list(_digits(gen, p, k)), list(ctx.modulus)
         columns = []
         for j in range(k):
             column = _pmod(_pmul(g, [0] * j + [1], p), modulus, p)

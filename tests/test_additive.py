@@ -92,6 +92,42 @@ def test_map_matrix_round_trip():
                 assert y == list(f(a).coeffs)
 
 
+def old_to_matrix(f):
+    """to_matrix by its first definition: f evaluated through __call__
+    at each basis element g^j, k - 1 p-th powers per column."""
+    ctx = f.ctx
+    k = ctx.k
+    cols = []
+    basis = ctx.one()
+    g = ctx.element([0, 1]) if k > 1 else None
+    for j in range(k):
+        if j:
+            basis = basis * g
+        cols.append(f(basis).coeffs)
+    return tuple(tuple(cols[j][r] for j in range(k)) for r in range(k))
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)
+)
+def test_to_matrix_matches_evaluation_at_the_basis(p, k, modulus):
+    # the Frobenius-image stepping against evaluation at each g^j, on
+    # the identity, the trace map, a functional and seeded maps
+    ctx = FqContext(p, k, modulus)
+    rng = random.Random(f"to_matrix {p}^{k} {modulus}")
+    maps = [
+        LinearizedMap.identity(ctx),
+        LinearizedMap(ctx, [1] * k),
+        next(hyperplane_functionals(ctx)),
+    ]
+    maps += [
+        LinearizedMap(ctx, [ctx.decode(rng.randrange(ctx.order)) for _ in range(k)])
+        for _ in range(4)
+    ]
+    for f in maps:
+        assert f.to_matrix() == old_to_matrix(f), f
+
+
 def test_every_matrix_is_a_linearized_map():
     # The correspondence is onto: the q^k maps give p^(k^2) distinct
     # matrices, so any k x k matrix over F_p arises from exactly one map.

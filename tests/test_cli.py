@@ -466,7 +466,7 @@ def test_analyze_refusals_exit_2_before_scanning(tmp_path, capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("a point scan started before the refusal")
 
-    monkeypatch.setattr(cover, "affine_points", no_scan)
+    monkeypatch.setattr(cover, "fibre_scan", no_scan)
     path = write_curve(tmp_path, "p = 7\nk = 3\nf = x*y - 1\n")
     assert main(["analyze", "--curve", path, "--singular-ext", "-1"]) == 2
     assert "singular_ext must be >= 0, got -1" in capsys.readouterr().err

@@ -208,6 +208,12 @@ def test_oracle_over_prime_field():
     assert not v.exists_nonzero
 
 
+def codes_of(pts):
+    """The (x, y) code pairs of a list of element pairs, the form
+    _subspace_walk reads."""
+    return [(int(x), int(y)) for x, y in pts]
+
+
 def kernel_point_set(rng, ctx, size=6):
     """Points with one coordinate in the kernel of a random map, so a
     witness exists when the map is nonzero; the first point rides along
@@ -253,7 +259,7 @@ def test_oracle_matches_walks_on_seeded_sets():
                 assert v == map_walk_oracle(pts, ctx), (p, k, pts)
             assert v.exists_nonzero == decide_by_hyperplanes(pts, ctx).exists_nonzero
             assert verify_witness(v, pts)
-            assert cover._subspace_walk(pts, ctx)[1] <= 2 ** (k + 1) - 1
+            assert cover._subspace_walk(codes_of(pts), ctx)[1] <= 2 ** (k + 1) - 1
             checked += 1
             witnesses += v.exists_nonzero
     assert checked >= 200 and witnesses >= 60, (checked, witnesses)
@@ -289,7 +295,7 @@ def test_oracle_walks_to_depth_k_minus_1(p, k, monkeypatch):
         v = decide_by_exhaustion(pts, ctx)
         assert v.exists_nonzero and verify_witness(v, pts)
         assert decide_by_hyperplanes(pts, ctx).exists_nonzero
-        codes, nodes = cover._subspace_walk(pts, ctx)
+        codes, nodes = cover._subspace_walk(codes_of(pts), ctx)
         # k - 1 branchings down one path leave at least 2k - 1 nodes
         assert 2 * k - 1 <= nodes <= 2 ** (k + 1) - 1
         witness = [int(a) for a in v.witness_map.coeffs]
@@ -307,8 +313,8 @@ def test_oracle_node_bound_on_curves():
         (3, 5, "x*y - 1"),
     ):
         c = build_curve(p, k, expr)
-        pts = list(affine_points(c))
-        codes, nodes = cover._subspace_walk(pts, c.ctx)
+        pts = affine_points(c)
+        codes, nodes = cover._subspace_walk(pts.codes, c.ctx)
         assert nodes <= 2 ** (k + 1) - 1, (p, k, expr, nodes)
         assert (codes is not None) == decide_by_hyperplanes(pts, c.ctx).exists_nonzero
         if c.ctx.order ** (k - 1) <= 5**6:
@@ -320,7 +326,7 @@ def test_oracle_walk_uses_no_element_arithmetic(monkeypatch):
         raise AssertionError("FqElement arithmetic inside the subspace walk")
 
     c = build_curve(5, 3, "y - 2*x^5 + 2*x")
-    pts = list(affine_points(c))
+    pts = affine_points(c).codes
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__pow__"):
         monkeypatch.setattr(FqElement, name, no_arithmetic)
     assert cover._subspace_walk(pts, c.ctx)[0] is not None
@@ -589,7 +595,7 @@ def test_analyze_refuses_before_any_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("a point scan started before the refusal")
 
-    monkeypatch.setattr(cover, "affine_points", no_scan)
+    monkeypatch.setattr(cover, "fibre_scan", no_scan)
     monkeypatch.setattr(cover, "points_at_infinity_count", no_scan)
     c = build_curve(7, 3, "x*y - 1")
     with pytest.raises(ValueError, match=r"^singular_ext must be >= 0, got -1$"):

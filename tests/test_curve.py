@@ -8,6 +8,8 @@ from curvadd import (
     CapExceeded,
     Curve,
     FqContext,
+    FqElement,
+    LinearizedMap,
     ParseError,
     axis_parallel_lines,
     affine_points,
@@ -16,11 +18,15 @@ from curvadd import (
     parse_curve_file,
     points_at_infinity_count,
     singular_points,
+    verify_witness,
 )
-from curvadd import cover
+from curvadd import cli, cover
+from curvadd import curve as curve_mod
+from curvadd.curve import fibre_scan
 from curvadd.fields import _embedding_root, embed
 from curvadd.poly import SparsePoly
 
+import scan_reference
 from conftest import (
     CORPUS,
     CUSTOM_MODULI,
@@ -227,22 +233,28 @@ def test_single_scan_matches_direct_evaluation(c):
 
 @pytest.mark.parametrize("c", differential_curves(), ids=repr)
 def test_analyze_reads_singular_points_off_affine_scan(c, monkeypatch):
+    # one pass over the q rows f(x, .) gives analyze its points, its
+    # singular points and its axis lines; every other row it builds is
+    # a single one (f_x at a candidate x, f at a full column)
     expected = singular_points(c, 1)
-    scans = []
+    passes = []
+    rows = curve_mod._rows
 
-    def counted_affine_points(*args, **kwargs):
-        scans.append(args)
-        return affine_points(*args, **kwargs)
+    def counted_rows(terms, index, tables, codes):
+        if len(codes) > 1:
+            passes.append((index, len(codes)))
+        return rows(terms, index, tables, codes)
 
     def no_second_scan(*args, **kwargs):
-        raise AssertionError("analyze ran a separate singular scan")
+        raise AssertionError("analyze ran a separate scan")
 
-    monkeypatch.setattr(cover, "affine_points", counted_affine_points)
-    monkeypatch.setattr(cover, "singular_points", no_second_scan)
+    monkeypatch.setattr(curve_mod, "_rows", counted_rows)
+    for name in ("affine_points", "singular_points", "axis_parallel_lines"):
+        monkeypatch.setattr(cover, name, no_second_scan)
     report = cover.analyze(c, singular_ext=1, oracle="off")
     assert report.singular_ext_used == 1
     assert report.singular == expected
-    assert len(scans) == 1
+    assert passes == [(0, c.ctx.order)]
 
 
 def test_singular_points_over_extension_only():
@@ -300,6 +312,93 @@ def test_analyze_at_extension_2_under_custom_moduli(p, k, modulus, expr, over_sq
     if ext.order <= 81:
         assert brute_singular(c, 2) == closed_form
     assert list(report.singular) == closed_form
+
+
+# ---------------------------------------------------------------------------
+# The fused pass against the separate loops it replaced.
+
+# Curves with a line x = a or y = b as a component, one of them under a
+# non-default modulus.
+LINE_CURVES = (
+    ((5, 1), "(x - 2)*(y + 1)"),
+    ((5, 1), "y"),
+    ((5, 1), "x - 2"),
+    ((7, 1), "x*(y - 3)*(x - y)"),
+    ((3, 2), "(x - g)*(y - x^2)"),
+    ((3, 2, (2, 1, 1)), "(y - g)*(x^2 + y^2 + 1)"),
+)
+
+
+def fused_pass_curves():
+    curves = differential_curves()
+    curves += [Curve(parse_bipoly(expr, FqContext(*args))) for args, expr in LINE_CURVES]
+    for p, k, modulus in CUSTOM_MODULI:
+        ctx = FqContext(p, k, modulus)
+        curves += [Curve(parse_bipoly(expr, ctx)) for expr, _ in EXT2_CURVES]
+    return curves
+
+
+def lift(c, ext):
+    return Curve(SparsePoly(ext, {e: embed(v, ext) for e, v in c.defining.terms.items()}))
+
+
+@pytest.mark.parametrize("c", fused_pass_curves(), ids=repr)
+def test_fused_pass_matches_separate_loops(c):
+    scan = fibre_scan(c)
+    assert list(scan.singular) == scan_reference.singular_subset(c, list(scan.points))
+    assert scan.lines == axis_parallel_lines(c) == scan_reference.axis_lines(c)
+    q = c.ctx.order
+    if q * q <= 81:
+        lifted = lift(c, FqContext(c.ctx.p, 2 * c.ctx.k))
+        points = list(affine_points(lifted))
+        assert list(singular_points(c, 2)) == scan_reference.singular_subset(lifted, points)
+
+
+def test_full_rows_and_columns_without_a_line():
+    # x^3 - x vanishes on all of F_3, so every row and every column is
+    # t^3 - t, with 3 roots but not the zero polynomial: all 9 points
+    # lie on the curve, and no line does; f_x = -1 leaves no singular point
+    c = build_curve(3, 1, "x^3 - x + y^3 - y")
+    scan = fibre_scan(c)
+    assert scan.points.codes == tuple(itertools.product(range(3), repeat=2))
+    assert scan.lines == scan_reference.axis_lines(c) == []
+    assert scan.singular.count == 0
+
+
+def test_code_paths_decode_no_point(monkeypatch):
+    # the pass, the singular filter, the axis lines, verify_witness and
+    # report_json read codes; only the witness builds field elements,
+    # so its matrix is taken before FqElement construction is refused
+    curves = [
+        build_curve(5, 1, "(x - 2)*(y + 1)"),
+        build_curve(5, 1, "y^2 - x^3 - 3*x - 1"),
+        build_curve(3, 2, "x^2 + y^2 - 1"),
+    ]
+    expected = [
+        (affine_points(c).codes, singular_points(c, 1).codes, axis_parallel_lines(c))
+        for c in curves
+    ]
+    assert [len(e[1]) for e in expected] == [1, 1, 0] and expected[0][2] == ["x = 2", "y = 4"]
+    report = cover.analyze(curves[-1])
+    assert report.decision.exists_nonzero
+    report_json = cli.report_json(report)
+    matrix = report.decision.witness_map.to_matrix()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field element was built")
+
+    monkeypatch.setattr(FqContext, "decode", refuse)
+    monkeypatch.setattr(FqElement, "__init__", refuse)
+    monkeypatch.setattr(LinearizedMap, "to_matrix", lambda self: matrix)
+    with pytest.raises(AssertionError):
+        curves[0].ctx.one()
+    for c, (points, singular, lines) in zip(curves, expected):
+        scan = fibre_scan(c)
+        assert (scan.points.codes, scan.singular.codes, scan.lines) == (points, singular, lines)
+        assert singular_points(c, 1).codes == singular
+        assert axis_parallel_lines(c) == lines
+    assert verify_witness(report.decision, report.points)
+    assert cli.report_json(report) == report_json
 
 
 # ---------------------------------------------------------------------------
