@@ -10,6 +10,11 @@ the explicit counterexample construction on rational function fields.
 
 Everything is exact integer arithmetic; no floats anywhere near a
 verdict.
+
+FqElement, UniPoly, RationalFunction, SparsePoly, LinearizedMap and
+Subspace are frozen slotted dataclasses.  Assigning a field raises
+AttributeError; assigning any other name raises TypeError on Python
+3.10 and 3.11, from the __setattr__ that the dataclass generates.
 """
 
 from .additive import (

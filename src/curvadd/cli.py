@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import claims as claims_mod
 from .cover import (
@@ -155,7 +156,70 @@ def report_json(report):
 
 
 def dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The canonical report text: json.dumps(obj, indent=2,
+    sort_keys=True) + "\n", byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None.  Any other type, or a key
+    that is not a str, raises TypeError.
+
+    json.dumps takes its C encoder only without indent, so this writer
+    stands in for its pure-Python one: a list of int pairs (the point
+    lists) is one % format, and everything else one append per token.
+    """
+    out = []
+    _dump(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump(obj, newline, out):
+    """Append obj's canonical text to out; newline is a line break plus
+    the indentation of obj's own line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(
+            type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+            for v in obj
+        ):
+            pair = f"[{inner}  %d,{inner}  %d{inner}]"
+            text = f"[{inner}" + f",{inner}".join([pair] * len(obj)) + f"{newline}]"
+            out.append(text % tuple(chain.from_iterable(obj)))
+            return
+        out.append("[")
+        sep = inner
+        for v in obj:
+            out.append(sep)
+            _dump(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        sep = inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _dump(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _print_witness(verdict, out):

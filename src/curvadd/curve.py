@@ -14,7 +14,12 @@ Smoothness and absolute irreducibility are treated as user assertions
 plus best-effort refutation: the tool looks for singular points over a
 small extension and checks the point count against the Hasse-Weil
 window, but an empty singular scan is reported as "none found up to
-degree m", never as a proof.
+degree m", never as a proof.  Over an extension F_{q^m}, a curve of
+degree 1 or 2 in y first gets a certificate over F_q: when the gcd of
+its two y-resultants Res_y(f, f_x) and Res_y(f, f_y) has no root in
+F_{q^m}, no affine singular point has its x there, and the extension
+is neither built nor scanned.  Otherwise the curve is lifted to
+F_{q^m} and scanned.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .fields import (
     code_tables,
     embed,
 )
-from .poly import SparsePoly, parse_bipoly
+from .poly import SparsePoly, UniPoly, field_domain, parse_bipoly, unipoly_gcd
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,74 @@ def singular_scan_steps(ctx, ext_degree):
     return ctx.order ** (2 * ext_degree)
 
 
+def _in_y(poly, n, domain):
+    """poly as a polynomial in y of formal degree n: its n + 1
+    coefficients, lowest power first, each a UniPoly in x over domain.
+    Over a prime-field domain the coefficients go in as ints, their
+    first digits, so poly may also be over an extension of it."""
+    prime = domain.ctx.k == 1
+    columns = [{} for _ in range(n + 1)]
+    for (i, j), coeff in poly.terms.items():
+        columns[j][i] = coeff.coeffs[0] if prime else coeff
+    return [
+        UniPoly(domain, [col.get(i, 0) for i in range(max(col, default=-1) + 1)])
+        for col in columns
+    ]
+
+
+def _singular_x_resultants(c):
+    """(Res_y(f, f_x), Res_y(f, f_y)) as UniPolys in x over the base
+    field (over F_p when every coefficient of f lies there), Sylvester
+    resultants with the formal y-degrees n of f and f_x and n - 1 of
+    f_y, for n = deg_y f in {1, 2}; None otherwise.
+
+    With f = a*y + b they are a*b' - a'*b and a; with
+    f = a*y^2 + b*y + c they are (a*c' - a'*c)^2 - (a*b' - a'*b)*(b*c' - b'*c)
+    and a*(b^2 - 4*a*c), up to sign (' is d/dx).
+    """
+    f = c.defining
+    n = f.degree_in(1)
+    if n not in (1, 2):
+        return None
+    ctx = c.ctx
+    if ctx.k > 1 and not any(any(v.coeffs[1:]) for v in f.terms.values()):
+        ctx = FqContext(ctx.p)  # f is over F_p: so are the resultants
+    domain = field_domain(ctx)
+    cs, ds = _in_y(f, n, domain), _in_y(f.partial(0), n, domain)
+    if n == 1:
+        (b, a), (b1, a1) = cs, ds
+        return a * b1 - a1 * b, a
+    (c0, b, a), (c1, b1, a1) = cs, ds
+    res_x = (a * c1 - a1 * c0) ** 2 - (a * b1 - a1 * b) * (b * c1 - b1 * c0)
+    return res_x, a * (b * b - 4 * a * c0)
+
+
+def _no_singular_point(c, order):
+    """Whether the resultants prove that c has no affine singular point
+    with x in F_order, an extension of its field: both are nonzero and
+    G = gcd(Res_y(f, f_x), Res_y(f, f_y)) is constant or coprime to
+    x^order - x, whose roots are F_order.  x^order mod G is taken by
+    repeated squaring, so this costs O(deg(G)^2 log(order)) operations
+    of the base field and builds no table.
+
+    False proves nothing: a zero resultant (f_x = 0, or a repeated
+    component), a root of G in F_order, or deg_y f not in {1, 2}.
+    """
+    resultants = _singular_x_resultants(c)
+    if resultants is None or any(r.is_zero() for r in resultants):
+        return False
+    g = unipoly_gcd(*resultants)
+    if g.degree == 0:
+        return True
+    x = UniPoly.variable(g.domain)
+    acc = UniPoly.one(g.domain)
+    for bit in bin(order)[2:]:
+        acc = acc * acc % g
+        if bit == "1":
+            acc = acc * x % g
+    return unipoly_gcd(g, acc - x).degree == 0
+
+
 def singular_points(c, ext_degree=2):
     """Points over F_{p^(k*ext_degree)} where the defining polynomial
     and both partials vanish, as a PointSet of code pairs over that
@@ -257,8 +330,20 @@ def singular_points(c, ext_degree=2):
     c lifted to the extension field (embed), where only the singular
     pairs it returns are ever decoded.
 
-    An empty result only means no singular point was found up to this
-    extension degree; it is not a smoothness certificate.
+    For ext_degree >= 2 and deg_y f in {1, 2}, a certificate over the
+    base field comes first (_no_singular_point) and, when it holds,
+    the result is empty with no extension table built and no element
+    embedded.  It is sound: at a singular point (x0, y0), the powers
+    (y0^(s-1), ..., y0, 1) are a kernel vector of the s x s Sylvester
+    matrix of f and f_x, and of that of f and f_y, at x = x0, so x0 is
+    a root of both resultants and of their gcd G, in F_{q^m}.  It only
+    ever proves emptiness; the lifted scan is the one place that lists
+    singular points.  The cap still counts the q^(2m) pairs of that
+    scan.
+
+    An empty result means no affine singular point over this extension;
+    it is not a smoothness certificate, as larger extensions and the
+    points at infinity are not searched.
     """
     ext_degree = int(ext_degree)
     if ext_degree < 1:
@@ -270,6 +355,8 @@ def singular_points(c, ext_degree=2):
     )
     if ext_degree > 1:
         ext = FqContext(ctx.p, ctx.k * ext_degree)
+        if _no_singular_point(c, ext.order):
+            return PointSet(ext, ())
         lifted = {e: embed(v, ext) for e, v in c.defining.terms.items()}
         c = Curve(SparsePoly(ext, lifted))
     return fibre_scan(c).singular

@@ -234,9 +234,11 @@ def _is_irreducible(coeffs, p):
     return True
 
 
+@lru_cache(maxsize=None)
 def _find_modulus(p, k):
     """Smallest monic irreducible degree-k modulus, by the integer
-    encoding sum(c_i * p^i) of the non-leading coefficients."""
+    encoding sum(c_i * p^i) of the non-leading coefficients; searched
+    once per (p, k), as every default FqContext of F_{p^k} needs it."""
     if k == 1:
         return (0, 1)
     for code in range(p**k):

@@ -91,3 +91,16 @@ def test_six_value_types_stay_immutable():
             with pytest.raises(AttributeError):
                 setattr(value, field.name, None)
         assert hash(value) == hash(copy.deepcopy(value))
+
+
+def test_six_value_types_refuse_new_attributes():
+    """Assigning a name that is not a field raises too, and changes
+    nothing.  On Python 3.10 and 3.11 the error is TypeError, not
+    AttributeError: the __setattr__ that dataclass(frozen=True) writes
+    calls super() with the class that slots=True then replaces."""
+    for value in _values()[:10]:
+        before = copy.deepcopy(value)
+        with pytest.raises((TypeError, AttributeError)):
+            value.extra = 1
+        assert not hasattr(value, "extra")
+        assert value == before and hash(value) == hash(before)

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvadd import LinearizedMap, claims, cli, cover
 from curvadd.cli import main
@@ -15,6 +18,7 @@ from curvadd.cli import main
 HYPERBOLA_F7 = "p = 7\nk = 1\nf = x*y - 1\n"
 QUAD_F3 = "p = 3\nk = 1\nf = y^2 + 2*x*y + 2*y + x\n"
 CUBIC_F5 = "p = 5\nk = 1\nf = y^2 - x^3 - 3*x - 1\nassert_smooth = true\n"
+GOLDEN_REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
 
 
 def write_curve(tmp_path, text, name="c.curve"):
@@ -473,3 +477,70 @@ def test_analyze_refusals_exit_2_before_scanning(tmp_path, capsys, monkeypatch):
     assert main(["analyze", "--curve", path, "--oracle", "on"]) == 2
     err = capsys.readouterr().err
     assert "exhaustive map scan needs 40353607 steps, cap is 16777216" in err
+
+
+# ---------------------------------------------------------------------------
+# dump_json against json.dumps(obj, indent=2, sort_keys=True) + "\n".
+
+
+def canonical(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_matches_json_dumps_on_golden_reports():
+    with open(GOLDEN_REPORTS, encoding="utf-8") as fh:
+        reports = json.load(fh)
+    assert reports
+    for key, text in reports.items():
+        doc = json.loads(text)
+        assert cli.dump_json(doc) == canonical(doc) == text, key
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], {}]},
+        [[True, 1], [1, False], [None, 2], [1, 2]],
+        [[1, 2], [3, 4, 5]],
+        [[1, 2], (3, 4)],
+        [(1, 2), (3, 4)],
+        [[-7, 0], [10**40, -(10**40)]],
+        {"neg": -1, "huge": 2**200, "zero": 0, "bools": [True, False, None]},
+        {"é": "ü☃\U0001f600", "tab\t": "quote\" backslash\\ nl\n\x00"},
+        ("tuple", ["nested", ("deeper", [[1, 2]])]),
+        "plain",
+        12,
+        None,
+        True,
+    ],
+)
+def test_dump_json_matches_json_dumps_on_edge_values(obj):
+    assert cli.dump_json(obj) == canonical(obj)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1: 2}, {"a": [set()]}, [b"bytes"], object()])
+def test_dump_json_refuses_other_types_and_keys(obj):
+    with pytest.raises(TypeError):
+        cli.dump_json(obj)
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**30), 10**30) | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4)
+    # pair-shaped lists, with bools and other values mixed in
+    | st.lists(st.lists(st.integers() | st.booleans(), min_size=2, max_size=2), max_size=4)
+    | st.lists(st.lists(st.integers() | children, min_size=1, max_size=3), max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_matches_json_dumps_on_generated_values(obj):
+    assert cli.dump_json(obj) == canonical(obj)

@@ -20,11 +20,11 @@ from curvadd import (
     singular_points,
     verify_witness,
 )
-from curvadd import cli, cover
+from curvadd import DEFAULT_FIELD_CAP, PointSet, additive, cli, cover, fields
 from curvadd import curve as curve_mod
 from curvadd.curve import fibre_scan
 from curvadd.fields import _embedding_root, embed
-from curvadd.poly import SparsePoly
+from curvadd.poly import SparsePoly, unipoly_gcd
 
 import scan_reference
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     build_curve,
     reference_affine,
     reference_infinity_count,
+    seeded_rng,
 )
 
 
@@ -399,6 +400,125 @@ def test_code_paths_decode_no_point(monkeypatch):
         assert axis_parallel_lines(c) == lines
     assert verify_witness(report.decision, report.points)
     assert cli.report_json(report) == report_json
+
+
+# ---------------------------------------------------------------------------
+# The resultant certificate of singular_points against the lifted scan.
+
+
+def certificate_curves():
+    """differential_curves(), the extension-2 curves under every
+    non-default modulus, and seeded random curves of total degree <= 3
+    (mostly of degree <= 2 in y) over F_3 ... F_13, F_9 and F_25."""
+    curves = [c for c in differential_curves() if c.ctx.order**4 <= DEFAULT_FIELD_CAP]
+    for p, k, modulus in CUSTOM_MODULI:
+        ctx = FqContext(p, k, modulus)
+        curves += [Curve(parse_bipoly(expr, ctx)) for expr, _ in EXT2_CURVES]
+    rng = seeded_rng(18)
+    for p, k in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)):
+        ctx = FqContext(p, k)
+        curves.append(Curve(parse_bipoly("y^2 - x^3 - x", ctx)))
+        for _ in range(8):
+            terms = {(0, 1): ctx.one()}  # never constant
+            for i in range(4):
+                for j in range(4 - i):
+                    if rng.random() < (0.1 if j == 3 else 0.5):
+                        terms[i, j] = ctx.decode(rng.randrange(1, ctx.order))
+            curves.append(Curve(SparsePoly(ctx, terms)))
+    return curves
+
+
+def lifted_singular(c, m):
+    """The singular points over F_{q^m} by the scan of the lifted curve."""
+    return fibre_scan(lift(c, FqContext(c.ctx.p, m * c.ctx.k))).singular
+
+
+@pytest.mark.parametrize("c", certificate_curves(), ids=repr)
+def test_certificate_implies_an_empty_lifted_scan(c):
+    q = c.ctx.order
+    scan = lifted_singular(c, 2)
+    if curve_mod._no_singular_point(c, q * q):
+        assert scan.count == 0
+    assert singular_points(c, 2) == scan
+
+
+# (p, k, modulus, expression, deg G or None when a resultant is zero or
+# there is no formula, certificate, singular points over F_{q^2})
+CERTIFICATE_CASES = (
+    # no y at all, singular along x = 0: outside the formulas
+    (5, 2, None, "4*x^3 + (3*g + 4)*x^2", None, False, 625),
+    # the cusp: f_x = -3x^2 = 0, so Res_y(f, f_x) = 0
+    (3, 1, None, "y^2 - x^3", None, False, 1),
+    # a repeated component: both resultants are zero
+    (5, 1, None, "(y - x)^2", None, False, 25),
+    # a node at the origin, a root of G = x^2 in F_q
+    (7, 1, None, "y^2 - x^3 - x^2", 2, False, 1),
+    # G = (x^2 + 1)^2: roots +-i in F_9, where the parabolas cross
+    (3, 1, None, "y^2 - (x^2 + 1)^2", 4, False, 2),
+    # G = x, where the leading coefficient 2x vanishes, but no point
+    # over x = 0 is singular
+    (3, 1, None, "2*x^2*y + 2*x*y^2 + x^2 + y", 1, False, 0),
+    # G = h^2 with h = x^3 - x + 1 irreducible over F_3: its roots
+    # lie in F_27, not in F_9
+    (3, 1, None, "y^2 - (x^3 - x + 1)^2", 6, True, 0),
+    (3, 2, (2, 1, 1), "x*y - 1", 0, True, 0),
+    (5, 1, None, "x^2 + y^2 - 1", 0, True, 0),
+)
+
+
+@pytest.mark.parametrize("p,k,modulus,expr,gcd_degree,certified,count", CERTIFICATE_CASES)
+def test_certificate_cases(p, k, modulus, expr, gcd_degree, certified, count):
+    c = Curve(parse_bipoly(expr, FqContext(p, k, modulus)))
+    resultants = curve_mod._singular_x_resultants(c)
+    if gcd_degree is None:
+        assert resultants is None or any(r.is_zero() for r in resultants)
+    else:
+        assert unipoly_gcd(*resultants).degree == gcd_degree
+    q = c.ctx.order
+    assert curve_mod._no_singular_point(c, q * q) is certified
+    scan = lifted_singular(c, 2)
+    assert scan.count == count
+    assert singular_points(c, 2) == scan
+
+
+def test_certificate_with_f_x_zero_or_no_y():
+    # f_x = 0 gives a zero Res_y(f, f_x); a curve in x alone, or of
+    # degree 3 in y, has no formula
+    cusp = build_curve(3, 1, "y^2 - x^3")
+    assert curve_mod._singular_x_resultants(cusp)[0].is_zero()
+    assert curve_mod._singular_x_resultants(build_curve(5, 1, "x^3 - x")) is None
+    assert curve_mod._singular_x_resultants(build_curve(5, 1, "y^3 - x")) is None
+
+
+# The smooth corpus curves with deg_y f <= 2 whose extension-2 scan fits
+SMOOTH_EXT2 = [
+    entry
+    for entry in CORPUS
+    if entry[3] and (entry[0] ** entry[1]) ** 4 <= DEFAULT_FIELD_CAP and "y^4" not in entry[2]
+]
+
+
+@pytest.mark.parametrize("entry", SMOOTH_EXT2, ids=str)
+def test_analyze_certifies_smooth_curves_without_extension_tables(entry, monkeypatch):
+    c = build_curve(*entry)
+    q = c.ctx.order
+    expected = cli.report_json(cover.analyze(c, singular_ext=2))
+    tables = fields.code_tables
+
+    def base_tables(ctx):
+        assert ctx.order == q, f"code tables built for {ctx!r}"
+        return tables(ctx)
+
+    def no_embed(*args, **kwargs):
+        raise AssertionError("an element was embedded")
+
+    for module in (fields, curve_mod, cover, additive):
+        monkeypatch.setattr(module, "code_tables", base_tables)
+    monkeypatch.setattr(curve_mod, "embed", no_embed)
+    report = cover.analyze(c, singular_ext=2)
+    assert report.singular_ext_used == 2
+    assert report.singular == PointSet(FqContext(c.ctx.p, 2 * c.ctx.k), ())
+    assert cli.report_json(report) == expected
 
 
 # ---------------------------------------------------------------------------

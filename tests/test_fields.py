@@ -55,6 +55,26 @@ def test_modulus_rejects_reducible():
         FqContext(3, 2, modulus=(1, 1))  # wrong degree
 
 
+def test_default_modulus_is_searched_once_per_field(monkeypatch):
+    first = FqContext(3, 4)
+    calls = []
+    is_irreducible = fields._is_irreducible
+
+    def counted(coeffs, p):
+        calls.append((tuple(coeffs), p))
+        return is_irreducible(coeffs, p)
+
+    monkeypatch.setattr(fields, "_is_irreducible", counted)
+    assert FqContext(3, 4) == first
+    assert calls == []
+    # a custom modulus is checked on its own path, every time
+    for _ in range(2):
+        assert FqContext(3, 2, modulus=(2, 2, 1)).modulus == (2, 2, 1)
+        with pytest.raises(ValueError):
+            FqContext(3, 2, modulus=(2, 0, 1))
+    assert calls == [((2, 2, 1), 3), ((2, 0, 1), 3)] * 2
+
+
 def test_explicit_modulus_honored():
     ctx = FqContext(3, 2, modulus=(2, 2, 1))  # x^2 + 2x + 2, irreducible
     g = ctx.gen()
