@@ -40,7 +40,8 @@ from .fields import (
     code_tables,
     embed,
 )
-from .poly import SparsePoly, UniPoly, field_domain, parse_bipoly, unipoly_gcd
+from . import poly
+from .poly import SparsePoly, UniPoly, field_domain, parse_bipoly
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,9 @@ class FibreScan(NamedTuple):
     lines: list  # axis-parallel line components, as "x = a" / "y = b"
 
 
-def _log_terms(poly, log):
-    """The terms of poly with each coefficient replaced by its log."""
-    return {exps: log[int(coeff)] for exps, coeff in poly.terms.items()}
+def _log_terms(f, log):
+    """The terms of f with each coefficient replaced by its log."""
+    return {exps: log[int(coeff)] for exps, coeff in f.terms.items()}
 
 
 def _rows(terms, index, tables, codes):
@@ -255,15 +256,12 @@ def singular_scan_steps(ctx, ext_degree):
     return ctx.order ** (2 * ext_degree)
 
 
-def _in_y(poly, n, domain):
-    """poly as a polynomial in y of formal degree n: its n + 1
-    coefficients, lowest power first, each a UniPoly in x over domain.
-    Over a prime-field domain the coefficients go in as ints, their
-    first digits, so poly may also be over an extension of it."""
-    prime = domain.ctx.k == 1
+def _in_y(f, n, domain):
+    """f as a polynomial in y of formal degree n: its n + 1
+    coefficients, lowest power first, each a UniPoly in x over domain."""
     columns = [{} for _ in range(n + 1)]
-    for (i, j), coeff in poly.terms.items():
-        columns[j][i] = coeff.coeffs[0] if prime else coeff
+    for (i, j), coeff in f.terms.items():
+        columns[j][i] = coeff
     return [
         UniPoly(domain, [col.get(i, 0) for i in range(max(col, default=-1) + 1)])
         for col in columns
@@ -272,9 +270,8 @@ def _in_y(poly, n, domain):
 
 def _singular_x_resultants(c):
     """(Res_y(f, f_x), Res_y(f, f_y)) as UniPolys in x over the base
-    field (over F_p when every coefficient of f lies there), Sylvester
-    resultants with the formal y-degrees n of f and f_x and n - 1 of
-    f_y, for n = deg_y f in {1, 2}; None otherwise.
+    field, Sylvester resultants with the formal y-degrees n of f and f_x
+    and n - 1 of f_y, for n = deg_y f in {1, 2}; None otherwise.
 
     With f = a*y + b they are a*b' - a'*b and a; with
     f = a*y^2 + b*y + c they are (a*c' - a'*c)^2 - (a*b' - a'*b)*(b*c' - b'*c)
@@ -284,10 +281,7 @@ def _singular_x_resultants(c):
     n = f.degree_in(1)
     if n not in (1, 2):
         return None
-    ctx = c.ctx
-    if ctx.k > 1 and not any(any(v.coeffs[1:]) for v in f.terms.values()):
-        ctx = FqContext(ctx.p)  # f is over F_p: so are the resultants
-    domain = field_domain(ctx)
+    domain = field_domain(c.ctx)
     cs, ds = _in_y(f, n, domain), _in_y(f.partial(0), n, domain)
     if n == 1:
         (b, a), (b1, a1) = cs, ds
@@ -311,7 +305,7 @@ def _no_singular_point(c, order):
     resultants = _singular_x_resultants(c)
     if resultants is None or any(r.is_zero() for r in resultants):
         return False
-    g = unipoly_gcd(*resultants)
+    g = poly.unipoly_gcd(*resultants)
     if g.degree == 0:
         return True
     x = UniPoly.variable(g.domain)
@@ -320,7 +314,7 @@ def _no_singular_point(c, order):
         acc = acc * acc % g
         if bit == "1":
             acc = acc * x % g
-    return unipoly_gcd(g, acc - x).degree == 0
+    return poly.unipoly_gcd(g, acc - x).degree == 0
 
 
 def singular_points(c, ext_degree=2):
