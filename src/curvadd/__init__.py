@@ -23,7 +23,7 @@ from .additive import (
     hyperplane_functionals,
     trace_functional,
 )
-from .caps import DEFAULT_FIELD_CAP, DEFAULT_ORACLE_CAP, effective_cap
+from .caps import DEFAULT_FIELD_CAP, effective_cap
 from .cover import (
     AnalysisReport,
     BoundReport,
@@ -92,7 +92,6 @@ __all__ = [
     "Curve",
     "CurvaddError",
     "DEFAULT_FIELD_CAP",
-    "DEFAULT_ORACLE_CAP",
     "FqContext",
     "FqElement",
     "HWWindow",

@@ -44,7 +44,7 @@ from operator import mul
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
-from .caps import DEFAULT_ORACLE_CAP, check_cap, fits
+from .caps import check_cap, effective_cap
 from .errors import ContextMismatch, Inconsistent
 from .curve import (
     PointSet,
@@ -283,18 +283,6 @@ def decide_by_hyperplanes(points, ctx):
     return CoverVerdict(exists_nonzero=False, method="hyperplane-search")
 
 
-def oracle_steps(ctx):
-    """The exhaustive oracle's step count, its q^k maps: what
-    check_oracle_cap refuses on and analyze(oracle="auto") skips on."""
-    return ctx.order**ctx.k
-
-
-def check_oracle_cap(ctx):
-    """Refuse the exhaustive oracle when its steps exceed the oracle
-    cap, before any work starts."""
-    check_cap("exhaustive map scan", oracle_steps(ctx), DEFAULT_ORACLE_CAP)
-
-
 def _subspace_walk(pairs, ctx):
     """The least working map as a tuple of coefficient codes, or None
     when only the zero map works, and the number of nodes walked, for
@@ -435,11 +423,15 @@ def decide_by_exhaustion(points, ctx):
     works lies in the leaf reached by following, at each cut, a
     coordinate where it vanishes, and a map that fails at some point
     lies in no leaf.  So the oracle stays complete while the walk has
-    at most 2^(k+1) - 1 nodes; its cap still counts the q^k maps.
-    Arithmetic runs on the logs of element codes with Zech-table sums,
-    independent of the hyperplane search and of verify_witness.
+    at most 2^(k+1) - 1 nodes.  Arithmetic runs on the logs of element
+    codes with Zech-table sums, independent of the hyperplane search
+    and of verify_witness.
+
+    The cap counts the q entries of the code tables, as the hyperplane
+    decider's does, and refuses before they are built; the walk's
+    nodes are fewer.
     """
-    check_oracle_cap(ctx)
+    check_cap("exhaustive oracle", ctx.order)
     codes, _ = _subspace_walk(_point_codes(points, ctx), ctx)
     if codes is None:
         return CoverVerdict(exists_nonzero=False, method="exhaustive-oracle")
@@ -528,7 +520,7 @@ class AnalysisReport:
     conjectural_flag: bool
     decision: CoverVerdict
     oracle_verdict: CoverVerdict = None
-    oracle_agreement: str = "skipped"  # "agree" | "skipped"
+    oracle_agreement: str = "skipped"  # "agree", or "skipped" for oracle="off"
     paper_flags: tuple = ()
 
     @property
@@ -544,7 +536,7 @@ def _feasible_singular_ext(ctx, requested):
     grows with m, so the search stops at the first m that does not fit,
     however large `requested` is."""
     best = 0
-    while best < requested and fits(singular_scan_steps(ctx, best + 1)):
+    while best < requested and singular_scan_steps(ctx, best + 1) <= effective_cap():
         best += 1
     return best
 
@@ -552,9 +544,11 @@ def _feasible_singular_ext(ctx, requested):
 def analyze(c, singular_ext=2, oracle="auto"):
     """Run the whole pipeline on one curve.
 
-    oracle: "auto" runs the exhaustive scan when p^(k^2) fits the
-    oracle cap, "on" demands it, "off" skips it.  Bad arguments, and an
-    "on" oracle over its cap, are refused before any scan starts.
+    oracle: "auto" and "on" cross-check the hyperplane decider with the
+    exhaustive oracle, "off" skips it.  Bad arguments are refused before
+    any scan starts.  The oracle's own refusal, on its q code-table
+    entries, cannot fire here: the affine scan has already passed its
+    q^2 pairs.
 
     Raises Inconsistent when an applicable forcing bound contradicts
     the search verdict or the two deciders disagree; the message
@@ -569,11 +563,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
         raise ValueError(f"singular_ext must be >= 0, got {requested_ext}")
     ctx = c.ctx
     p, k, d = ctx.p, ctx.k, c.degree
-    run_oracle = oracle == "on"
-    if run_oracle:
-        check_oracle_cap(ctx)
-    elif oracle == "auto":
-        run_oracle = fits(oracle_steps(ctx), DEFAULT_ORACLE_CAP)
+    run_oracle = oracle != "off"
 
     scan = fibre_scan(c)
     points = scan.points

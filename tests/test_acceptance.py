@@ -168,7 +168,7 @@ def test_criterion_6_hyperbola_suite():
         report = analyze(build_curve(p, k, "x*y - 1"), singular_ext=1)
         assert not report.decision.exists_nonzero, (p, k)
         assert report.decision.witness_map is None
-        assert report.oracle_agreement in ("agree", "skipped")
+        assert report.oracle_agreement == "agree"
     labels = ", ".join(
         f"F_{p}" if k == 1 else f"F_{p}^{k}" for p, k in HYPERBOLA_FIELDS
     )

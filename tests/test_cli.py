@@ -273,21 +273,17 @@ def test_search_witness_printed(tmp_path, capsys):
     assert "witness" in out
 
 
-def test_search_refuses_over_cap_oracle_before_scanning(tmp_path, capsys, monkeypatch):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a point scan started before the refusal")
-
-    monkeypatch.setattr(cli, "affine_points", no_scan)
-    # 81^4 and 243^5 maps against the default oracle cap 2^24
-    for k, maps in ((4, 81**4), (5, 243**5)):
+def test_search_runs_the_oracle_past_the_old_map_cap(tmp_path, capsys, monkeypatch):
+    # 81^4 and 243^5 maps: the oracle's cap counts its q table entries
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
+    for k in (4, 5):
         path = write_curve(tmp_path, f"p = 3\nk = {k}\nf = x*y - 1\n")
         for mode in ("exhaustive", "both"):
-            assert main(["search", "--curve", path, "--mode", mode]) == 2
+            assert main(["search", "--curve", path, "--mode", mode]) == 0
             captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                f"error: exhaustive map scan needs {maps} steps, cap is 16777216\n"
-            )
+            assert captured.err == ""
+            assert "exhaustive-oracle: exists_nonzero = False\n" in captured.out
+            assert ("agreement: ok\n" in captured.out) == (mode == "both")
 
 
 def test_search_refuses_a_witness_that_fails_verification(tmp_path, capsys, monkeypatch):
@@ -474,9 +470,11 @@ def test_analyze_refusals_exit_2_before_scanning(tmp_path, capsys, monkeypatch):
     path = write_curve(tmp_path, "p = 7\nk = 3\nf = x*y - 1\n")
     assert main(["analyze", "--curve", path, "--singular-ext", "-1"]) == 2
     assert "singular_ext must be >= 0, got -1" in capsys.readouterr().err
-    assert main(["analyze", "--curve", path, "--oracle", "on"]) == 2
-    err = capsys.readouterr().err
-    assert "exhaustive map scan needs 40353607 steps, cap is 16777216" in err
+    # 343^3 maps, more than 2^24, and the oracle runs at the default caps
+    monkeypatch.undo()
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
+    assert main(["analyze", "--curve", path, "--oracle", "on"]) == 0
+    assert "oracle: agree" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from curvadd import (
     zero_forcing_inequality,
 )
 from curvadd import claims, cover
-from curvadd.caps import DEFAULT_ORACLE_CAP, effective_cap
+from curvadd.caps import effective_cap
 from curvadd.curve import PointSet
 from curvadd.fields import code_tables
 
@@ -286,9 +286,10 @@ def deep_point_set(ctx, rng):
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (5, 3), (3, 4), (3, 5), (7, 3)])
 def test_oracle_walks_to_depth_k_minus_1(p, k, monkeypatch):
+    # F_81, F_243 and F_343 have more than 2^24 maps; the default caps
+    # admit them all
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
     ctx = FqContext(p, k)
-    # F_81, F_243 and F_343 have more than 2^24 maps
-    monkeypatch.setenv("CURVADD_CAP", str(max(ctx.order**k, DEFAULT_ORACLE_CAP)))
     rng = random.Random(f"deep {p}^{k}")
     for _ in range(4):
         trace_map, pts = deep_point_set(ctx, rng)
@@ -332,9 +333,9 @@ def test_oracle_walk_uses_no_element_arithmetic(monkeypatch):
     assert cover._subspace_walk(pts, c.ctx)[0] is not None
 
 
-def test_oracle_decides_past_the_prefix_walk_under_raised_cap(monkeypatch):
+def test_oracle_decides_past_the_prefix_walk_at_default_caps(monkeypatch):
     # 729^6 = 3^36 maps: the prefix walk would visit 3^30 prefixes
-    monkeypatch.setenv("CURVADD_CAP", str(3**36))
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
     for expr, has_witness in (("x*y - 1", False), ("y - x^3 + x", True)):
         c = build_curve(3, 6, expr)
         pts = affine_points(c)
@@ -343,9 +344,13 @@ def test_oracle_decides_past_the_prefix_walk_under_raised_cap(monkeypatch):
         assert v.exists_nonzero == has_witness
         assert v.exists_nonzero == decide_by_hyperplanes(pts, c.ctx).exists_nonzero
         assert verify_witness(v, pts)
-    monkeypatch.setenv("CURVADD_CAP", str(3**36 - 1))
-    with pytest.raises(CapExceeded):
+    # the cap counts the 729 code-table entries, not the maps
+    monkeypatch.setenv("CURVADD_CAP", str(3**6))
+    assert decide_by_exhaustion(pts, c.ctx).exists_nonzero
+    monkeypatch.setenv("CURVADD_CAP", str(3**6 - 1))
+    with pytest.raises(CapExceeded) as err:
         decide_by_exhaustion(pts, c.ctx)
+    assert str(err.value) == "exhaustive oracle needs 729 steps, cap is 728"
 
 
 TRACE_FORM_FIELDS = [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUSTOM_MODULI)
@@ -454,9 +459,12 @@ def test_analyze_hyperbola_end_to_end():
 
 def test_analyze_oracle_modes():
     c = build_curve(3, 1, "x*y - 1")
+    auto = analyze(c, oracle="auto")
     on = analyze(c, oracle="on")
     off = analyze(c, oracle="off")
+    assert auto == on
     assert on.oracle_agreement == "agree"
+    assert on.oracle_verdict == decide_by_exhaustion(on.points, c.ctx)
     assert off.oracle_agreement == "skipped"
     assert off.oracle_verdict is None
     assert on.decision.exists_nonzero == off.decision.exists_nonzero
@@ -580,33 +588,28 @@ def test_bounds_apply_by_degree():
 def test_caps_env_override(monkeypatch):
     monkeypatch.setenv("CURVADD_CAP", "99")
     assert effective_cap() == 99
-    assert effective_cap(DEFAULT_ORACLE_CAP) == 99
     monkeypatch.delenv("CURVADD_CAP")
     assert effective_cap() == 1 << 20
-    assert effective_cap(DEFAULT_ORACLE_CAP) == 1 << 24
     monkeypatch.setenv("CURVADD_CAP", "not a number")
     with pytest.raises(ValueError):
         effective_cap()
-    with pytest.raises(ValueError):
-        effective_cap(DEFAULT_ORACLE_CAP)
 
 
 def test_analyze_refuses_before_any_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("a point scan started before the refusal")
 
-    monkeypatch.setattr(cover, "fibre_scan", no_scan)
-    monkeypatch.setattr(cover, "points_at_infinity_count", no_scan)
     c = build_curve(7, 3, "x*y - 1")
+    # every scan starts by building the code tables its rows run on
+    monkeypatch.setattr("curvadd.curve.code_tables", no_scan)
+    monkeypatch.setattr("curvadd.curve._rows", no_scan)
     with pytest.raises(ValueError, match=r"^singular_ext must be >= 0, got -1$"):
         analyze(c, singular_ext=-1)
-    # 343^3 maps against the default oracle cap 2^24
-    with pytest.raises(CapExceeded) as err:
-        analyze(c, oracle="on")
-    assert str(err.value) == "exhaustive map scan needs 40353607 steps, cap is 16777216"
     monkeypatch.setenv("CURVADD_CAP", "3")
-    with pytest.raises(CapExceeded):
-        analyze(c, oracle="on")
+    for oracle in ("auto", "on", "off"):
+        with pytest.raises(CapExceeded) as err:
+            analyze(c, oracle=oracle)
+        assert str(err.value) == "affine point scan needs 117649 steps, cap is 3"
 
 
 def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
@@ -632,17 +635,6 @@ def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
 
 @pytest.mark.parametrize("slack", (0, 1))
 def test_each_capped_stage_refuses_exactly_when_it_is_skipped(monkeypatch, slack):
-    # F_27: the oracle's 27^3 maps outnumber the affine scan's 27^2
-    # pairs, so only the oracle meets the cap here
-    c = build_curve(3, 3, "x*y - 1")
-    monkeypatch.setenv("CURVADD_CAP", str(3**9 - slack))
-    try:
-        analyze(c, singular_ext=1, oracle="on")
-        allowed = True
-    except CapExceeded:
-        allowed = False
-    assert allowed == (slack == 0)
-    assert (analyze(c, singular_ext=1).oracle_verdict is not None) == allowed
     # F_3: the singular scan at extension 2 counts (3^2)^2 pairs
     c = build_curve(3, 1, "x*y - 1")
     monkeypatch.setenv("CURVADD_CAP", str(3**4 - slack))
@@ -665,3 +657,34 @@ def test_hyperplane_search_refuses_before_building_tables(monkeypatch):
     with pytest.raises(CapExceeded):
         decide_by_hyperplanes([], ctx)
     assert code_tables.cache_info().misses == built
+
+
+def test_oracle_refuses_before_building_tables(monkeypatch):
+    # the walk has at most 3 nodes over F_p, but p code table entries
+    monkeypatch.setenv("CURVADD_CAP", "1000")
+    ctx = FqContext(10007)
+    built = code_tables.cache_info().misses
+    with pytest.raises(CapExceeded) as err:
+        decide_by_exhaustion([], ctx)
+    assert str(err.value) == "exhaustive oracle needs 10007 steps, cap is 1000"
+    assert code_tables.cache_info().misses == built
+
+
+@pytest.mark.parametrize("expr", ("x*y - 1", "y^2 - x^3 - x", "y - x^3 + x"))
+@pytest.mark.parametrize("p,k", [(3, 4), (3, 5), (3, 6), (5, 4), (7, 3)])
+def test_analyze_cross_checks_past_the_old_map_cap(p, k, expr, monkeypatch):
+    # q^k > 2^24 maps in every one of these fields, and the default
+    # caps let the oracle decide them all
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
+    c = build_curve(p, k, expr)
+    report = analyze(c)
+    oracle = report.oracle_verdict
+    assert report.oracle_agreement == "agree"
+    assert oracle.method == "exhaustive-oracle"
+    assert oracle.exists_nonzero == report.decision.exists_nonzero
+    # in characteristic 3 the trace vanishes at every y = x^3 - x
+    assert oracle.exists_nonzero == (p == 3 and expr == "y - x^3 + x")
+    if oracle.exists_nonzero:
+        assert verify_witness(oracle, report.points)
+    _, nodes = cover._subspace_walk(report.points.codes, c.ctx)
+    assert nodes <= 2 ** (k + 1) - 1
