@@ -764,13 +764,7 @@ def main(argv=None):
     except Inconsistent as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

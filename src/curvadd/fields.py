@@ -11,15 +11,18 @@ the monic irreducible polynomial whose non-leading coefficients form the
 smallest integer under the encoding sum(c_i * p^i).  For k = 1 the
 modulus is the polynomial g itself and elements are bare residues.
 
-Contexts and elements are immutable and hashable.  Elements carry their
-context, and mixing contexts raises ContextMismatch rather than
-guessing an embedding.
+Contexts and elements are immutable and hashable.  Every binary
+operator of FqElement, and of UniPoly, RationalFunction and SparsePoly
+in poly, goes through _coerced: an int operand becomes a constant, one
+of an unrelated type is declined with NotImplemented, and one over
+another context raises ContextMismatch rather than guessing an
+embedding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import mul
 from typing import NamedTuple
 
@@ -89,6 +92,23 @@ def _power(one, base, e):
         if e:
             base = base * base
     return result
+
+
+def _coerced(op):
+    """The operand rule of every binary operator of the value types:
+    the operand goes through the type's _coerce first, and an operand
+    it gives None for is declined with NotImplemented, so Python tries
+    the other side or raises TypeError.  _coerce raises ContextMismatch
+    for an operand of the same kind over another context or domain."""
+
+    @wraps(op)
+    def method(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return op(self, other)
+
+    return method
 
 
 def _render_sum(terms):
@@ -238,18 +258,12 @@ def _is_irreducible(coeffs, p):
 def _find_modulus(p, k):
     """Smallest monic irreducible degree-k modulus, by the integer
     encoding sum(c_i * p^i) of the non-leading coefficients; searched
-    once per (p, k), as every default FqContext of F_{p^k} needs it."""
-    if k == 1:
-        return (0, 1)
+    once per (p, k), as every default FqContext of F_{p^k} needs it.
+    For k = 1 that is g itself, at code 0."""
     for code in range(p**k):
-        coeffs = []
-        n = code
-        for _ in range(k):
-            coeffs.append(n % p)
-            n //= p
-        coeffs.append(1)
+        coeffs = _digits(code, p, k) + (1,)
         if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise RuntimeError(f"no irreducible modulus found for p={p}, k={k}")
 
 
@@ -358,12 +372,6 @@ class FqContext:
         for code in range(self.order):
             yield self.decode(code)
 
-    def _check(self, other):
-        if other.ctx != self:
-            raise ContextMismatch(
-                f"element of {other.ctx!r} used in {self!r}"
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class FqElement:
@@ -401,14 +409,13 @@ class FqElement:
         if isinstance(other, int):
             return self.ctx.constant(other)
         if isinstance(other, FqElement):
-            self.ctx._check(other)
+            if other.ctx != self.ctx:
+                raise ContextMismatch(f"element of {other.ctx!r} used in {self.ctx!r}")
             return other
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         p = self.ctx.p
         return FqElement(
             self.ctx,
@@ -421,26 +428,20 @@ class FqElement:
         p = self.ctx.p
         return FqElement(self.ctx, tuple((-a) % p for a in self.coeffs))
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         p = self.ctx.p
         return FqElement(
             self.ctx,
             tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
         )
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         ctx = self.ctx
         if ctx.k == 1:
             return FqElement(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
@@ -472,16 +473,12 @@ class FqElement:
         out.extend([0] * (ctx.k - len(out)))
         return FqElement(ctx, tuple(out))
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.inverse()
 
     def __pow__(self, e):
@@ -489,25 +486,6 @@ class FqElement:
         if e < 0:
             return self.inverse() ** (-e)
         return _power(self.ctx.one(), self, e)
-
-    # -- field structure -----------------------------------------------------
-
-    def frobenius(self, i=1):
-        """x -> x^(p^i).  i is taken mod k (Frobenius has order k)."""
-        i = int(i) % self.ctx.k
-        out = self
-        for _ in range(i):
-            out = out ** self.ctx.p
-        return out
-
-    def trace(self):
-        """Trace to F_p: sum of x^(p^i) for 0 <= i < k, as an element."""
-        acc = self
-        cur = self
-        for _ in range(self.ctx.k - 1):
-            cur = cur ** self.ctx.p
-            acc = acc + cur
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ Three layers live here:
   to nonzero coefficients; substituting a value for one variable gives
   a UniPoly in the other.
 
+All three take operands by the one rule of fields._coerced: an int is
+a constant (for SparsePoly, so is an FqElement), an unrelated operand
+is declined with NotImplemented, and one of their own kind over another
+domain or context raises ContextMismatch.
+
 The expression grammar, shared by the parser and the renderer:
 
     expr   := ['-'] term (('+' | '-') term)*
@@ -52,6 +57,7 @@ from .errors import ContextMismatch, ParseError
 from .fields import (
     FqContext,
     FqElement,
+    _coerced,
     _dense_terms,
     _pdivmod,
     _pgcd,
@@ -507,10 +513,8 @@ class UniPoly:
         except (TypeError, ContextMismatch):
             return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return UniPoly._trusted(self.domain, self.domain.add(self._form, other._form))
 
     __radd__ = __add__
@@ -518,22 +522,16 @@ class UniPoly:
     def __neg__(self):
         return UniPoly._trusted(self.domain, self.domain.neg(self._form))
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return UniPoly._trusted(self.domain, self.domain.mul(self._form, other._form))
 
     __rmul__ = __mul__
@@ -547,22 +545,16 @@ class UniPoly:
             raise ValueError("negative power of a polynomial")
         return _power(UniPoly.one(self.domain), self, e)
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFunction(self, other)
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFunction(other, self)
 
+    @_coerced
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
@@ -570,9 +562,11 @@ class UniPoly:
         q, r = self.domain.divmod(self._form, other._form)
         return UniPoly._trusted(self.domain, q), UniPoly._trusted(self.domain, r)
 
+    @_coerced
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
+    @_coerced
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -727,10 +721,8 @@ class RationalFunction:
         except (TypeError, ContextMismatch):
             return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if self.is_zero():
             return other
         if other.is_zero():
@@ -753,22 +745,16 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction._coprime(-self.num, self.den)
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return self if a.is_zero() else other
@@ -787,16 +773,12 @@ class RationalFunction:
             raise ZeroDivisionError("inverse of the zero rational function")
         return RationalFunction._coprime(self.den, self.num)
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.inverse()
 
     def __pow__(self, e):
@@ -890,16 +872,17 @@ class SparsePoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other):
-        if not isinstance(other, SparsePoly):
-            raise TypeError("expected a SparsePoly")
-        if other.ctx != self.ctx:
-            raise ContextMismatch("polynomials over different contexts")
-
-    def __add__(self, other):
+    def _coerce(self, other):
+        if isinstance(other, SparsePoly):
+            if other.ctx != self.ctx:
+                raise ContextMismatch("polynomials over different contexts")
+            return other
         if isinstance(other, (int, FqElement)):
-            other = SparsePoly.constant(self.ctx, other)
-        self._check(other)
+            return SparsePoly.constant(self.ctx, other)
+        return None
+
+    @_coerced
+    def __add__(self, other):
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out[exps] + coeff if exps in out else coeff
@@ -910,16 +893,16 @@ class SparsePoly:
     def __neg__(self):
         return SparsePoly(self.ctx, {e: -c for e, c in self.terms.items()})
 
+    @_coerced
     def __sub__(self, other):
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        return (-self) + other
+        return other - self
 
+    @_coerced
     def __mul__(self, other):
-        if isinstance(other, (int, FqElement)):
-            return self.scale(other)
-        self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -931,11 +914,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.ctx.constant(c)
-        if c.is_zero():
-            return SparsePoly.zero(self.ctx)
-        return SparsePoly(self.ctx, {e: v * c for e, v in self.terms.items()})
+        return self * c
 
     def __pow__(self, e):
         e = int(e)
@@ -1066,12 +1045,10 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isalpha():
-            if ch in "xyg":
-                tokens.append(("name", ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
+        if ch in "xyg":
+            tokens.append(("name", ch, i))
+            i += 1
+            continue
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", None, n))
     return tokens

@@ -16,6 +16,7 @@ from curvadd import (
 from curvadd.additive import nullspace_mod_p, rref_mod_p
 
 from conftest import CUSTOM_MODULI, odd_prime_powers, span_elements
+from field_reference import frobenius, trace
 
 
 def test_rref_canonical():
@@ -84,7 +85,7 @@ def test_map_matrix_round_trip():
             f = LinearizedMap(ctx, coeffs)
             m = f.to_matrix()
             for j, b in enumerate(basis):
-                image = sum((a * b.frobenius(i) for i, a in enumerate(coeffs)), ctx.zero())
+                image = sum((a * frobenius(b, i) for i, a in enumerate(coeffs)), ctx.zero())
                 assert [row[j] for row in m] == list(image.coeffs)
             for a in ctx.elements():
                 x = a.coeffs
@@ -175,10 +176,10 @@ def test_trace_functional_matches_trace():
     ctx = FqContext(3, 2)
     f = trace_functional(ctx.one())
     for a in ctx.elements():
-        assert f(a) == a.trace()
+        assert f(a) == trace(a)
     g = trace_functional(ctx.gen())
     for a in ctx.elements():
-        assert g(a) == (ctx.gen() * a).trace()
+        assert g(a) == trace(ctx.gen() * a)
     with pytest.raises(ValueError):
         trace_functional(ctx.zero())
 
