@@ -4,7 +4,9 @@ Every additive map on F_{p^k} is a linearized polynomial
 f(x) = sum a_i x^(p^i) with k coefficients a_i in the field, and the
 correspondence with k x k matrices over F_p is a bijection.  Kernels
 are F_p-subspaces, held in reduced row-echelon canonical form so equal
-subspaces compare equal structurally.
+subspaces compare equal structurally.  Coefficients and arguments go
+through FqContext.coerce: an int is a constant, and an element of
+another field raises ContextMismatch.
 
 Hyperplanes ((k-1)-dimensional subspaces) are exactly the kernels of
 trace functionals x -> Tr(a x); scaling a by the prime subfield leaves
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_FIELD_CAP, check_cap
-from .errors import ContextMismatch
 from .fields import FqContext, _render_sum, code_tables
 
 
@@ -103,14 +104,9 @@ class LinearizedMap:
     coeffs: tuple
 
     def __init__(self, ctx, coeffs):
-        coeffs = tuple(
-            ctx.constant(c) if isinstance(c, int) else c for c in coeffs
-        )
+        coeffs = tuple(map(ctx.coerce, coeffs))
         if len(coeffs) != ctx.k:
             raise ValueError(f"need k = {ctx.k} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if c.ctx != ctx:
-                raise ContextMismatch("coefficient from a different context")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -126,8 +122,7 @@ class LinearizedMap:
         return all(c.is_zero() for c in self.coeffs)
 
     def __call__(self, x):
-        if x.ctx != self.ctx:
-            raise ContextMismatch("argument from a different context")
+        x = self.ctx.coerce(x)
         acc = self.ctx.zero()
         power = x
         for i, a in enumerate(self.coeffs):

@@ -56,7 +56,7 @@ def _normalized(poly):
     """Scale so the graded-lex leading coefficient is 1; two defining
     polynomials give the same curve iff they normalize equal."""
     lead = poly.sorted_terms()[0][1]
-    return poly.scale(lead.inverse())
+    return poly * lead.inverse()
 
 
 @lru_cache(maxsize=None)

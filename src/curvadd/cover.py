@@ -208,18 +208,13 @@ def elliptic_bound(p, k):
 
 def _point_codes(points, ctx):
     """The (x, y) code pairs of points over ctx: a PointSet's own, or
-    int() of each pair of FqElements.  A point of another context
-    raises ContextMismatch."""
+    the codes of each pair of coordinates by ctx.coerce.  A point of
+    another context raises ContextMismatch."""
     if isinstance(points, PointSet):
         if points.codes and points.ctx != ctx:
             raise ContextMismatch("point from a different context")
         return points.codes
-    pairs = []
-    for x, y in points:
-        if x.ctx != ctx or y.ctx != ctx:
-            raise ContextMismatch("point from a different context")
-        pairs.append((int(x), int(y)))
-    return pairs
+    return [(int(ctx.coerce(x)), int(ctx.coerce(y))) for x, y in points]
 
 
 def _trace_gram(ctx):

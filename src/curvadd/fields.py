@@ -11,12 +11,13 @@ the monic irreducible polynomial whose non-leading coefficients form the
 smallest integer under the encoding sum(c_i * p^i).  For k = 1 the
 modulus is the polynomial g itself and elements are bare residues.
 
-Contexts and elements are immutable and hashable.  Every binary
-operator of FqElement, and of UniPoly, RationalFunction and SparsePoly
-in poly, goes through _coerced: an int operand becomes a constant, one
-of an unrelated type is declined with NotImplemented, and one over
-another context raises ContextMismatch rather than guessing an
-embedding.
+Contexts and elements are immutable and hashable.  FqContext.coerce
+is the one rule for what belongs to a field: an int is its constant, an
+element of an equal context is itself, one of another context raises
+ContextMismatch rather than guessing an embedding, and anything else is
+a TypeError.  Every binary operator of FqElement, and of UniPoly,
+RationalFunction and SparsePoly in poly, goes through _coerced, which
+declines an operand of an unrelated type with NotImplemented.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _coerced(op):
     the operand goes through the type's _coerce first, and an operand
     it gives None for is declined with NotImplemented, so Python tries
     the other side or raises TypeError.  _coerce raises ContextMismatch
-    for an operand of the same kind over another context or domain."""
+    for an element of another field (FqContext.coerce), or an operand
+    of the same kind over another context or domain."""
 
     @wraps(op)
     def method(self, other):
@@ -331,6 +333,19 @@ class FqContext:
             return f"FqContext(p={self.p})"
         return f"FqContext(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
 
+    def coerce(self, value):
+        """The element of this field that an operand or coefficient
+        stands for: an int is the constant it names, and an element of
+        an equal context is itself.  An element of another context
+        raises ContextMismatch, and anything else TypeError."""
+        if isinstance(value, FqElement):
+            if value.ctx != self:
+                raise ContextMismatch(f"element of {value.ctx!r} used in {self!r}")
+            return value
+        if isinstance(value, int):
+            return self.constant(value)
+        raise TypeError(f"cannot use {value!r} as an element of {self!r}")
+
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs):
@@ -406,13 +421,10 @@ class FqElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return self.ctx.constant(other)
-        if isinstance(other, FqElement):
-            if other.ctx != self.ctx:
-                raise ContextMismatch(f"element of {other.ctx!r} used in {self.ctx!r}")
-            return other
-        return None
+        try:
+            return self.ctx.coerce(other)
+        except TypeError:
+            return None
 
     @_coerced
     def __add__(self, other):

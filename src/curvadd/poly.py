@@ -25,10 +25,12 @@ Three layers live here:
   to nonzero coefficients; substituting a value for one variable gives
   a UniPoly in the other.
 
-All three take operands by the one rule of fields._coerced: an int is
-a constant (for SparsePoly, so is an FqElement), an unrelated operand
-is declined with NotImplemented, and one of their own kind over another
-domain or context raises ContextMismatch.
+All three take operands by the one rule of fields._coerced, and every
+field element they meet, operand or coefficient, goes through
+FqContext.coerce: an int is a constant, an unrelated operand is declined
+with NotImplemented, and an element or value of their own kind over
+another field or domain raises ContextMismatch.  field_domain gives one
+domain per field, so domains compare by identity.
 
 The expression grammar, shared by the parser and the renderer:
 
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import ContextMismatch, ParseError
@@ -246,11 +249,8 @@ class _RationalDomain:
             a, b = b, _primitive(_pseudo_divmod(a, b)[1])
         return _rational(a, a[-1]) if a else _Q_ZERO
 
-    def __eq__(self, other):
-        return isinstance(other, _RationalDomain)
-
-    def __hash__(self):
-        return hash(_RationalDomain)
+    def __reduce__(self):
+        return "QQ"
 
     def __repr__(self):
         return "QQ"
@@ -283,15 +283,7 @@ class _FieldDomain:
         return self.ctx.one()
 
     def coerce(self, value):
-        if isinstance(value, FqElement):
-            if value.ctx != self.ctx:
-                raise ContextMismatch(
-                    f"coefficient from {value.ctx!r} used over {self.ctx!r}"
-                )
-            return value
-        if isinstance(value, int):
-            return self.ctx.constant(value)
-        raise TypeError(f"cannot use {value!r} as a coefficient over {self.ctx!r}")
+        return self.ctx.coerce(value)
 
     def pack(self, values):
         cs = [self.coerce(v) for v in values]
@@ -364,13 +356,8 @@ class _FieldDomain:
             a, b = b, self.divmod(a, b)[1]
         return self.scale(a, self.one / a[-1]) if a else ()
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, _FieldDomain) and self.ctx == other.ctx
-        )
-
-    def __hash__(self):
-        return hash(("_FieldDomain", self.ctx))
+    def __reduce__(self):
+        return field_domain, (self.ctx,)
 
     def __repr__(self):
         return f"field_domain({self.ctx!r})"
@@ -427,8 +414,10 @@ class _PrimeFieldDomain(_FieldDomain):
         return tuple(_pgcd(list(a), list(b), self.ctx.p))
 
 
+@lru_cache(maxsize=None)
 def field_domain(ctx):
-    """Coefficient domain wrapping a finite field context."""
+    """The coefficient domain of a finite field context: one per field,
+    so domains compare by identity (copy and pickle keep it)."""
     if not isinstance(ctx, FqContext):
         raise TypeError("field_domain expects an FqContext")
     return (_PrimeFieldDomain if ctx.k == 1 else _FieldDomain)(ctx)
@@ -510,7 +499,7 @@ class UniPoly:
             return other
         try:
             return UniPoly(self.domain, (other,))
-        except (TypeError, ContextMismatch):
+        except TypeError:
             return None
 
     @_coerced
@@ -697,7 +686,7 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, domain, c):
-        return cls._coprime(UniPoly(domain, (domain.coerce(c),)), UniPoly.one(domain))
+        return cls._coprime(UniPoly(domain, (c,)), UniPoly.one(domain))
 
     @classmethod
     def variable(cls, domain):
@@ -708,17 +697,15 @@ class RationalFunction:
         return self.num.is_zero()
 
     def _coerce(self, other):
+        if isinstance(other, UniPoly):
+            other = RationalFunction._coprime(other, UniPoly.one(other.domain))
         if isinstance(other, RationalFunction):
             if other.domain != self.domain:
                 raise ContextMismatch("rational functions over different domains")
             return other
-        if isinstance(other, UniPoly):
-            if other.domain != self.domain:
-                raise ContextMismatch("rational functions over different domains")
-            return RationalFunction._coprime(other, UniPoly.one(self.domain))
         try:
             return RationalFunction.constant(self.domain, other)
-        except (TypeError, ContextMismatch):
+        except TypeError:
             return None
 
     @_coerced
@@ -826,10 +813,7 @@ class SparsePoly:
                 raise ValueError(f"exponent tuple {exps} needs 2 entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if isinstance(coeff, int):
-                coeff = ctx.constant(coeff)
-            elif coeff.ctx != ctx:
-                raise ContextMismatch("coefficient from a different context")
+            coeff = ctx.coerce(coeff)
             if not coeff.is_zero():
                 clean[exps] = coeff
         object.__setattr__(self, "ctx", ctx)
@@ -877,9 +861,10 @@ class SparsePoly:
             if other.ctx != self.ctx:
                 raise ContextMismatch("polynomials over different contexts")
             return other
-        if isinstance(other, (int, FqElement)):
+        try:
             return SparsePoly.constant(self.ctx, other)
-        return None
+        except TypeError:
+            return None
 
     @_coerced
     def __add__(self, other):
@@ -913,9 +898,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * c
-
     def __pow__(self, e):
         e = int(e)
         if e < 0:
@@ -925,12 +907,9 @@ class SparsePoly:
     # -- evaluation and calculus ----------------------------------------------
 
     def evaluate(self, values):
-        values = tuple(values)
+        values = tuple(map(self.ctx.coerce, values))
         if len(values) != 2:
             raise ValueError(f"need 2 values, got {len(values)}")
-        for v in values:
-            if v.ctx != self.ctx:
-                raise ContextMismatch("evaluation point from a different context")
         acc = self.ctx.zero()
         for exps, coeff in self.terms.items():
             term = coeff
@@ -944,8 +923,7 @@ class SparsePoly:
         """Plug a field element into one variable: a UniPoly in the
         other one, over field_domain(ctx)."""
         _check_index(index)
-        if value.ctx != self.ctx:
-            raise ContextMismatch("substituted value from a different context")
+        value = self.ctx.coerce(value)
         coeffs = [self.ctx.zero()] * (1 + max(self.degree_in(1 - index), -1))
         for exps, coeff in self.terms.items():
             e, i = exps[index], exps[1 - index]

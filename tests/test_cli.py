@@ -178,6 +178,43 @@ def test_analyze_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert "cap" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize(
+    "text,cap,code,message",
+    [
+        ("p = 5\nk = 1\nbogus\n", None, 1, "line 3: expected 'key = value', got 'bogus'"),
+        ("p = 5\np = 7\nk = 1\n", None, 1, "line 2: duplicate key 'p'"),
+        ("p = five\nk = 1\n", None, 1, "line 1: p must be an integer"),
+        ("p = 5\nk = 1\nmodulus = 0, 1\n", None, 1,
+         "line 3: modulus must look like [c0,c1,...]"),
+        ("p = 5\nk = 1\nmodulus = [0, x]\n", None, 1,
+         "line 3: modulus entries must be integers"),
+        ("p = 5\nk = 1\nassert_smooth = yes\n", None, 1,
+         "line 3: assert_smooth must be true or false"),
+        ("p = 5\nk = 1\nf = 3\n", None, 1, "f must be a nonconstant polynomial"),
+        ("p = 5\nk = 1\nmodulus = [1, 1]\n", None, 2,
+         "for k = 1 the modulus must be [0, 1], i.e. g itself"),
+        ("p = 5\nk = 2\nmodulus = [0, 1, 1]\n", None, 2,
+         "modulus [0, 1, 1] is reducible over F_5"),
+        ("p = 5\nk = 1\n", "0", 2, "CURVADD_CAP must be positive, got 0"),
+        ("p = 5\nk = 1\n", "-5", 2, "CURVADD_CAP must be positive, got -5"),
+    ],
+    ids=[
+        "no-equals", "duplicate-p", "p-not-int", "modulus-no-brackets",
+        "modulus-not-int", "bool-not-bool", "constant-f", "k1-modulus",
+        "reducible-modulus", "cap-0", "cap-negative",
+    ],
+)
+def test_analyze_edge_inputs_exit_with_one_message(tmp_path, capsys, monkeypatch,
+                                                   text, cap, code, message):
+    # every file but the constant one defines f after the line at fault
+    if "f =" not in text:
+        text += "f = x*y - 1\n"
+    if cap is not None:
+        monkeypatch.setenv("CURVADD_CAP", cap)
+    assert main(["analyze", "--curve", write_curve(tmp_path, text)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_bound_subcommand(capsys):
     assert main(["bound", "--p", "7", "--k", "1", "--d", "2"]) == 0
     out = capsys.readouterr().out

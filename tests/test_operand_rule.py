@@ -1,15 +1,23 @@
-"""The operand rule of the four arithmetic value types.
+"""The operand rule of the four arithmetic value types, and the one
+rule for what belongs to a field.
 
 FqElement, UniPoly, RationalFunction and SparsePoly take the operand
 of every binary operator through fields._coerced: an int is the
 constant it names, an operand of an unrelated type is declined with
 NotImplemented (so the operator itself raises TypeError), and an
-operand of the same type over another context or domain raises
-ContextMismatch.  The exponent of ** is an int, not an operand, so
-__pow__ is not covered here.
+operand of the same type over another context or domain, or an element
+of another field, raises ContextMismatch.  The exponent of ** is an
+int, not an operand, so __pow__ is not covered here.
+
+FqContext.coerce decides what every field element the package takes
+stands for, also the coefficients of SparsePoly and LinearizedMap and
+the arguments they are evaluated at, and field_domain gives one
+coefficient domain per field.
 """
 
+import copy
 import operator
+import pickle
 
 import pytest
 
@@ -17,6 +25,7 @@ from curvadd import (
     QQ,
     ContextMismatch,
     FqContext,
+    LinearizedMap,
     RationalFunction,
     SparsePoly,
     UniPoly,
@@ -48,7 +57,7 @@ OPERATORS = [
     for r in ("", "r")
 ]
 
-F5, F7, F9 = FqContext(5), FqContext(7), FqContext(3, 2)
+F5, F7, F9, F27 = FqContext(5), FqContext(7), FqContext(3, 2), FqContext(3, 3)
 F9_OTHER = FqContext(*CUSTOM_MODULI[0])
 
 
@@ -71,12 +80,12 @@ CASES = [
             f"UniPoly {label}",
             _poly(domain),
             UniPoly(domain, [domain.coerce(2)]),
-            [UniPoly.variable(other)],
+            [UniPoly.variable(other), *elements],
         )
-        for label, domain, other in [
-            ("QQ", QQ, field_domain(F5)),
-            ("F_5", field_domain(F5), field_domain(F7)),
-            ("F_9", field_domain(F9), field_domain(F9_OTHER)),
+        for label, domain, other, elements in [
+            ("QQ", QQ, field_domain(F5), []),
+            ("F_5", field_domain(F5), field_domain(F7), [F7.one()]),
+            ("F_9", field_domain(F9), field_domain(F9_OTHER), [F27.gen()]),
         ]
     ],
     *[
@@ -84,12 +93,12 @@ CASES = [
             f"RationalFunction {label}",
             _rational(domain),
             RationalFunction.constant(domain, 2),
-            [RationalFunction.variable(other), UniPoly.variable(other)],
+            [RationalFunction.variable(other), UniPoly.variable(other), *elements],
         )
-        for label, domain, other in [
-            ("QQ", QQ, field_domain(F5)),
-            ("F_5", field_domain(F5), QQ),
-            ("F_9", field_domain(F9), field_domain(F9_OTHER)),
+        for label, domain, other, elements in [
+            ("QQ", QQ, field_domain(F5), []),
+            ("F_5", field_domain(F5), QQ, [F7.one()]),
+            ("F_9", field_domain(F9), field_domain(F9_OTHER), [F27.gen()]),
         ]
     ],
     *[
@@ -138,3 +147,80 @@ def test_operand_over_another_context_raises(label, value, const, others):
         for other in others:
             with pytest.raises(ContextMismatch):
                 getattr(value, name)(other)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [UniPoly.variable(field_domain(F5)), RationalFunction.variable(field_domain(F9))],
+    ids=["UniPoly F_5", "RationalFunction F_9"],
+)
+def test_element_of_another_field_raises_through_the_operators(value):
+    for other in (F7.one(), F27.gen()):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ContextMismatch):
+                op(value, other)
+            with pytest.raises(ContextMismatch):
+                op(other, value)
+
+
+@pytest.mark.parametrize("ctx", [F5, F9], ids=["F_5", "F_9"])
+def test_coerce_has_one_case_per_branch(ctx):
+    twin = FqContext(ctx.p, ctx.k)
+    assert twin is not ctx and twin == ctx
+    # an int is the constant it names, reduced mod p
+    assert ctx.coerce(-1) == -ctx.one()
+    # an element of an equal context is itself
+    element = twin.element([1] * ctx.k)
+    assert ctx.coerce(element) is element
+    # an element of another context is a mismatch, not an embedding
+    with pytest.raises(ContextMismatch, match=r"^element of .* used in "):
+        ctx.coerce(F7.one() if ctx is F5 else F27.gen())
+    # anything else is a TypeError
+    for stranger in ("a", 1.5, None, [1]):
+        with pytest.raises(TypeError):
+            ctx.coerce(stranger)
+
+
+@pytest.mark.parametrize("ctx", [F5, F9], ids=["F_5", "F_9"])
+def test_a_coefficient_that_is_no_element_is_a_type_error(ctx):
+    with pytest.raises(TypeError):
+        SparsePoly(ctx, {(1, 0): "a"})
+    with pytest.raises(TypeError):
+        LinearizedMap(ctx, ["a"] + [0] * (ctx.k - 1))
+
+
+@pytest.mark.parametrize("ctx", [F5, F9], ids=["F_5", "F_9"])
+def test_arguments_follow_the_field_rule(ctx):
+    # an int argument is the constant it names
+    two, three = ctx.constant(2), ctx.constant(3)
+    f = LinearizedMap(ctx, [1] * ctx.k)
+    assert f(3) == f(three)
+    curve = parse_bipoly("x^2*y + 2*y + 1", ctx)
+    assert curve.evaluate((2, 3)) == curve.evaluate((two, three))
+    for index in (0, 1):
+        assert curve.substitute(index, 2) == curve.substitute(index, two)
+    other = F7.one() if ctx is F5 else F27.gen()
+    for call in (f, lambda v: curve.evaluate((v, two)), lambda v: curve.substitute(0, v)):
+        with pytest.raises(ContextMismatch):
+            call(other)
+        with pytest.raises(TypeError):
+            call("a")
+
+
+def test_one_domain_per_field():
+    assert field_domain(FqContext(5)) is field_domain(FqContext(5))
+    assert field_domain(FqContext(3, 2)) is field_domain(F9)
+    assert field_domain(F9) is not field_domain(F9_OTHER)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_keep_the_one_domain(round_trip):
+    for domain in (QQ, field_domain(F5), field_domain(F9)):
+        assert round_trip(domain) is domain
+        value = _poly(domain)
+        twin = round_trip(value)
+        assert twin.domain is value.domain and twin == value
