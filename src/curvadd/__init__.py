@@ -12,9 +12,12 @@ Everything is exact integer arithmetic; no floats anywhere near a
 verdict.
 
 FqElement, UniPoly, RationalFunction, SparsePoly, LinearizedMap and
-Subspace are frozen slotted dataclasses.  Assigning a field raises
-AttributeError; assigning any other name raises TypeError on Python
-3.10 and 3.11, from the __setattr__ that the dataclass generates.
+Subspace are immutable slotted values, and the records (Curve,
+PointSet, HWWindow, CoverVerdict, BoundReport, AnalysisReport, ...)
+are immutable too.  All derive from errors.Frozen, a hand-written base
+that generates no code, so importing the package builds no class
+methods at run time.  Assigning or deleting any name raises
+AttributeError.
 """
 
 from .additive import (

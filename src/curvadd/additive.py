@@ -14,12 +14,9 @@ the kernel unchanged, so enumerating one representative per scalar
 class yields each hyperplane exactly once.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .caps import DEFAULT_FIELD_CAP, check_cap
-from .fields import FqContext, _render_sum, code_tables
+from .errors import Frozen
+from .fields import _render_sum, code_tables
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +67,14 @@ def nullspace_mod_p(rows, p, ncols):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Subspace:
+class Subspace(Frozen):
     """An F_p-subspace of F_{p^k} in canonical (RREF) basis form.
 
     Basis rows are coordinate vectors in the 1, g, ..., g^(k-1) basis.
     Two Subspace values are equal iff they are the same subspace.
     """
 
-    ctx: FqContext
-    rows: tuple
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx, rows):
         canon, _ = rref_mod_p([list(r) for r in rows], ctx.p)
@@ -96,12 +91,10 @@ class Subspace:
         return f"Subspace(dim={self.dim}, basis={[list(r) for r in self.rows]})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LinearizedMap:
+class LinearizedMap(Frozen):
     """f(x) = sum a_i x^(p^i), the canonical form of an additive map."""
 
-    ctx: FqContext
-    coeffs: tuple
+    __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
         coeffs = tuple(map(ctx.coerce, coeffs))

@@ -9,14 +9,13 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import Frozen
 from .poly import parse_bipoly
 
 
-@dataclass(frozen=True)
-class CurveClaim:
+class CurveClaim(Frozen):
     """One curve together with what is claimed about it."""
 
     label: str

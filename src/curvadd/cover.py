@@ -38,14 +38,13 @@ applicable forcing bound contradicts the search verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
 from .caps import check_cap, effective_cap
-from .errors import ContextMismatch, Inconsistent
+from .errors import ContextMismatch, Frozen, Inconsistent
 from .curve import (
     PointSet,
     fibre_scan,
@@ -61,8 +60,7 @@ from .fields import _digits, check_pk, code_tables
 from .curve import affine_points, axis_parallel_lines  # noqa: F401
 
 
-@dataclass(frozen=True)
-class CoverVerdict:
+class CoverVerdict(Frozen):
     """Outcome of a search for a nonzero f with f(x)f(y) = 0 on all
     points.  If exists_nonzero, witness_map is such an f and
     witness_subspace is its kernel."""
@@ -73,8 +71,7 @@ class CoverVerdict:
     method: str = "hyperplane-search"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """One forcing bound, with the exact integers behind the verdict.
 
     d is the curve degree the bound is about (2 for conic, 3 for
@@ -87,11 +84,16 @@ class BoundReport:
 
     name: str
     forced_zero: bool
-    exact_terms: dict = field(hash=False)
+    exact_terms: dict
     m: int = None
     d: int = None
     cover_lower_bound: Fraction = None
     claimed_by_statement: bool = None
+
+    def __hash__(self):
+        # every field but exact_terms, a dict
+        name, forced_zero, _, *rest = self._values(self)
+        return hash((name, forced_zero, *rest))
 
 
 def zero_forcing_inequality(p, k, d):
@@ -498,8 +500,7 @@ def check_verdicts(verdicts, points, c):
 # The full pipeline.
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Frozen):
     """Everything analyze() established about one curve."""
 
     curve: object

@@ -25,11 +25,10 @@ F_{q^m} and scanned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .caps import check_cap
-from .errors import ParseError
+from .errors import Frozen, ParseError
 from .fields import (
     FqContext,
     _dense_terms,
@@ -44,8 +43,7 @@ from . import poly
 from .poly import SparsePoly, UniPoly, field_domain, parse_bipoly
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Frozen):
     """A plane curve: the zero set of a bivariate polynomial.
 
     The assert_* flags echo the curve file's declarations into the
@@ -55,7 +53,8 @@ class Curve:
     assert_smooth: bool = False
     assert_abs_irreducible: bool = False
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.defining.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
         if self.defining.total_degree < 1:
@@ -76,8 +75,7 @@ class Curve:
         return f"Curve({self.expression()} = 0 over {self.ctx!r})"
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """Sorted, duplicate-free points of one field.
 
     codes holds each point as its pair of element codes
@@ -99,12 +97,13 @@ class PointSet:
         return len(self.codes)
 
 
-class FibreScan(NamedTuple):
-    """What one pass over the rows of a curve finds (fibre_scan)."""
+FibreScan = namedtuple("FibreScan", ["points", "singular", "lines"])
+FibreScan.__doc__ = """What one pass over the rows of a curve finds (fibre_scan).
 
-    points: PointSet  # the affine points
-    singular: PointSet  # those where both partials vanish too
-    lines: list  # axis-parallel line components, as "x = a" / "y = b"
+points is the PointSet of affine points, singular the PointSet of
+those where both partials vanish too, and lines the list of
+axis-parallel line components, as "x = a" / "y = b".
+"""
 
 
 def _log_terms(f, log):
@@ -356,8 +355,7 @@ def singular_points(c, ext_degree=2):
     return fibre_scan(c).singular
 
 
-@dataclass(frozen=True)
-class HWWindow:
+class HWWindow(Frozen):
     """The point-count window |N - (q+1)| <= 2 * g_bound * sqrt(q).
 
     The comparison is done exactly by squaring: (N - q - 1)^2 against

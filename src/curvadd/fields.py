@@ -20,15 +20,12 @@ RationalFunction and SparsePoly in poly, goes through _coerced, which
 declines an operand of an unrelated type with NotImplemented.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, wraps
 from operator import mul
-from typing import NamedTuple
 
 from .caps import check_cap
-from .errors import ContextMismatch
+from .errors import ContextMismatch, Frozen
 
 # Largest prime accepted for p.  Keeps p inside the range where the
 # fixed Miller-Rabin base set below is a proven primality certificate.
@@ -388,8 +385,7 @@ class FqContext:
             yield self.decode(code)
 
 
-@dataclass(frozen=True, slots=True)
-class FqElement:
+class FqElement(Frozen):
     """An element of an FqContext.  Immutable.
 
     Integers coerce to constants on the prime subfield, so ``x + 1`` and
@@ -398,8 +394,23 @@ class FqElement:
     sum(c_i * p^i), which also defines the canonical enumeration order.
     """
 
-    ctx: FqContext
-    coeffs: tuple
+    __slots__ = ("ctx", "coeffs")
+
+    # The hot paths: construction stores the two slots through their
+    # descriptors (below the class), and equality and hashing read them
+    # directly, not through Frozen's attrgetter; equality compares the
+    # coefficients first, where elements differ.
+    def __init__(self, ctx, coeffs):
+        _set_ctx(self, ctx)
+        _set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.ctx, self.coeffs))
 
     # -- basic protocol ------------------------------------------------------
 
@@ -500,32 +511,32 @@ class FqElement:
         return _power(self.ctx.one(), self, e)
 
 
+_set_ctx = FqElement.ctx.__set__
+_set_coeffs = FqElement.coeffs.__set__
+
+
 # ---------------------------------------------------------------------------
 # Integer code tables: the one arithmetic kernel of the point scans, the
 # row-root finder they and the embedding share, and the exhaustive oracle.
 
 
-class CodeTables(NamedTuple):
-    """Discrete-log tables of a context over element codes.
+CodeTables = namedtuple("CodeTables", ["exp", "log", "zech"])
+CodeTables.__doc__ = """Discrete-log tables of a context over element codes.
 
-    With g the first primitive element in code order and n = q - 1:
-    exp[i] is the code of g^(i mod n) for 0 <= i < 2n (doubled, so a
-    sum of two logs indexes it directly); log[c] is the log of the
-    element with code c; zech[i] is Zech's logarithm log(1 + g^i).
-    None stands for the log of zero: log[0] is None, and zech[i] is
-    None exactly at i = n/2, where g^i = -1.
+With g the first primitive element in code order and n = q - 1:
+exp[i] is the code of g^(i mod n) for 0 <= i < 2n (doubled, so a
+sum of two logs indexes it directly); log[c] is the log of the
+element with code c; zech[i] is Zech's logarithm log(1 + g^i).
+None stands for the log of zero: log[0] is None, and zech[i] is
+None exactly at i = n/2, where g^i = -1.
 
-    In logs, a product is a sum, and g^a + g^b = g^a * (1 + g^(b-a))
-    has log a + zech[(b - a) % n], so polynomials evaluate on logs with
-    no element arithmetic at all (Huber, "Some comments on Zech's
-    logarithms", IEEE Trans. IT 36(4), 1990): the row scans, the
-    embedding root and the exhaustive oracle's row reductions all run
-    on them, and code_tables builds them on integers alone.
-    """
-
-    exp: tuple
-    log: tuple
-    zech: tuple
+In logs, a product is a sum, and g^a + g^b = g^a * (1 + g^(b-a))
+has log a + zech[(b - a) % n], so polynomials evaluate on logs with
+no element arithmetic at all (Huber, "Some comments on Zech's
+logarithms", IEEE Trans. IT 36(4), 1990): the row scans, the
+embedding root and the exhaustive oracle's row reductions all run
+on them, and code_tables builds them on integers alone.
+"""
 
 
 def _first_primitive(ctx):

@@ -48,15 +48,12 @@ product whose total degree would exceed MAX_DEGREE is refused at its
 character position of the offending input.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import ContextMismatch, ParseError
+from .errors import ContextMismatch, Frozen, ParseError
 from .fields import (
     FqContext,
     FqElement,
@@ -426,8 +423,7 @@ def field_domain(ctx):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class UniPoly:
+class UniPoly(Frozen):
     """Univariate polynomial over a domain; coefficients low to high.
 
     Immutable.  The coefficients are held once, in the domain's kernel
@@ -436,8 +432,7 @@ class UniPoly:
     polynomial has no coefficients and degree NEG_INF.
     """
 
-    domain: object
-    _form: tuple
+    __slots__ = ("domain", "_form")
 
     def __init__(self, domain, coeffs=()):
         object.__setattr__(self, "domain", domain)
@@ -622,8 +617,7 @@ def _nontrivial_gcd(a, b):
     return None if g.degree == 0 else g
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RationalFunction:
+class RationalFunction(Frozen):
     """Quotient of two UniPoly over one domain, canonical form.
 
     Invariants: den != 0, gcd(num, den) = 1, den monic; the zero
@@ -643,8 +637,7 @@ class RationalFunction:
     A gcd with a constant argument is skipped, since it is 1.
     """
 
-    num: UniPoly
-    den: UniPoly
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -793,8 +786,7 @@ def _check_index(index):
         raise ValueError(f"variable index {index} out of range")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SparsePoly:
+class SparsePoly(Frozen):
     """Sparse polynomial in x and y over a finite field context.
 
     terms maps exponent pairs (i, j), for x^i y^j, to nonzero FqElement
@@ -802,8 +794,7 @@ class SparsePoly:
     highest first.
     """
 
-    ctx: FqContext
-    terms: dict
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms=None):
         clean = {}

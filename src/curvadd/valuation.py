@@ -24,10 +24,9 @@ coefficient height from a caller-seeded generator, so runs reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContextMismatch, Inconsistent
+from .errors import ContextMismatch, Frozen, Inconsistent
 from .fields import MAX_PRIME, is_prime
 from .poly import QQ, RationalFunction, UniPoly
 
@@ -123,8 +122,7 @@ def random_rational_function(rng, domain, max_degree=8, height=9, nonzero=False)
 # implementation, never bad luck with the sample.
 
 
-@dataclass(frozen=True)
-class AxiomCheckReport:
+class AxiomCheckReport(Frozen):
     sample_count: int
     seed: int
     domains: tuple
@@ -238,8 +236,7 @@ def verify_valuation_axioms(sample_count=1000, seed=42):
     )
 
 
-@dataclass(frozen=True)
-class FamilyCheckReport:
+class FamilyCheckReport(Frozen):
     p_expr: str
     q_expr: str
     checked: int

@@ -1,9 +1,12 @@
-"""The public API: every exported name is unique and resolves, and the
-value types copy and pickle."""
+"""The public API: every exported name is unique and resolves, the
+value types and records copy, pickle and stay immutable, and importing
+the package generates no code."""
 
 import copy
-import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,17 +14,25 @@ import pytest
 import curvadd
 from curvadd import (
     QQ,
+    BoundReport,
+    CoverVerdict,
     Curve,
     FqContext,
+    HWWindow,
     LinearizedMap,
+    PointSet,
     RationalFunction,
+    SparsePoly,
     UniPoly,
     affine_points,
     analyze,
     decide_by_hyperplanes,
+    ext2_family_check,
     field_domain,
     parse_bipoly,
+    verify_valuation_axioms,
 )
+from curvadd.claims import CURVE_CLAIMS
 
 
 def test_all_has_no_duplicates():
@@ -40,7 +51,8 @@ def test_star_import():
 
 
 def _values():
-    """One of each value type, over several domains."""
+    """One of each value type, over several domains, then one of each
+    record type."""
     f3, f5, f9 = FqContext(3), FqContext(5), FqContext(3, 2)
     g = f9.gen()
     over_q = UniPoly(QQ, (Fraction(1, 2), 0, 3))
@@ -51,6 +63,9 @@ def _values():
     # over F_9 the circle has the trace map x + x^3 as a witness
     verdict = decide_by_hyperplanes(points, f9)
     assert verdict.exists_nonzero
+    report = analyze(circle)
+    t = UniPoly.variable(QQ)
+    family = ext2_family_check(t, t, [RationalFunction(t + 1)])
     return [
         g + 1,
         over_q,
@@ -64,7 +79,13 @@ def _values():
         LinearizedMap(f9, [g, 1]).kernel(),
         points,
         verdict,
-        analyze(circle),
+        report,
+        circle,
+        report.hw,
+        report.inequality1,
+        CURVE_CLAIMS[0],
+        verify_valuation_axioms(sample_count=2, seed=1),
+        family,
     ]
 
 
@@ -80,27 +101,172 @@ def test_values_copy_and_pickle(round_trip):
         assert twin == value, value
 
 
+def _assert_immutable(values):
+    for value in values:
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert hash(value) == hash(copy.deepcopy(value))
+
+
+def _assert_refuses_new_attributes(values):
+    for value in values:
+        before = copy.deepcopy(value)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "extra")
+        assert value == before and hash(value) == hash(before)
+
+
 def test_six_value_types_stay_immutable():
     values = _values()[:10]
     assert {type(v).__name__ for v in values} == {
         "FqElement", "UniPoly", "RationalFunction", "SparsePoly",
         "LinearizedMap", "Subspace",
     }
-    for value in values:
-        for field in dataclasses.fields(value):
-            with pytest.raises(AttributeError):
-                setattr(value, field.name, None)
-        assert hash(value) == hash(copy.deepcopy(value))
+    _assert_immutable(values)
 
 
 def test_six_value_types_refuse_new_attributes():
-    """Assigning a name that is not a field raises too, and changes
-    nothing.  On Python 3.10 and 3.11 the error is TypeError, not
-    AttributeError: the __setattr__ that dataclass(frozen=True) writes
-    calls super() with the class that slots=True then replaces."""
-    for value in _values()[:10]:
-        before = copy.deepcopy(value)
-        with pytest.raises((TypeError, AttributeError)):
-            value.extra = 1
-        assert not hasattr(value, "extra")
-        assert value == before and hash(value) == hash(before)
+    """Assigning a name that is not a field raises AttributeError, as
+    assigning a field does, and changes nothing."""
+    _assert_refuses_new_attributes(_values()[:10])
+
+
+def test_nine_record_types_stay_immutable():
+    records = _values()[10:]
+    assert [type(r).__name__ for r in records] == [
+        "PointSet", "CoverVerdict", "AnalysisReport", "Curve", "HWWindow",
+        "BoundReport", "CurveClaim", "AxiomCheckReport", "FamilyCheckReport",
+    ]
+    _assert_immutable(records)
+
+
+def test_nine_record_types_refuse_new_attributes():
+    _assert_refuses_new_attributes(_values()[10:])
+
+
+def test_bound_report_hash_ignores_exact_terms():
+    a = BoundReport("by_count", True, {"m": 1})
+    b = BoundReport("by_count", True, {"m": 2})
+    assert a != b and hash(a) == hash(b)
+    assert hash(a) != hash(BoundReport("by_count", False, {"m": 1}))
+
+
+def test_records_print_their_fields():
+    f9 = FqContext(3, 2)
+    report = analyze(Curve(parse_bipoly("x^2 + y^2 - 1", f9)))
+    assert repr(report.points) == (
+        "PointSet(ctx=FqContext(p=3, k=2, modulus=[1, 0, 1]), codes=((0, 1), "
+        "(0, 2), (1, 0), (2, 0), (3, 3), (3, 6), (6, 3), (6, 6)))"
+    )
+    assert repr(report.decision) == (
+        "CoverVerdict(exists_nonzero=True, witness_map=LinearizedMap(x + x^3), "
+        "witness_subspace=Subspace(dim=1, basis=[[0, 1]]), "
+        "method='hyperplane-search')"
+    )
+    assert repr(report.hw) == (
+        "HWWindow(q=9, n_points=10, affine_count=8, infinity_count=2, "
+        "genus_bound=0, lower=10, upper=10, verdict='consistent')"
+    )
+    assert repr(report.inequality1) == (
+        "BoundReport(name='inequality1', forced_zero=False, exact_terms={'q': 9, "
+        "'d': 2, 'A': -4, 'A_squared': 16, 'B': 0, 'B_squared_times_q': 0}, "
+        "m=None, d=2, cover_lower_bound=None, claimed_by_statement=None)"
+    )
+    assert repr(CURVE_CLAIMS[0]) == (
+        "CurveClaim(label='quadratic-over-F3', p=3, k=1, "
+        "expression='y^2 + 2*x*y + 2*y + x', claimed_point_codes=((0, 0), "
+        "(0, 1)), claimed_count=2, claims_identity_witness=True, "
+        "claimed_smooth=False)"
+    )
+    t = UniPoly.variable(QQ)
+    family = ext2_family_check(t, t, [RationalFunction(t + 1)])
+    assert repr(family) == "FamilyCheckReport(p_expr='x', q_expr='x', checked=1)"
+    assert repr(verify_valuation_axioms(sample_count=2, seed=1)) == (
+        "AxiomCheckReport(sample_count=2, seed=1, domains=('degree valuation "
+        "on Q(t)', 'degree valuation on F_3(t)', 'degree valuation on "
+        "F_5(t)', '2-adic valuation on Q', '3-adic valuation on Q', "
+        "'5-adic valuation on Q'), checks=81)"
+    )
+    assert repr(report).startswith(
+        "AnalysisReport(curve=Curve(x^2 + y^2 + 2 = 0 over FqContext(p=3, k=2, "
+        "modulus=[1, 0, 1])), points=PointSet("
+    )
+    assert repr(report).endswith(
+        "oracle_agreement='agree', paper_flags=())"
+    )
+
+
+def test_records_construct_by_position_or_keyword_with_defaults():
+    assert CoverVerdict(False) == CoverVerdict(
+        exists_nonzero=False,
+        witness_map=None,
+        witness_subspace=None,
+        method="hyperplane-search",
+    )
+    verdict = CoverVerdict(True, 1, 2, "exhaustive-oracle")
+    assert (verdict.witness_map, verdict.witness_subspace) == (1, 2)
+    assert verdict == CoverVerdict(
+        True, 1, method="exhaustive-oracle", witness_subspace=2
+    )
+    assert PointSet() == PointSet(None, ()) and PointSet().count == 0
+    bound = BoundReport("by_count", True, {}, d=2)
+    assert (bound.m, bound.d, bound.claimed_by_statement) == (None, 2, None)
+    f9 = FqContext(3, 2)
+    defining = parse_bipoly("x*y - 1", f9)
+    curve = Curve(defining, True)
+    assert curve.assert_smooth and not curve.assert_abs_irreducible
+    assert curve == Curve(defining=defining, assert_smooth=True)
+    assert curve != Curve(defining)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CoverVerdict(),
+        lambda: CoverVerdict(True, bogus=1),
+        lambda: CoverVerdict(True, None, None, "hyperplane-search", 5),
+        lambda: CoverVerdict(True, exists_nonzero=False),
+        lambda: HWWindow(9, 10, 8, 2, 0, 10, 10),
+        lambda: BoundReport("by_count", True),
+        lambda: Curve(),
+        lambda: Curve(parse_bipoly("x", FqContext(3)), smooth=True),
+    ],
+    ids=[
+        "missing", "unknown", "too-many", "twice", "missing-last",
+        "missing-no-default", "curve-missing", "curve-unknown",
+    ],
+)
+def test_records_refuse_missing_or_unknown_arguments(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_curve_refuses_zero_and_constant_polynomials():
+    f9 = FqContext(3, 2)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        Curve(SparsePoly.zero(f9))
+    with pytest.raises(ValueError, match="constant polynomial"):
+        Curve(SparsePoly.constant(f9, 2), assert_smooth=True)
+
+
+def test_import_generates_no_code():
+    """A fresh process importing the CLI loads none of the modules that
+    generate classes at run time.  -S keeps site-packages' start-up
+    hooks out, so the check sees only what the package imports."""
+    src = os.path.dirname(os.path.dirname(curvadd.__file__))
+    code = (
+        "import sys; import curvadd.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -1,6 +1,5 @@
 """Command line surface: subcommands, exit codes, JSON round trips."""
 
-import dataclasses
 import json
 import os
 import re
@@ -456,7 +455,9 @@ def test_verify_paper_hyperbola_row_checks_the_claim(capsys, monkeypatch):
     def analyze_with_witness(curve):
         witness = LinearizedMap.identity(curve.ctx)
         verdict = cover.CoverVerdict(True, witness, witness.kernel())
-        return dataclasses.replace(real_analyze(curve), decision=verdict)
+        report = real_analyze(curve)
+        fields = {name: getattr(report, name) for name in report._fields}
+        return cover.AnalysisReport(**{**fields, "decision": verdict})
 
     monkeypatch.setattr(claims, "CURVE_CLAIMS", ())
     monkeypatch.setattr(cli, "analyze", analyze_with_witness)

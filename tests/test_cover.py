@@ -404,8 +404,6 @@ def test_decider_context_mismatch():
 
 
 def test_verify_witness_detects_corruption():
-    from dataclasses import replace
-
     ctx = FqContext(3, 2)
     pts = [(ctx.one(), ctx.decode(3))]
     v = decide_by_hyperplanes(pts, ctx)
@@ -417,24 +415,26 @@ def test_verify_witness_detects_corruption():
     )
     assert not verify_witness(v, pts + [(c, c)])
     # zeroed or missing witness fails; a negative verdict is vacuous
-    zeroed = replace(v, witness_map=LinearizedMap(ctx, [0] * ctx.k))
+    zero_map = LinearizedMap(ctx, [0] * ctx.k)
+    zeroed = cover.CoverVerdict(
+        v.exists_nonzero, zero_map, v.witness_subspace, v.method
+    )
     assert not verify_witness(zeroed, pts)
-    assert not verify_witness(replace(v, witness_map=None), pts)
-    assert verify_witness(replace(v, exists_nonzero=False), pts)
+    missing = cover.CoverVerdict(v.exists_nonzero, None, v.witness_subspace, v.method)
+    assert not verify_witness(missing, pts)
+    negative = cover.CoverVerdict(False, v.witness_map, v.witness_subspace, v.method)
+    assert verify_witness(negative, pts)
 
 
 def test_verify_witness_rejects_on_repeated_coordinates():
-    from dataclasses import replace
-
     ctx = FqContext(3, 2)
     zero, a, b = ctx.zero(), ctx.decode(1), ctx.decode(4)
     # f(x) = x vanishes at 0 only; (a, b) fails after a and b were both
     # evaluated at earlier points
     pts = [(a, zero), (b, zero), (a, b)]
-    v = replace(
-        decide_by_hyperplanes(pts[:2], ctx),
-        exists_nonzero=True,
-        witness_map=LinearizedMap.identity(ctx),
+    found = decide_by_hyperplanes(pts[:2], ctx)
+    v = cover.CoverVerdict(
+        True, LinearizedMap.identity(ctx), found.witness_subspace, found.method
     )
     assert verify_witness(v, pts[:2])
     assert not verify_witness(v, pts)
