@@ -33,12 +33,10 @@ from .cover import (
     CoverVerdict,
     analyze,
     conic_bound,
-    conic_claimed,
     conjectural_by_count,
     decide_by_exhaustion,
     decide_by_hyperplanes,
     elliptic_bound,
-    elliptic_claimed,
     verify_witness,
     zero_forcing_by_count,
     zero_forcing_inequality,
@@ -80,7 +78,6 @@ from .valuation import (
     in_valuation_ring,
     padic_valuation,
     random_rational_function,
-    random_unipoly,
     verify_valuation_axioms,
 )
 
@@ -113,13 +110,11 @@ __all__ = [
     "axis_parallel_lines",
     "check_x_or_inverse",
     "conic_bound",
-    "conic_claimed",
     "conjectural_by_count",
     "decide_by_exhaustion",
     "decide_by_hyperplanes",
     "degree_valuation",
     "elliptic_bound",
-    "elliptic_claimed",
     "effective_cap",
     "embed",
     "ext2_family_check",
@@ -132,7 +127,6 @@ __all__ = [
     "load_curve_file",
     "padic_valuation",
     "random_rational_function",
-    "random_unipoly",
     "parse_bipoly",
     "parse_curve_file",
     "points_at_infinity_count",

@@ -32,14 +32,20 @@ own, so no shared shortcut can hide a bug from the others:
 The zero-forcing bound and its conic/elliptic specializations are
 evaluated in exact integer arithmetic; square roots never appear, as
 both sides are squared after a sign check, so boundary cases are
-decided exactly.  analyze() bundles everything and hard-errors if any
-applicable forcing bound contradicts the search verdict.
+decided exactly.  conic_bound and elliptic_bound also carry the
+statement's case splits, as claimed_by_statement.  analyze() bundles
+everything and hard-errors if any applicable forcing bound contradicts
+the search verdict.
+
+A verdict holds its witness map and nothing derived from it: the
+deciders compute no kernel, and CoverVerdict.witness_subspace takes it
+from the map when a report asks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from . import claims
 from .additive import LinearizedMap, hyperplane_functionals
@@ -62,13 +68,19 @@ from .curve import affine_points, axis_parallel_lines  # noqa: F401
 
 class CoverVerdict(Frozen):
     """Outcome of a search for a nonzero f with f(x)f(y) = 0 on all
-    points.  If exists_nonzero, witness_map is such an f and
-    witness_subspace is its kernel."""
+    points.  If exists_nonzero, witness_map is such an f; method names
+    the decider.  The kernel is not stored: witness_subspace derives
+    it from the map."""
 
     exists_nonzero: bool
     witness_map: object = None
-    witness_subspace: object = None
     method: str = "hyperplane-search"
+
+    @property
+    def witness_subspace(self):
+        """The kernel of witness_map as a Subspace, None without a map."""
+        f = self.witness_map
+        return None if f is None else f.kernel()
 
 
 class BoundReport(Frozen):
@@ -103,7 +115,7 @@ def zero_forcing_inequality(p, k, d):
     B = (d-1)(d-2), then squared: holds iff A > 0 and A^2 > B^2 * q.
     """
     p, k = check_pk(p, k)
-    d = int(d)
+    d = index(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     q = p**k
@@ -129,7 +141,7 @@ def zero_forcing_by_count(m, d, p, k):
     """Count form of the bound: m/d > 2 p^(k-1) with the true affine
     point count m, compared as exact rationals."""
     p, k = check_pk(p, k)
-    m, d = int(m), int(d)
+    m, d = index(m), index(d)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if d < 1:
@@ -150,12 +162,7 @@ def conjectural_by_count(m, d, p, k):
     """The conjectured sharper threshold m/d > p^(k-1), with the factor
     2 dropped.  Reported only; never used to force a verdict."""
     p, k = check_pk(p, k)
-    return Fraction(int(m), int(d)) > p ** (k - 1)
-
-
-def conic_claimed(p, k):
-    """The statement-level conic case: p >= 5."""
-    return p >= 5
+    return Fraction(index(m), index(d)) > p ** (k - 1)
 
 
 def conic_bound(p, k):
@@ -174,19 +181,18 @@ def conic_bound(p, k):
         forced_zero=lhs > rhs,
         exact_terms={"q_minus_1": lhs, "four_p_km1": rhs},
         d=2,
-        claimed_by_statement=conic_claimed(p, k),
+        claimed_by_statement=p >= 5,
     )
-
-
-def elliptic_claimed(p, k):
-    """The statement-level elliptic case split."""
-    return p > 13 or (p == 7 and k > 2) or (p in (11, 13) and k > 1)
 
 
 def elliptic_bound(p, k):
     """Smooth cubic specialization: forced iff
     (p - 6) p^(k-1) > 2 p^(k/2), squared to
-    p > 6 and (p - 6)^2 p^(k-1) > 4 p."""
+    p > 6 and (p - 6)^2 p^(k-1) > 4 p.
+
+    The statement-level claim is p > 13, p = 7 with k > 2, or
+    p in {11, 13} with k > 1.
+    """
     p, k = check_pk(p, k)
     lhs = (p - 6) ** 2 * p ** (k - 1)
     rhs = 4 * p
@@ -200,7 +206,9 @@ def elliptic_bound(p, k):
             "four_p": rhs,
         },
         d=3,
-        claimed_by_statement=elliptic_claimed(p, k),
+        claimed_by_statement=(
+            p > 13 or (p == 7 and k > 2) or (p in (11, 13) and k > 1)
+        ),
     )
 
 
@@ -271,13 +279,8 @@ def decide_by_hyperplanes(points, ctx):
                 if sum(map(mul, a, wy)) % p:
                     break
         else:
-            return CoverVerdict(
-                exists_nonzero=True,
-                witness_map=functional,
-                witness_subspace=functional.kernel(),
-                method="hyperplane-search",
-            )
-    return CoverVerdict(exists_nonzero=False, method="hyperplane-search")
+            return CoverVerdict(True, functional, "hyperplane-search")
+    return CoverVerdict(False, method="hyperplane-search")
 
 
 def _subspace_walk(pairs, ctx):
@@ -431,14 +434,9 @@ def decide_by_exhaustion(points, ctx):
     check_cap("exhaustive oracle", ctx.order)
     codes, _ = _subspace_walk(_point_codes(points, ctx), ctx)
     if codes is None:
-        return CoverVerdict(exists_nonzero=False, method="exhaustive-oracle")
+        return CoverVerdict(False, method="exhaustive-oracle")
     witness = LinearizedMap(ctx, [ctx.decode(c) for c in codes])
-    return CoverVerdict(
-        exists_nonzero=True,
-        witness_map=witness,
-        witness_subspace=witness.kernel(),
-        method="exhaustive-oracle",
-    )
+    return CoverVerdict(True, witness, "exhaustive-oracle")
 
 
 def verify_witness(verdict, points):
@@ -554,7 +552,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
     """
     if oracle not in ("auto", "on", "off"):
         raise ValueError(f"oracle must be auto|on|off, got {oracle!r}")
-    requested_ext = int(singular_ext)
+    requested_ext = index(singular_ext)
     if requested_ext < 0:
         raise ValueError(f"singular_ext must be >= 0, got {requested_ext}")
     ctx = c.ctx

@@ -25,6 +25,7 @@ F_{q^m} and scanned.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .caps import check_cap
@@ -338,7 +339,7 @@ def singular_points(c, ext_degree=2):
     it is not a smoothness certificate, as larger extensions and the
     points at infinity are not searched.
     """
-    ext_degree = int(ext_degree)
+    ext_degree = operator.index(ext_degree)
     if ext_degree < 1:
         raise ValueError(f"ext_degree must be >= 1, got {ext_degree}")
     ctx = c.ctx

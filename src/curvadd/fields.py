@@ -22,7 +22,7 @@ declines an operand of an unrelated type with NotImplemented.
 
 from collections import namedtuple
 from functools import lru_cache, wraps
-from operator import mul
+from operator import index, mul
 
 from .caps import check_cap
 from .errors import ContextMismatch, Frozen
@@ -65,8 +65,9 @@ def is_prime(n):
 
 def check_pk(p, k):
     """Validate field parameters: p an odd prime <= MAX_PRIME, k >= 1.
-    Returns them as ints; raises ValueError otherwise."""
-    p, k = int(p), int(k)
+    Returns them as ints; raises TypeError for a value that is not an
+    integer (operator.index) and ValueError otherwise."""
+    p, k = index(p), index(k)
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_PRIME:
@@ -283,7 +284,7 @@ class FqContext:
         if modulus is None:
             modulus = _find_modulus(p, k)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(index(c) % p for c in modulus)
             if len(modulus) != k + 1:
                 raise ValueError(
                     f"modulus needs {k + 1} coefficients (degree {k}), "
@@ -347,7 +348,7 @@ class FqContext:
 
     def element(self, coeffs):
         """Element from a coefficient sequence (low to high, length <= k)."""
-        coeffs = [int(c) % self.p for c in coeffs]
+        coeffs = [index(c) % self.p for c in coeffs]
         if len(coeffs) > self.k:
             raise ValueError(
                 f"too many coefficients: {len(coeffs)} > k = {self.k}"
@@ -357,7 +358,7 @@ class FqContext:
 
     def constant(self, c):
         """The image of the integer c under F_p -> F_{p^k}."""
-        return self.element([int(c)])
+        return self.element([index(c)])
 
     def zero(self):
         return self.element([])
@@ -373,7 +374,7 @@ class FqContext:
 
     def decode(self, code):
         """Inverse of int(element): base-p digits of code, low to high."""
-        code = int(code)
+        code = index(code)
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} out of range [0, {self.order})")
         return FqElement(self, _digits(code, self.p, self.k))
@@ -505,7 +506,7 @@ class FqElement(Frozen):
         return other * self.inverse()
 
     def __pow__(self, e):
-        e = int(e)
+        e = index(e)
         if e < 0:
             return self.inverse() ** (-e)
         return _power(self.ctx.one(), self, e)

@@ -49,6 +49,7 @@ character position of the offending input.
 """
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -524,7 +525,7 @@ class UniPoly(Frozen):
         return self * UniPoly(self.domain, (c,))
 
     def __pow__(self, e):
-        e = int(e)
+        e = operator.index(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
         return _power(UniPoly.one(self.domain), self, e)
@@ -762,7 +763,7 @@ class RationalFunction(Frozen):
         return other * self.inverse()
 
     def __pow__(self, e):
-        e = int(e)
+        e = operator.index(e)
         if e < 0:
             return self.inverse() ** (-e)
         return RationalFunction._coprime(self.num**e, self.den**e)
@@ -799,7 +800,7 @@ class SparsePoly(Frozen):
     def __init__(self, ctx, terms=None):
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != 2:
                 raise ValueError(f"exponent tuple {exps} needs 2 entries")
             if any(e < 0 for e in exps):
@@ -890,7 +891,7 @@ class SparsePoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        e = int(e)
+        e = operator.index(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
         return _power(SparsePoly.constant(self.ctx, 1), self, e)

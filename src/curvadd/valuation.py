@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 from .errors import ContextMismatch, Frozen, Inconsistent
 from .fields import MAX_PRIME, is_prime
@@ -65,7 +66,7 @@ def check_x_or_inverse(x):
 def padic_valuation(x, p):
     """Exponent of the prime p in the rational x; INFINITY for 0.  p is
     at most MAX_PRIME, the range where is_prime is a proof."""
-    p = int(p)
+    p = index(p)
     if p > MAX_PRIME:
         raise ValueError(f"p too large: {p} > {MAX_PRIME}")
     if p < 2 or not is_prime(p):
@@ -212,7 +213,7 @@ def verify_valuation_axioms(sample_count=1000, seed=42):
     from .fields import FqContext
     from .poly import field_domain
 
-    sample_count = int(sample_count)
+    sample_count = index(sample_count)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = _random.Random(seed)

@@ -50,6 +50,27 @@ def corpus_curves():
     return [build_curve(*entry) for entry in CORPUS]
 
 
+# The differential corpus: CORPUS plus a node, a cusp, a curve with a
+# vertical line component, a pair of parabolas over F_3 that cross only
+# over F_9, and an F_9 curve under the non-default modulus g^2 + g + 2,
+# whose singular points (x^2 = g, y = 0) lie over F_81 only, so the
+# lifted scan has to go through embed.
+EXTRA_CURVES = (
+    ((7, 1), "y^2 - x^3 - x^2"),
+    ((7, 1), "y^2 - x^3"),
+    ((5, 1), "(x - 2)*(y - x^2)"),
+    ((3, 1), "y^2 - (x^2 + 1)^2"),
+    ((3, 2, (2, 1, 1)), "y^2 - (x^2 - g)^2"),
+)
+
+
+def differential_curves():
+    curves = corpus_curves()
+    for field_args, expr in EXTRA_CURVES:
+        curves.append(Curve(parse_bipoly(expr, FqContext(*field_args))))
+    return curves
+
+
 def odd_prime_powers(limit):
     """(p, k) for every odd prime power p^k <= limit."""
     out = []

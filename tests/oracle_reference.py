@@ -69,7 +69,7 @@ def map_walk_oracle(points, ctx):
             witness = LinearizedMap(
                 ctx, [ctx.decode(0 if a is None else exp[a]) for a in alogs]
             )
-            return CoverVerdict(True, witness, witness.kernel(), "exhaustive-oracle")
+            return CoverVerdict(True, witness, "exhaustive-oracle")
     return CoverVerdict(False, method="exhaustive-oracle")
 
 
@@ -134,7 +134,7 @@ def prefix_walk_oracle(points, ctx):
             [ctx.decode(0 if a is None else exp[a]) for a in alogs]
             + [ctx.decode(last)],
         )
-        return CoverVerdict(True, witness, witness.kernel(), "exhaustive-oracle")
+        return CoverVerdict(True, witness, "exhaustive-oracle")
 
     # log lists the logs in code order, so this is code order too
     prefixes = itertools.product(log, repeat=k - 1)

@@ -16,22 +16,20 @@ from curvadd import (
     analyze,
     affine_points,
     conic_bound,
-    conic_claimed,
     decide_by_exhaustion,
     decide_by_hyperplanes,
     elliptic_bound,
-    elliptic_claimed,
     ext2_family_check,
     field_domain,
     hasse_weil_window,
     random_rational_function,
-    random_unipoly,
     verify_valuation_axioms,
     verify_witness,
 )
 from curvadd.claims import CURVE_CLAIMS
 from curvadd.cli import main
 from curvadd.poly import ParseError, parse_bipoly
+from curvadd.valuation import random_unipoly
 
 from conftest import (
     CORPUS,
@@ -51,13 +49,13 @@ def test_criterion_1_case_split_table():
         )
         bound = elliptic_bound(p, k)
         assert bound.forced_zero == in_claimed_set, (p, k)
-        assert elliptic_claimed(p, k) == in_claimed_set, (p, k)
+        assert bound.claimed_by_statement == in_claimed_set, (p, k)
 
         conic = conic_bound(p, k)
         assert conic.forced_zero == (p**k - 1 > 4 * p ** (k - 1)), (p, k)
     # the boundary case: claimed by the statement, not certified
     edge = conic_bound(5, 1)
-    assert conic_claimed(5, 1) and not edge.forced_zero
+    assert edge.claimed_by_statement and not edge.forced_zero
     assert edge.exact_terms == {"q_minus_1": 4, "four_p_km1": 4}
     print("PASS criterion 1: elliptic and conic case splits exact on the "
           "24-cell grid, (5,1) conic boundary fails as computed")

@@ -3,6 +3,7 @@ value types and records copy, pickle and stay immutable, and importing
 the package generates no code."""
 
 import copy
+import itertools
 import os
 import pickle
 import subprocess
@@ -26,11 +27,16 @@ from curvadd import (
     UniPoly,
     affine_points,
     analyze,
+    conjectural_by_count,
     decide_by_hyperplanes,
     ext2_family_check,
     field_domain,
+    padic_valuation,
     parse_bipoly,
+    singular_points,
     verify_valuation_axioms,
+    zero_forcing_by_count,
+    zero_forcing_inequality,
 )
 from curvadd.claims import CURVE_CLAIMS
 
@@ -164,9 +170,9 @@ def test_records_print_their_fields():
     )
     assert repr(report.decision) == (
         "CoverVerdict(exists_nonzero=True, witness_map=LinearizedMap(x + x^3), "
-        "witness_subspace=Subspace(dim=1, basis=[[0, 1]]), "
         "method='hyperplane-search')"
     )
+    assert repr(report.decision.witness_subspace) == "Subspace(dim=1, basis=[[0, 1]])"
     assert repr(report.hw) == (
         "HWWindow(q=9, n_points=10, affine_count=8, infinity_count=2, "
         "genus_bound=0, lower=10, upper=10, verdict='consistent')"
@@ -200,18 +206,26 @@ def test_records_print_their_fields():
     )
 
 
+def test_cover_verdict_derives_its_kernel_from_the_map():
+    assert CoverVerdict._fields == ("exists_nonzero", "witness_map", "method")
+    verdict = analyze(Curve(parse_bipoly("x^2 + y^2 - 1", FqContext(3, 2)))).decision
+    assert verdict.witness_subspace == verdict.witness_map.kernel()
+    with pytest.raises(AttributeError):
+        verdict.witness_subspace = None
+    with pytest.raises(TypeError):
+        CoverVerdict(True, verdict.witness_map, witness_subspace=None)
+
+
 def test_records_construct_by_position_or_keyword_with_defaults():
     assert CoverVerdict(False) == CoverVerdict(
         exists_nonzero=False,
         witness_map=None,
-        witness_subspace=None,
         method="hyperplane-search",
     )
-    verdict = CoverVerdict(True, 1, 2, "exhaustive-oracle")
-    assert (verdict.witness_map, verdict.witness_subspace) == (1, 2)
-    assert verdict == CoverVerdict(
-        True, 1, method="exhaustive-oracle", witness_subspace=2
-    )
+    assert CoverVerdict(False).witness_subspace is None
+    verdict = CoverVerdict(True, 1, "exhaustive-oracle")
+    assert (verdict.witness_map, verdict.method) == (1, "exhaustive-oracle")
+    assert verdict == CoverVerdict(True, method="exhaustive-oracle", witness_map=1)
     assert PointSet() == PointSet(None, ()) and PointSet().count == 0
     bound = BoundReport("by_count", True, {}, d=2)
     assert (bound.m, bound.d, bound.claimed_by_statement) == (None, 2, None)
@@ -228,7 +242,7 @@ def test_records_construct_by_position_or_keyword_with_defaults():
     [
         lambda: CoverVerdict(),
         lambda: CoverVerdict(True, bogus=1),
-        lambda: CoverVerdict(True, None, None, "hyperplane-search", 5),
+        lambda: CoverVerdict(True, None, "hyperplane-search", 5),
         lambda: CoverVerdict(True, exists_nonzero=False),
         lambda: HWWindow(9, 10, 8, 2, 0, 10, 10),
         lambda: BoundReport("by_count", True),
@@ -243,6 +257,88 @@ def test_records_construct_by_position_or_keyword_with_defaults():
 def test_records_refuse_missing_or_unknown_arguments(build):
     with pytest.raises(TypeError):
         build()
+
+
+def _cross_type_values():
+    """Constants of each value type over Q, F_3, F_5 and F_9, and the
+    ints and Fractions they could be taken to stand for."""
+    out = [0, 1, 2, -1, Fraction(1, 2), Fraction(2), True, False]
+    for ctx in (FqContext(3), FqContext(5), FqContext(3, 2)):
+        domain = field_domain(ctx)
+        for c in (0, 1, 2):
+            constant = UniPoly(domain, (c,))
+            out += [
+                ctx.constant(c), constant, RationalFunction(constant),
+                SparsePoly.constant(ctx, c),
+            ]
+    for c in (0, 1, 2, Fraction(1, 2)):
+        out += [UniPoly(QQ, (c,)), RationalFunction(UniPoly(QQ, (c,)))]
+    return out
+
+
+def _ours(value):
+    return type(value).__module__.startswith("curvadd.")
+
+
+def test_equal_values_hash_equal():
+    """Any two equal values among the six value types, the nine
+    records, their pickled twins and the cross-type constants hash
+    equal.  No value of the package equals an int, a Fraction or a
+    value of another type."""
+    values = _values() + _cross_type_values()
+    values += [pickle.loads(pickle.dumps(v)) for v in values]
+    equal_pairs = 0
+    for a, b in itertools.combinations(values, 2):
+        if a == b:
+            equal_pairs += 1
+            assert hash(a) == hash(b), (a, b)
+            assert type(a) is type(b) or not (_ours(a) or _ours(b)), (a, b)
+    assert equal_pairs >= len(values) // 2
+
+
+NON_INTEGRAL = {
+    "FqElement ** 0.5": lambda: FqContext(7).constant(3) ** 0.5,
+    "UniPoly ** 2.9": lambda: UniPoly.variable(QQ) ** 2.9,
+    "RationalFunction ** 2.9": lambda: RationalFunction(UniPoly.variable(QQ)) ** 2.9,
+    "SparsePoly ** '2'": lambda: parse_bipoly("x", FqContext(7)) ** "2",
+    "FqContext(5, 2.5)": lambda: FqContext(5, 2.5),
+    "FqContext(7.9)": lambda: FqContext(7.9),
+    "FqContext modulus": lambda: FqContext(3, 2, (1.0, 0, 1)),
+    "decode(2.7)": lambda: FqContext(7).decode(2.7),
+    "element([1.5])": lambda: FqContext(7).element([1.5]),
+    "constant(2.9)": lambda: FqContext(7).constant(2.9),
+    "SparsePoly exponent 1.5": lambda: SparsePoly(FqContext(7), {(1.5, 0): 1}),
+    "SparsePoly exponent '2'": lambda: SparsePoly(FqContext(7), {("2", 0): 1}),
+    "padic_valuation p": lambda: padic_valuation(12, 2.9),
+    "verify_valuation_axioms": lambda: verify_valuation_axioms(2.5),
+    "zero_forcing_inequality d": lambda: zero_forcing_inequality(5, 1, 2.5),
+    "zero_forcing_by_count m": lambda: zero_forcing_by_count(4.5, 2, 5, 1),
+    "conjectural_by_count d": lambda: conjectural_by_count(4, 2.0, 5, 1),
+    "singular_points ext": lambda: singular_points(_hyperbola_f7(), 2.5),
+    "analyze singular_ext": lambda: analyze(_hyperbola_f7(), singular_ext=1.5),
+}
+
+
+def _hyperbola_f7():
+    return Curve(parse_bipoly("x*y - 1", FqContext(7)))
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL.values(), ids=NON_INTEGRAL)
+def test_integer_arguments_refuse_non_integral_values(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_integer_arguments_take_ints_and_bools():
+    f7 = FqContext(7)
+    three = f7.constant(3)
+    assert three ** True == three and three ** 2 == f7.constant(2)
+    assert FqContext(5, True) == FqContext(5)
+    assert f7.decode(True) == f7.one() == f7.element([8]) == f7.constant(-6)
+    assert SparsePoly(f7, {(True, 0): 1}) == parse_bipoly("x", f7)
+    assert padic_valuation(12, 2) == 2
+    assert zero_forcing_inequality(5, 1, 2) == zero_forcing_inequality(5, True, 2)
+    assert singular_points(_hyperbola_f7(), True).count == 0
 
 
 def test_curve_refuses_zero_and_constant_polynomials():

@@ -326,7 +326,7 @@ def test_search_refuses_a_witness_that_fails_verification(tmp_path, capsys, monk
     # the identity vanishes at no point of x*y = 1, so this witness is bogus
     def bogus(points, ctx):
         f = LinearizedMap.identity(ctx)
-        return cover.CoverVerdict(True, f, f.kernel(), "hyperplane-search")
+        return cover.CoverVerdict(True, f, "hyperplane-search")
 
     path = write_curve(tmp_path, HYPERBOLA_F7)
     message = "hyperplane-search returned a witness that fails re-verification"
@@ -454,7 +454,7 @@ def test_verify_paper_hyperbola_row_checks_the_claim(capsys, monkeypatch):
 
     def analyze_with_witness(curve):
         witness = LinearizedMap.identity(curve.ctx)
-        verdict = cover.CoverVerdict(True, witness, witness.kernel())
+        verdict = cover.CoverVerdict(True, witness)
         report = real_analyze(curve)
         fields = {name: getattr(report, name) for name in report._fields}
         return cover.AnalysisReport(**{**fields, "decision": verdict})

@@ -16,12 +16,10 @@ from curvadd import (
     affine_points,
     analyze,
     conic_bound,
-    conic_claimed,
     conjectural_by_count,
     decide_by_exhaustion,
     decide_by_hyperplanes,
     elliptic_bound,
-    elliptic_claimed,
     is_prime,
     parse_curve_file,
     verify_witness,
@@ -116,8 +114,8 @@ def test_conic_bound_and_claim():
     assert conic_bound(7, 1).forced_zero
     assert conic_bound(5, 2).forced_zero
     assert not conic_bound(3, 1).forced_zero
-    assert not conic_claimed(3, 4)
-    assert conic_claimed(5, 1)
+    assert not conic_bound(3, 4).claimed_by_statement
+    assert conic_bound(5, 1).claimed_by_statement
 
 
 def test_elliptic_bound_and_claim():
@@ -126,16 +124,19 @@ def test_elliptic_bound_and_claim():
     b = elliptic_bound(7, 1)  # 1 > 28 false
     assert not b.forced_zero and not b.claimed_by_statement
     assert elliptic_bound(7, 3).forced_zero  # 49 > 28
-    assert elliptic_claimed(7, 3)
-    assert elliptic_bound(11, 2).forced_zero and elliptic_claimed(11, 2)
-    assert not elliptic_claimed(11, 1)
-    assert elliptic_bound(17, 1).forced_zero and elliptic_claimed(17, 1)
+    assert elliptic_bound(7, 3).claimed_by_statement
+    b = elliptic_bound(11, 2)
+    assert b.forced_zero and b.claimed_by_statement
+    assert not elliptic_bound(11, 1).claimed_by_statement
+    b = elliptic_bound(17, 1)
+    assert b.forced_zero and b.claimed_by_statement
 
 
 def test_claim_formula_matches_computed_on_grid():
     for p in (5, 7, 11, 13, 17, 19, 23):
         for k in (1, 2, 3, 4):
-            assert elliptic_bound(p, k).forced_zero == elliptic_claimed(p, k)
+            b = elliptic_bound(p, k)
+            assert b.forced_zero == b.claimed_by_statement
 
 
 def test_forced_case_is_always_claimed():
@@ -416,13 +417,11 @@ def test_verify_witness_detects_corruption():
     assert not verify_witness(v, pts + [(c, c)])
     # zeroed or missing witness fails; a negative verdict is vacuous
     zero_map = LinearizedMap(ctx, [0] * ctx.k)
-    zeroed = cover.CoverVerdict(
-        v.exists_nonzero, zero_map, v.witness_subspace, v.method
-    )
+    zeroed = cover.CoverVerdict(v.exists_nonzero, zero_map, v.method)
     assert not verify_witness(zeroed, pts)
-    missing = cover.CoverVerdict(v.exists_nonzero, None, v.witness_subspace, v.method)
+    missing = cover.CoverVerdict(v.exists_nonzero, None, v.method)
     assert not verify_witness(missing, pts)
-    negative = cover.CoverVerdict(False, v.witness_map, v.witness_subspace, v.method)
+    negative = cover.CoverVerdict(False, v.witness_map, v.method)
     assert verify_witness(negative, pts)
 
 
@@ -433,9 +432,7 @@ def test_verify_witness_rejects_on_repeated_coordinates():
     # evaluated at earlier points
     pts = [(a, zero), (b, zero), (a, b)]
     found = decide_by_hyperplanes(pts[:2], ctx)
-    v = cover.CoverVerdict(
-        True, LinearizedMap.identity(ctx), found.witness_subspace, found.method
-    )
+    v = cover.CoverVerdict(True, LinearizedMap.identity(ctx), found.method)
     assert verify_witness(v, pts[:2])
     assert not verify_witness(v, pts)
     # same code, other modulus: refused, not answered from the cache

@@ -223,7 +223,7 @@ def reference_decider(points, ctx):
 
     for functional in hyperplane_functionals(ctx):
         if all(vanishes(functional.coeffs, fx) or vanishes(functional.coeffs, fy) for fx, fy in pairs):
-            return CoverVerdict(True, functional, functional.kernel(), "hyperplane-search")
+            return CoverVerdict(True, functional, "hyperplane-search")
     return CoverVerdict(False, method="hyperplane-search")
 
 
@@ -242,7 +242,7 @@ def test_deciders_and_witness_check_match_references(case):
     assert oracle.exists_nonzero == verdict.exists_nonzero
     assert verify_witness(oracle, pts)
     assert verify_witness(verdict, pts)
-    claimed = CoverVerdict(True, f, None, "test")
+    claimed = CoverVerdict(True, f, "test")
     assert verify_witness(claimed, pts) == reference_verify(f, pts)
 
 
