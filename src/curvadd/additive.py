@@ -10,13 +10,14 @@ another field raises ContextMismatch.
 
 Hyperplanes ((k-1)-dimensional subspaces) are exactly the kernels of
 trace functionals x -> Tr(a x); scaling a by the prime subfield leaves
-the kernel unchanged, so enumerating one representative per scalar
-class yields each hyperplane exactly once.
+the kernel unchanged, so one representative a per scalar class yields
+each hyperplane exactly once: hyperplane_functionals yields those
+elements a, not maps, and trace_functional(a) builds the functional.
 """
 
 from .caps import DEFAULT_FIELD_CAP, check_cap
 from .errors import Frozen
-from .fields import _render_sum, code_tables
+from .fields import _render_sum
 
 
 # ---------------------------------------------------------------------------
@@ -181,27 +182,19 @@ def trace_functional(a):
 
 
 def hyperplane_functionals(ctx, cap=None):
-    """One trace functional per hyperplane, in code order of the
-    scalar-class representative a (highest nonzero coordinate = 1).
+    """One representative a per hyperplane ker Tr(a .), in code order:
+    the elements whose highest nonzero coordinate is 1, that is the
+    codes [p^j, 2 p^j) for j < k.  trace_functional(a) is the
+    functional of a.
 
-    The representatives are the codes whose top base-p digit is 1,
-    [p^j, 2 p^j) for j < k, and the coefficients a^(p^i) of each
-    functional come from the code tables:
-    exp[log(a) p^i mod (q - 1)].  trace_functional computes the same
-    map on field elements.
-
-    The cap counts the q entries of the code tables, which outnumber
-    the (q - 1)/(p - 1) hyperplanes, and refuses before they are built.
-    `cap`, when given, stands in for the default cap; CURVADD_CAP
-    overrides either.  Nothing in the package passes it.
+    The cap counts the q codes the representatives are drawn from,
+    which outnumber the (q - 1)/(p - 1) hyperplanes, and refuses before
+    the first is yielded.  `cap`, when given, stands in for the default
+    cap; CURVADD_CAP overrides either.  Nothing in the package passes it.
     """
     default = DEFAULT_FIELD_CAP if cap is None else cap
     check_cap("hyperplane enumeration", ctx.order, default)
-    exp, log, _ = code_tables(ctx)
-    n = ctx.order - 1
-    steps = [pow(ctx.p, i, n) for i in range(ctx.k)]
     for j in range(ctx.k):
         low = ctx.p**j
         for code in range(low, 2 * low):
-            la = log[code]
-            yield LinearizedMap(ctx, [ctx.decode(exp[la * s % n]) for s in steps])
+            yield ctx.decode(code)

@@ -1,9 +1,10 @@
 """Enumeration caps.
 
-Several operations enumerate a full field, its point pairs, or the code
-tables behind the hyperplane decider and the exhaustive oracle.  Those
-loops are exact but grow with the field, so each one refuses to start
-when its step count would exceed the cap in force.  The default keeps
+Several operations enumerate a full field, its point pairs, the codes
+the hyperplane decider draws its candidates from, or the code tables
+behind the exhaustive oracle.  Those loops are exact but grow with the
+field, so each one refuses to start when its step count would exceed
+the cap in force.  The default keeps
 everything interactive on a desktop; the CURVADD_CAP environment
 variable, the one way to set a cap, overrides it for users who want to
 push further (or clamp harder).

@@ -336,8 +336,8 @@ def cmd_bound(args):
 def cmd_search(args):
     """Run the chosen deciders on the affine points; "both" checks
     them against each other.  The affine scan is the only cap that can
-    refuse: each decider's cap counts its q code-table entries, fewer
-    than the q^2 pairs that scan has passed."""
+    refuse: each decider's cap counts q, fewer than the q^2 pairs that
+    scan has passed."""
     curve = load_curve_file(args.curve)
     ctx = curve.ctx
     points = affine_points(curve)

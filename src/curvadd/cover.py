@@ -23,11 +23,11 @@ own, so no shared shortcut can hide a bug from the others:
 
 * the hyperplane decider uses the trace form: Tr(a x) = a^T T x over
   F_p, with T the Gram matrix Tr(g^(i+j)) of the power basis, so each
-  membership test is a length-k dot product mod p;
+  membership test is a length-k dot product mod p on the digits of a;
 * the oracle uses discrete logs and Zech's logarithms
   (fields.code_tables, the tables the point scans run on);
 * verify_witness uses the witness's own F_p matrix (to_matrix), one
-  matrix-vector product per distinct coordinate.
+  matrix-vector product per distinct coordinate, once per witness.
 
 The zero-forcing bound and its conic/elliptic specializations are
 evaluated in exact integer arithmetic; square roots never appear, as
@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index, mul
 
-from . import claims
+from . import additive, claims
 from .additive import LinearizedMap, hyperplane_functionals
 from .caps import check_cap, effective_cap
 from .errors import ContextMismatch, Frozen, Inconsistent
@@ -253,10 +253,11 @@ def decide_by_hyperplanes(points, ctx):
     A nonzero additive f works iff ker f, and hence some hyperplane
     containing ker f, covers all points in one coordinate; so testing
     hyperplanes alone is complete.  Membership x in ker Tr(a .) is
-    a . w_x = 0 mod p, where w_x = T x is the trace covector of x
-    (see _trace_gram).  Points are read as codes, and w_x is computed
-    from the base-p digits of x's code when a functional's test first
-    reaches x: with no witness, most functionals fail within a few
+    a . w_x = 0 mod p on the digits of a, where w_x = T x is the trace
+    covector of x (see _trace_gram); only the witness a becomes a map,
+    by additive.trace_functional.  Points are read as codes, and w_x is
+    computed from the base-p digits of x's code when a candidate's test
+    first reaches x: with no witness, most candidates fail within a few
     points.
     """
     pairs = _point_codes(points, ctx)
@@ -269,17 +270,16 @@ def decide_by_hyperplanes(points, ctx):
         got = covectors[code] = tuple(sum(map(mul, row, digits)) % p for row in gram)
         return got
 
-    for functional in hyperplane_functionals(ctx):
-        # the functional is x -> Tr(a x), and a is its first coefficient
-        a = functional.coeffs[0].coeffs
+    for a in hyperplane_functionals(ctx):
+        digits = a.coeffs
         for x, y in pairs:
             wx = covectors.get(x) or covector(x)
-            if sum(map(mul, a, wx)) % p:
+            if sum(map(mul, digits, wx)) % p:
                 wy = covectors.get(y) or covector(y)
-                if sum(map(mul, a, wy)) % p:
+                if sum(map(mul, digits, wy)) % p:
                     break
         else:
-            return CoverVerdict(True, functional, "hyperplane-search")
+            return CoverVerdict(True, additive.trace_functional(a), "hyperplane-search")
     return CoverVerdict(False, method="hyperplane-search")
 
 
@@ -428,8 +428,8 @@ def decide_by_exhaustion(points, ctx):
     and of verify_witness.
 
     The cap counts the q entries of the code tables, as the hyperplane
-    decider's does, and refuses before they are built; the walk's
-    nodes are fewer.
+    decider's counts the q codes of its candidates, and refuses before
+    they are built; the walk's nodes are fewer.
     """
     check_cap("exhaustive oracle", ctx.order)
     codes, _ = _subspace_walk(_point_codes(points, ctx), ctx)
@@ -477,8 +477,12 @@ def verify_witness(verdict, points):
 def check_verdicts(verdicts, points, c):
     """Raise Inconsistent unless verify_witness accepts the witness of
     every verdict on the points of curve c, and the verdicts then agree
-    on exists_nonzero."""
+    on exists_nonzero; each distinct witness is verified once."""
+    verified = set()
     for verdict in verdicts:
+        if not verdict.exists_nonzero or verdict.witness_map in verified:
+            continue
+        verified.add(verdict.witness_map)
         if not verify_witness(verdict, points):
             raise Inconsistent(
                 f"INCONSISTENT: {verdict.method} returned a witness that "
@@ -540,9 +544,8 @@ def analyze(c, singular_ext=2, oracle="auto"):
 
     oracle: "auto" and "on" cross-check the hyperplane decider with the
     exhaustive oracle, "off" skips it.  Bad arguments are refused before
-    any scan starts.  The oracle's own refusal, on its q code-table
-    entries, cannot fire here: the affine scan has already passed its
-    q^2 pairs.
+    any scan starts.  The deciders' own refusals, on q, cannot fire
+    here: the affine scan has already passed its q^2 pairs.
 
     Raises Inconsistent when an applicable forcing bound contradicts
     the search verdict or the two deciders disagree; the message

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -362,11 +363,14 @@ TRACE_FORM_FIELDS = [(p, k, None) for p, k in odd_prime_powers(3**5)] + list(CUS
 def test_trace_form_matches_element_trace(p, k, modulus):
     # a . (T x) = Tr(a x) for every x and the first hyperplane
     # representatives a, against the sum of conjugates (field_reference.trace)
-    from curvadd.additive import hyperplane_functionals
+    from curvadd.additive import hyperplane_functionals, trace_functional
 
     ctx = FqContext(p, k, modulus)
     gram = cover._trace_gram(ctx)
-    reps = [f.coeffs[0] for f in itertools.islice(hyperplane_functionals(ctx), 3)]
+    reps = [
+        trace_functional(a).coeffs[0]
+        for a in itertools.islice(hyperplane_functionals(ctx), 3)
+    ]
     for x in ctx.elements():
         w = [sum(t * c for t, c in zip(row, x.coeffs)) % p for row in gram]
         for a in reps:
@@ -487,6 +491,77 @@ def test_analyze_refuses_deciders_that_disagree(monkeypatch):
     with pytest.raises(Inconsistent, match=message):
         analyze(c, oracle="on")
     assert analyze(c, oracle="off").decision.exists_nonzero
+
+
+def counting_verify_witness(monkeypatch):
+    """Wrap cover.verify_witness; the returned list grows by the map of
+    every verdict it is called on."""
+    calls = []
+    real = cover.verify_witness
+
+    def counted(verdict, points):
+        calls.append(verdict.witness_map)
+        return real(verdict, points)
+
+    monkeypatch.setattr(cover, "verify_witness", counted)
+    return calls
+
+
+def test_check_verdicts_verifies_a_shared_witness_once(monkeypatch):
+    # on an Artin-Schreier curve both deciders return x + x^3 + x^9
+    calls = counting_verify_witness(monkeypatch)
+    report = analyze(build_curve(3, 3, "y - x^3 + x"), oracle="on")
+    assert report.decision.witness_map == report.oracle_verdict.witness_map
+    assert calls == [report.decision.witness_map]
+
+
+def test_check_verdicts_verifies_each_distinct_witness(monkeypatch):
+    ctx = FqContext(3, 2)
+    c = build_curve(3, 2, "y - x^3 + x")
+    points = affine_points(c)
+    f = decide_by_hyperplanes(points, ctx).witness_map
+    g = LinearizedMap(ctx, [2 * a for a in f.coeffs])
+    calls = counting_verify_witness(monkeypatch)
+    both = [cover.CoverVerdict(True, f, "first"), cover.CoverVerdict(True, g, "second")]
+    cover.check_verdicts(both, points, c)
+    assert calls == [f, g]
+    # a corrupted second map is still re-verified, and refused
+    corrupted = cover.CoverVerdict(True, LinearizedMap.identity(ctx), "second")
+    with pytest.raises(Inconsistent, match="second returned a witness that fails"):
+        cover.check_verdicts([both[0], corrupted], points, c)
+    missing = cover.CoverVerdict(True, None, "second")
+    with pytest.raises(Inconsistent, match="second returned a witness that fails"):
+        cover.check_verdicts([both[0], missing], points, c)
+    # agreement on exists_nonzero is checked for every verdict
+    with pytest.raises(Inconsistent, match="first says exists_nonzero=True but no says False"):
+        cover.check_verdicts([both[0], cover.CoverVerdict(False, method="no")], points, c)
+
+
+@pytest.mark.parametrize(
+    "p,k,expr,witness", [(5, 3, "y - 3*x^5 + 3*x", True), (3, 4, "x*y - 1", False)]
+)
+def test_hyperplane_decider_needs_no_code_tables(p, k, expr, witness, monkeypatch):
+    # the decider and verify_witness run on arithmetic of their own: the
+    # oracle's code tables are never read once the points are known
+    c = build_curve(p, k, expr)
+    points = affine_points(c)
+    expected = decide_by_hyperplanes(points, c.ctx)
+    assert expected.exists_nonzero == witness
+    assert verify_witness(expected, points)
+
+    def no_tables(ctx):
+        raise AssertionError(f"code tables read for {ctx!r}")
+
+    patched = [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("curvadd.") and hasattr(module, "code_tables")
+    ]
+    assert code_tables.__module__ in {m.__name__ for m in patched}
+    for module in patched:
+        monkeypatch.setattr(module, "code_tables", no_tables)
+    verdict = decide_by_hyperplanes(points, c.ctx)
+    assert verdict == expected
+    assert verify_witness(verdict, points)
 
 
 def test_analyze_claim_curve_flags():
@@ -646,7 +721,7 @@ def test_each_capped_stage_refuses_exactly_when_it_is_skipped(monkeypatch, slack
 
 
 def test_hyperplane_search_refuses_before_building_tables(monkeypatch):
-    # one hyperplane over F_p, but p code table entries behind it
+    # one hyperplane over F_p, but p codes behind it, and no tables
     monkeypatch.setenv("CURVADD_CAP", "1000")
     ctx = FqContext(10007)
     built = code_tables.cache_info().misses

@@ -20,7 +20,7 @@ from curvadd import (
     singular_points,
     verify_witness,
 )
-from curvadd import DEFAULT_FIELD_CAP, PointSet, additive, cli, cover, fields
+from curvadd import DEFAULT_FIELD_CAP, PointSet, cli, cover, fields
 from curvadd import curve as curve_mod
 from curvadd.curve import fibre_scan
 from curvadd.fields import _embedding_root, embed
@@ -493,7 +493,7 @@ def test_analyze_certifies_smooth_curves_without_extension_tables(entry, monkeyp
     def no_embed(*args, **kwargs):
         raise AssertionError("an element was embedded")
 
-    for module in (fields, curve_mod, cover, additive):
+    for module in (fields, curve_mod, cover):
         monkeypatch.setattr(module, "code_tables", base_tables)
     monkeypatch.setattr(curve_mod, "embed", no_embed)
     report = cover.analyze(c, singular_ext=2)

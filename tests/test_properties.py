@@ -60,7 +60,7 @@ from curvadd import (
     verify_witness,
 )
 from curvadd import poly
-from curvadd.additive import hyperplane_functionals
+from curvadd.additive import hyperplane_functionals, trace_functional
 from curvadd.cover import CoverVerdict
 from curvadd.fields import FqElement
 from curvadd.poly import (
@@ -221,7 +221,8 @@ def reference_decider(points, ctx):
             acc = acc + a * b
         return acc.is_zero()
 
-    for functional in hyperplane_functionals(ctx):
+    for a in hyperplane_functionals(ctx):
+        functional = trace_functional(a)
         if all(vanishes(functional.coeffs, fx) or vanishes(functional.coeffs, fy) for fx, fy in pairs):
             return CoverVerdict(True, functional, "hyperplane-search")
     return CoverVerdict(False, method="hyperplane-search")
