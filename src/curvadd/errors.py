@@ -54,15 +54,16 @@ class Inconsistent(CurvaddError, RuntimeError):
 class Frozen:
     """An immutable value with named fields, compared and hashed by them.
 
-    The base of the six value types and of every record; it generates
-    no code.  The fields are the base class's, then the class's own
-    __slots__ if it declares them, else its own annotations in order.
-    A class attribute named like a field is that field's default.
+    The base of the six value types, of every record, of FqContext and
+    of the finite-field coefficient domains; it generates no code.  The
+    fields are the base class's, then the class's own __slots__ if it
+    declares them, else its own annotations in order.  A class
+    attribute named like a field is that field's default.
 
     The generic __init__ takes the fields by position or by keyword,
     raises TypeError for a missing, unknown or repeated one, and stores
     them as the instance's __dict__ in one step: it serves the records.
-    The slotted value types define their own.
+    The slotted classes define their own.
 
     Assigning or deleting any name raises AttributeError.  An instance
     equals only an instance of the same class with equal fields, and
@@ -112,6 +113,8 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         values = self._values

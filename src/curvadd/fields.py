@@ -270,14 +270,14 @@ def _find_modulus(p, k):
 # ---------------------------------------------------------------------------
 
 
-class FqContext:
-    """A concrete presentation of F_{p^k}.
-
-    Two contexts are equal iff they share p, k and the modulus, so
-    elements from equal contexts mix freely.
+class FqContext(Frozen):
+    """A concrete presentation of F_{p^k}.  A Frozen value: its fields
+    are p, k, the modulus and the order p^k, and two contexts are equal
+    iff they share p, k and the modulus, so elements from equal
+    contexts mix freely.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_hash")
+    __slots__ = ("p", "k", "modulus", "order")
 
     def __init__(self, p, k=1, modulus=None):
         p, k = check_pk(p, k)
@@ -301,30 +301,10 @@ class FqContext:
                 raise ValueError(
                     f"modulus {list(modulus)} is reducible over F_{p}"
                 )
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.order = p**k
-        self._hash = hash((p, k, modulus))
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_hash"):
-            raise AttributeError("FqContext is immutable")
-        object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FqContext):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "order", p**k)
 
     def __repr__(self):
         if self.k == 1:

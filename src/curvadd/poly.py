@@ -30,7 +30,7 @@ field element they meet, operand or coefficient, goes through
 FqContext.coerce: an int is a constant, an unrelated operand is declined
 with NotImplemented, and an element or value of their own kind over
 another field or domain raises ContextMismatch.  field_domain gives one
-domain per field, so domains compare by identity.
+domain per field, and copy and pickle keep it.
 
 The expression grammar, shared by the parser and the renderer:
 
@@ -53,6 +53,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from types import MappingProxyType
 
 from .errors import ContextMismatch, Frozen, ParseError
 from .fields import (
@@ -257,20 +258,22 @@ class _RationalDomain:
 QQ = _RationalDomain()
 
 
-class _FieldDomain:
+class _FieldDomain(Frozen):
     """A finite field context used as a coefficient domain.
 
     This class runs the generic kernel: the form is the tuple of
     FqElement coefficients itself, a kernel scalar is an FqElement, and
     every coefficient step is one element operation.  field_domain
-    gives it to F_{p^k} with k >= 2.
+    gives it to F_{p^k} with k >= 2.  A Frozen value whose fields are
+    the context and the form of 1; copy and pickle give back the cached
+    field_domain(ctx).
     """
 
     __slots__ = ("ctx", "one_form")
 
     def __init__(self, ctx):
-        self.ctx = ctx
-        self.one_form = self.pack((1,))
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "one_form", self.pack((1,)))
 
     @property
     def zero(self):
@@ -414,8 +417,8 @@ class _PrimeFieldDomain(_FieldDomain):
 
 @lru_cache(maxsize=None)
 def field_domain(ctx):
-    """The coefficient domain of a finite field context: one per field,
-    so domains compare by identity (copy and pickle keep it)."""
+    """The coefficient domain of a finite field context: one per field
+    (copy and pickle keep it)."""
     if not isinstance(ctx, FqContext):
         raise TypeError("field_domain expects an FqContext")
     return (_PrimeFieldDomain if ctx.k == 1 else _FieldDomain)(ctx)
@@ -791,11 +794,11 @@ class SparsePoly(Frozen):
     """Sparse polynomial in x and y over a finite field context.
 
     terms maps exponent pairs (i, j), for x^i y^j, to nonzero FqElement
-    coefficients.  Immutable.  Display order is graded lexicographic,
-    highest first.
+    coefficients: a read-only view of the _terms field.  Immutable.
+    Display order is graded lexicographic, highest first.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx, terms=None):
         clean = {}
@@ -809,7 +812,11 @@ class SparsePoly(Frozen):
             if not coeff.is_zero():
                 clean[exps] = coeff
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls, ctx):
@@ -826,22 +833,22 @@ class SparsePoly(Frozen):
 
     @property
     def total_degree(self):
-        if not self.terms:
+        if not self._terms:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._terms)
 
     def degree_in(self, index):
-        if not self.terms:
+        if not self._terms:
             return NEG_INF
-        return max(e[index] for e in self.terms)
+        return max(e[index] for e in self._terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest first."""
         return sorted(
-            self.terms.items(),
+            self._terms.items(),
             key=lambda item: (sum(item[0]), item[0]),
             reverse=True,
         )
@@ -860,15 +867,15 @@ class SparsePoly(Frozen):
 
     @_coerced
     def __add__(self, other):
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        out = dict(self._terms)
+        for exps, coeff in other._terms.items():
             out[exps] = out[exps] + coeff if exps in out else coeff
         return SparsePoly(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return SparsePoly(self.ctx, {e: -c for e, c in self._terms.items()})
 
     @_coerced
     def __sub__(self, other):
@@ -881,8 +888,8 @@ class SparsePoly(Frozen):
     @_coerced
     def __mul__(self, other):
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
                 exps = (e1[0] + e2[0], e1[1] + e2[1])
                 c = c1 * c2
                 out[exps] = out[exps] + c if exps in out else c
@@ -903,7 +910,7 @@ class SparsePoly(Frozen):
         if len(values) != 2:
             raise ValueError(f"need 2 values, got {len(values)}")
         acc = self.ctx.zero()
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._terms.items():
             term = coeff
             for v, e in zip(values, exps):
                 if e:
@@ -917,7 +924,7 @@ class SparsePoly(Frozen):
         _check_index(index)
         value = self.ctx.coerce(value)
         coeffs = [self.ctx.zero()] * (1 + max(self.degree_in(1 - index), -1))
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._terms.items():
             e, i = exps[index], exps[1 - index]
             coeffs[i] = coeffs[i] + (coeff * value**e if e else coeff)
         return UniPoly(field_domain(self.ctx), coeffs)
@@ -926,7 +933,7 @@ class SparsePoly(Frozen):
         """Formal partial derivative; char-p annihilation applies."""
         _check_index(index)
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._terms.items():
             e = exps[index]
             if e == 0:
                 continue
@@ -939,11 +946,11 @@ class SparsePoly(Frozen):
 
     def leading_form(self):
         """The top homogeneous part (terms of maximal total degree)."""
-        if not self.terms:
+        if not self._terms:
             return self
         d = self.total_degree
         return SparsePoly(
-            self.ctx, {e: c for e, c in self.terms.items() if sum(e) == d}
+            self.ctx, {e: c for e, c in self._terms.items() if sum(e) == d}
         )
 
     # -- protocol ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The public API: every exported name is unique and resolves, the
-value types and records copy, pickle and stay immutable, and importing
-the package generates no code."""
+value types, records, field contexts and coefficient domains copy,
+pickle and stay immutable, and importing the package generates no
+code."""
 
 import copy
 import itertools
@@ -16,6 +17,7 @@ import curvadd
 from curvadd import (
     QQ,
     BoundReport,
+    ContextMismatch,
     CoverVerdict,
     Curve,
     FqContext,
@@ -39,6 +41,7 @@ from curvadd import (
     zero_forcing_inequality,
 )
 from curvadd.claims import CURVE_CLAIMS
+from conftest import CUSTOM_MODULI
 
 
 def test_all_has_no_duplicates():
@@ -95,16 +98,34 @@ def _values():
     ]
 
 
-@pytest.mark.parametrize(
+def _contexts():
+    """Field contexts with k = 1, k = 2 and one custom modulus."""
+    return [FqContext(5), FqContext(3, 2), FqContext(*CUSTOM_MODULI[0])]
+
+
+def _domains():
+    return [field_domain(ctx) for ctx in _contexts()]
+
+
+ROUND_TRIPS = pytest.mark.parametrize(
     "round_trip",
     [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
     ids=["copy", "deepcopy", "pickle"],
 )
+
+
+@ROUND_TRIPS
 def test_values_copy_and_pickle(round_trip):
-    for value in _values():
+    for value in _values() + _contexts():
         twin = round_trip(value)
         assert type(twin) is type(value)
-        assert twin == value, value
+        assert twin == value and hash(twin) == hash(value), value
+
+
+@ROUND_TRIPS
+def test_domains_copy_and_pickle_to_the_cached_domain(round_trip):
+    for domain in _domains() + [QQ]:
+        assert round_trip(domain) is domain
 
 
 def _assert_immutable(values):
@@ -152,6 +173,44 @@ def test_nine_record_types_stay_immutable():
 
 def test_nine_record_types_refuse_new_attributes():
     _assert_refuses_new_attributes(_values()[10:])
+
+
+def test_contexts_and_domains_stay_immutable():
+    """Assigning or deleting a field of a context or of the cached
+    domain of a field raises AttributeError, and the elements and
+    polynomials built before still compute."""
+    contexts, domains = _contexts(), _domains()
+    top = [ctx.decode(ctx.order - 1) for ctx in contexts]
+    squares = [x * x for x in top]
+    products = [UniPoly(d, (2, 1)) * UniPoly(d, (3, 1)) for d in domains]
+    for ctx in contexts:
+        for name in ("p", "k", "modulus", "order"):
+            with pytest.raises(AttributeError, match="FqContext is immutable"):
+                delattr(ctx, name)
+        with pytest.raises(AttributeError, match="FqContext is immutable"):
+            ctx.p = 5
+    for domain in domains:
+        with pytest.raises(AttributeError, match="Domain is immutable"):
+            domain.ctx = FqContext(7)
+        with pytest.raises(AttributeError, match="Domain is immutable"):
+            del domain.one_form
+    _assert_immutable(contexts + domains)
+    _assert_refuses_new_attributes(contexts + domains)
+    assert [x * x for x in top] == squares
+    assert [UniPoly(d, (2, 1)) * UniPoly(d, (3, 1)) for d in domains] == products
+    assert domains == _domains() and [d.ctx for d in domains] == contexts
+
+
+def test_sparse_poly_terms_are_read_only():
+    ctx = FqContext(5)
+    f = parse_bipoly("x*y - 1", ctx)
+    before = hash(f)
+    with pytest.raises(TypeError):
+        f.terms[(0, 0)] = ctx.one()
+    with pytest.raises(TypeError):
+        del f.terms[(1, 1)]
+    assert f == parse_bipoly("x*y - 1", ctx) and hash(f) == before and f in {f}
+    assert dict(f.terms) == {(1, 1): ctx.one(), (0, 0): ctx.constant(-1)}
 
 
 def test_bound_report_hash_ignores_exact_terms():
@@ -282,10 +341,10 @@ def _ours(value):
 
 def test_equal_values_hash_equal():
     """Any two equal values among the six value types, the nine
-    records, their pickled twins and the cross-type constants hash
-    equal.  No value of the package equals an int, a Fraction or a
-    value of another type."""
-    values = _values() + _cross_type_values()
+    records, the field contexts and coefficient domains, their pickled
+    twins and the cross-type constants hash equal.  No value of the
+    package equals an int, a Fraction or a value of another type."""
+    values = _values() + _contexts() + _domains() + [QQ] + _cross_type_values()
     values += [pickle.loads(pickle.dumps(v)) for v in values]
     equal_pairs = 0
     for a, b in itertools.combinations(values, 2):
@@ -327,6 +386,66 @@ def _hyperbola_f7():
 def test_integer_arguments_refuse_non_integral_values(call):
     with pytest.raises(TypeError):
         call()
+
+
+REFUSALS = {
+    "decode out of range": (
+        lambda: FqContext(7).decode(7), ValueError, "code 7 out of range [0, 7)"),
+    "element past k": (
+        lambda: FqContext(3, 2).element([1, 2, 0]), ValueError,
+        "too many coefficients: 3 > k = 2"),
+    "gen of F_p": (
+        lambda: FqContext(3).gen(), ValueError,
+        "F_p has no extension generator; g needs k >= 2"),
+    "LinearizedMap length": (
+        lambda: LinearizedMap(FqContext(3, 2), [1]), ValueError,
+        "need k = 2 coefficients, got 1"),
+    "SparsePoly negative exponent": (
+        lambda: SparsePoly(FqContext(7), {(-1, 0): 1}), ValueError,
+        "negative exponent in (-1, 0)"),
+    "evaluate one value": (
+        lambda: parse_bipoly("x", FqContext(7)).evaluate([1]), ValueError,
+        "need 2 values, got 1"),
+    "UniPoly ** -1": (
+        lambda: UniPoly.variable(QQ) ** -1, ValueError, "negative power of a polynomial"),
+    "SparsePoly ** -1": (
+        lambda: parse_bipoly("x", FqContext(7)) ** -1, ValueError,
+        "negative power of a polynomial"),
+    "leading of zero": (
+        lambda: UniPoly.zero(QQ).leading, ValueError,
+        "zero polynomial has no leading coefficient"),
+    "field_domain(3)": (
+        lambda: field_domain(3), TypeError, "field_domain expects an FqContext"),
+    "singular_points ext 0": (
+        lambda: singular_points(_hyperbola_f7(), 0), ValueError,
+        "ext_degree must be >= 1, got 0"),
+    "analyze oracle": (
+        lambda: analyze(_hyperbola_f7(), oracle="x"), ValueError,
+        "oracle must be auto|on|off, got 'x'"),
+    "zero_forcing_by_count d": (
+        lambda: zero_forcing_by_count(4, 0, 3, 1), ValueError, "d must be >= 1, got 0"),
+    "points of another field": (
+        lambda: decide_by_hyperplanes(affine_points(_hyperbola_f7()), FqContext(5)),
+        ContextMismatch, "point from a different context"),
+    "composition across domains": (
+        lambda: UniPoly.variable(field_domain(FqContext(5)))(
+            RationalFunction(UniPoly.variable(field_domain(FqContext(7))))),
+        ContextMismatch, "composition across domains"),
+    "numerator and denominator domains": (
+        lambda: RationalFunction(
+            UniPoly.variable(field_domain(FqContext(5))),
+            UniPoly.variable(field_domain(FqContext(7)))),
+        ContextMismatch, "numerator and denominator domains differ"),
+    "parse a non-string": (
+        lambda: parse_bipoly(3, FqContext(5)), TypeError, "expected an expression string"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_integer_arguments_take_ints_and_bools():

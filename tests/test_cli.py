@@ -402,6 +402,20 @@ def test_valuation_padic(capsys):
     assert "= 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--ext2", "1,2", "3", "--samples", "0"], "--samples must be >= 1"),
+        (["--padic", "5/8", "x"], "bad prime 'x'"),
+        (["--ext2", "1,,2", "3"], "bad coefficient list '1,,2'"),
+    ],
+    ids=["samples-0", "padic-prime", "empty-coefficient"],
+)
+def test_valuation_refusals_exit_2_with_one_message(argv, message, capsys):
+    assert main(["valuation"] + argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("token", ["1e5000", "1e-5000"])
 def test_valuation_refuses_huge_exponents_before_fraction(token, capsys, monkeypatch):
     def no_fraction(*args):
