@@ -13,12 +13,12 @@ verdict.
 
 FqElement, UniPoly, RationalFunction, SparsePoly, LinearizedMap and
 Subspace are immutable slotted values, and the records (Curve,
-PointSet, HWWindow, CoverVerdict, BoundReport, AnalysisReport, ...),
-the field contexts (FqContext) and the finite-field coefficient
-domains are immutable too.  All derive from errors.Frozen, a
-hand-written base that generates no code, so importing the package
-builds no class methods at run time.  Assigning or deleting any name
-raises AttributeError.
+PointSet, FibreScan, HWWindow, CoverVerdict, BoundReport,
+AnalysisReport, CodeTables, ...), the field contexts (FqContext) and
+the finite-field coefficient domains are immutable too.  All derive
+from errors.Frozen, a hand-written base that generates no code, so
+importing the package builds no class methods at run time.  Assigning
+or deleting any name raises AttributeError.
 """
 
 from .additive import (

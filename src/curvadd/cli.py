@@ -68,7 +68,7 @@ def _field_str(ctx):
 
 
 def _terms_str(exact_terms):
-    return ", ".join(f"{key} = {value}" for key, value in exact_terms.items())
+    return ", ".join(f"{key} = {value}" for key, value in exact_terms)
 
 
 def _point_str(pt):
@@ -320,10 +320,10 @@ def cmd_bound(args):
         report = conic_bound(p, k)
     else:
         report = elliptic_bound(p, k)
-    for key, value in report.exact_terms.items():
+    for key, value in report.exact_terms:
         _check_digits(f"{key} at p = {p}, k = {k}", _decimal_digits(value))
     lines = [f"bound: {report.name} at p = {p}, k = {k}"]
-    lines += [f"  {key} = {value}" for key, value in report.exact_terms.items()]
+    lines += [f"  {key} = {value}" for key, value in report.exact_terms]
     if report.claimed_by_statement is not None:
         lines.append(
             f"claimed by the statement-level case split: {report.claimed_by_statement}"

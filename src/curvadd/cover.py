@@ -91,21 +91,17 @@ class BoundReport(Frozen):
 
     forced_zero means: every additive f vanishing multiplicatively on
     the curve must be identically zero.  exact_terms holds the integer
-    comparison terms so boundary cases are auditable.
+    comparison terms, as (name, value) pairs, so boundary cases are
+    auditable.
     """
 
     name: str
     forced_zero: bool
-    exact_terms: dict
+    exact_terms: tuple
     m: int = None
     d: int = None
     cover_lower_bound: Fraction = None
     claimed_by_statement: bool = None
-
-    def __hash__(self):
-        # every field but exact_terms, a dict
-        name, forced_zero, _, *rest = self._values(self)
-        return hash((name, forced_zero, *rest))
 
 
 def zero_forcing_inequality(p, k, d):
@@ -125,14 +121,14 @@ def zero_forcing_inequality(p, k, d):
     return BoundReport(
         name="inequality1",
         forced_zero=forced,
-        exact_terms={
-            "q": q,
-            "d": d,
-            "A": a,
-            "A_squared": a * a,
-            "B": b,
-            "B_squared_times_q": b * b * q,
-        },
+        exact_terms=(
+            ("q", q),
+            ("d", d),
+            ("A", a),
+            ("A_squared", a * a),
+            ("B", b),
+            ("B_squared_times_q", b * b * q),
+        ),
         d=d,
     )
 
@@ -151,7 +147,7 @@ def zero_forcing_by_count(m, d, p, k):
     return BoundReport(
         name="by_count",
         forced_zero=forced,
-        exact_terms={"m": m, "d": d, "two_p_km1_times_d": threshold * d},
+        exact_terms=(("m", m), ("d", d), ("two_p_km1_times_d", threshold * d)),
         m=m,
         d=d,
         cover_lower_bound=Fraction(m, d),
@@ -160,9 +156,10 @@ def zero_forcing_by_count(m, d, p, k):
 
 def conjectural_by_count(m, d, p, k):
     """The conjectured sharper threshold m/d > p^(k-1), with the factor
-    2 dropped.  Reported only; never used to force a verdict."""
-    p, k = check_pk(p, k)
-    return Fraction(index(m), index(d)) > p ** (k - 1)
+    2 dropped.  Reported only; never used to force a verdict.  The
+    arguments are refused as zero_forcing_by_count refuses them."""
+    lower = zero_forcing_by_count(m, d, p, k).cover_lower_bound
+    return lower > p ** (k - 1)
 
 
 def conic_bound(p, k):
@@ -179,7 +176,7 @@ def conic_bound(p, k):
     return BoundReport(
         name="conic",
         forced_zero=lhs > rhs,
-        exact_terms={"q_minus_1": lhs, "four_p_km1": rhs},
+        exact_terms=(("q_minus_1", lhs), ("four_p_km1", rhs)),
         d=2,
         claimed_by_statement=p >= 5,
     )
@@ -200,11 +197,11 @@ def elliptic_bound(p, k):
     return BoundReport(
         name="elliptic",
         forced_zero=forced,
-        exact_terms={
-            "p_minus_6": p - 6,
-            "p_minus_6_sq_times_p_km1": lhs,
-            "four_p": rhs,
-        },
+        exact_terms=(
+            ("p_minus_6", p - 6),
+            ("p_minus_6_sq_times_p_km1", lhs),
+            ("four_p", rhs),
+        ),
         d=3,
         claimed_by_statement=(
             p > 13 or (p == 7 and k > 2) or (p in (11, 13) and k > 1)
@@ -317,7 +314,8 @@ def _subspace_walk(pairs, ctx):
     Zech-table lookup (fields.code_tables): a code path disjoint from
     the trace form of the hyperplane search.
     """
-    exp, log, zech = code_tables(ctx)
+    tables = code_tables(ctx)
+    exp, log, zech = tables.exp, tables.log, tables.zech
     n = len(zech)
     k = ctx.k
     half = n // 2

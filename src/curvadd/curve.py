@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 
 from .caps import check_cap
 from .errors import Frozen, ParseError
@@ -98,13 +97,18 @@ class PointSet(Frozen):
         return len(self.codes)
 
 
-FibreScan = namedtuple("FibreScan", ["points", "singular", "lines"])
-FibreScan.__doc__ = """What one pass over the rows of a curve finds (fibre_scan).
+class FibreScan(Frozen):
+    """What one pass over the rows of a curve finds (fibre_scan), read
+    by field name.
 
-points is the PointSet of affine points, singular the PointSet of
-those where both partials vanish too, and lines the list of
-axis-parallel line components, as "x = a" / "y = b".
-"""
+    points is the PointSet of affine points, singular the PointSet of
+    those where both partials vanish too, and lines the tuple of
+    axis-parallel line components, as "x = a" / "y = b".
+    """
+
+    points: PointSet
+    singular: PointSet
+    lines: tuple
 
 
 def _log_terms(f, log):
@@ -222,7 +226,7 @@ def fibre_scan(c):
     return FibreScan(
         PointSet(ctx, tuple(points)),
         PointSet(ctx, tuple(singular)),
-        [f"{var} = {_code_str(ctx, code)}" for code, var in sorted(lines)],
+        tuple(f"{var} = {_code_str(ctx, code)}" for code, var in sorted(lines)),
     )
 
 
@@ -380,8 +384,20 @@ def hasse_weil_window(c, affine_count=None, infinity_count=None):
     """Exact window check for N = affine count + infinity count.
 
     Counts are enumerated unless supplied by the caller (analyze passes
-    them in to avoid re-scanning).
+    them in to avoid re-scanning); a supplied count goes through
+    operator.index and must be >= 0.
     """
+    given = []
+    for name, count in (
+        ("affine_count", affine_count),
+        ("infinity_count", infinity_count),
+    ):
+        if count is not None:
+            count = operator.index(count)
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0, got {count}")
+        given.append(count)
+    affine_count, infinity_count = given
     if affine_count is None:
         affine_count = affine_points(c).count
     if infinity_count is None:
@@ -407,9 +423,9 @@ def hasse_weil_window(c, affine_count=None, infinity_count=None):
 
 
 def axis_parallel_lines(c):
-    """Lines x = a or y = b contained in the curve, as strings, x = a
-    before y = a and in code order: the lines of fibre_scan, under its
-    cap.
+    """Lines x = a or y = b contained in the curve, as a tuple of
+    strings, x = a before y = a and in code order: the lines of
+    fibre_scan, under its cap.
 
     Such a component makes the vanishing condition degenerate (the
     coordinate 0 case) or breaks the vertex-degree bound behind the

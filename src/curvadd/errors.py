@@ -54,8 +54,10 @@ class Inconsistent(CurvaddError, RuntimeError):
 class Frozen:
     """An immutable value with named fields, compared and hashed by them.
 
-    The base of the six value types, of every record, of FqContext and
-    of the finite-field coefficient domains; it generates no code.  The
+    The base of the six value types, of every record (the pipeline's
+    reports, and the CodeTables and FibreScan the scans share), of
+    FqContext and of the finite-field coefficient domains: the package
+    builds no record any other way, and it generates no code.  The
     fields are the base class's, then the class's own __slots__ if it
     declares them, else its own annotations in order.  A class
     attribute named like a field is that field's default.

@@ -20,7 +20,6 @@ RationalFunction and SparsePoly in poly, goes through _coerced, which
 declines an operand of an unrelated type with NotImplemented.
 """
 
-from collections import namedtuple
 from functools import lru_cache, wraps
 from operator import index, mul
 
@@ -501,23 +500,28 @@ _set_coeffs = FqElement.coeffs.__set__
 # row-root finder they and the embedding share, and the exhaustive oracle.
 
 
-CodeTables = namedtuple("CodeTables", ["exp", "log", "zech"])
-CodeTables.__doc__ = """Discrete-log tables of a context over element codes.
+class CodeTables(Frozen):
+    """Discrete-log tables of a context over element codes, read by
+    field name.
 
-With g the first primitive element in code order and n = q - 1:
-exp[i] is the code of g^(i mod n) for 0 <= i < 2n (doubled, so a
-sum of two logs indexes it directly); log[c] is the log of the
-element with code c; zech[i] is Zech's logarithm log(1 + g^i).
-None stands for the log of zero: log[0] is None, and zech[i] is
-None exactly at i = n/2, where g^i = -1.
+    With g the first primitive element in code order and n = q - 1:
+    exp[i] is the code of g^(i mod n) for 0 <= i < 2n (doubled, so a
+    sum of two logs indexes it directly); log[c] is the log of the
+    element with code c; zech[i] is Zech's logarithm log(1 + g^i).
+    None stands for the log of zero: log[0] is None, and zech[i] is
+    None exactly at i = n/2, where g^i = -1.
 
-In logs, a product is a sum, and g^a + g^b = g^a * (1 + g^(b-a))
-has log a + zech[(b - a) % n], so polynomials evaluate on logs with
-no element arithmetic at all (Huber, "Some comments on Zech's
-logarithms", IEEE Trans. IT 36(4), 1990): the row scans, the
-embedding root and the exhaustive oracle's row reductions all run
-on them, and code_tables builds them on integers alone.
-"""
+    In logs, a product is a sum, and g^a + g^b = g^a * (1 + g^(b-a))
+    has log a + zech[(b - a) % n], so polynomials evaluate on logs with
+    no element arithmetic at all (Huber, "Some comments on Zech's
+    logarithms", IEEE Trans. IT 36(4), 1990): the row scans, the
+    embedding root and the exhaustive oracle's row reductions all run
+    on them, and code_tables builds them on integers alone.
+    """
+
+    exp: tuple
+    log: tuple
+    zech: tuple
 
 
 def _first_primitive(ctx):
@@ -639,7 +643,7 @@ def _row_roots(row, tables):
     each.  Higher degrees try every nonzero value by _vanishing_logs.
     Throughout, 0 is a root iff the constant term is zero.
     """
-    exp, log, zech = tables
+    exp, log, zech = tables.exp, tables.log, tables.zech
     n = len(zech)
     start = 0
     while start < len(row) and row[start] is None:

@@ -19,7 +19,8 @@ from curvadd.fields import code_tables
 
 
 def map_walk_oracle(points, ctx):
-    exp, log, zech = code_tables(ctx)
+    tables = code_tables(ctx)
+    exp, log, zech = tables.exp, tables.log, tables.zech
     n = len(zech)
     # log(x^(p^i)) = log(x) * p^i mod n; the orbit of 0 is all zeros
     steps = [pow(ctx.p, i, n) for i in range(ctx.k)]
@@ -91,7 +92,8 @@ def prefix_walk_oracle(points, ctx):
     and log u_i(x) = (n/2 + log(x) (p^i - p^(k-1))) mod n for n = q - 1,
     since -1 = g^(n/2).
     """
-    exp, log, zech = code_tables(ctx)
+    tables = code_tables(ctx)
+    exp, log, zech = tables.exp, tables.log, tables.zech
     n = len(zech)
     k = ctx.k
     top = pow(ctx.p, k - 1, n)

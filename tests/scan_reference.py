@@ -38,8 +38,8 @@ def singular_subset(c, points):
 
 
 def axis_lines(c):
-    """Lines x = a or y = b contained in c, as strings, from a walk over
-    every row and every column."""
+    """Lines x = a or y = b contained in c, as a tuple of strings, from
+    a walk over every row and every column."""
     ctx = c.ctx
     tables = code_tables(ctx)
     terms = _log_terms(c.defining, tables.log)
@@ -51,4 +51,4 @@ def axis_lines(c):
             lines.append(f"x = {ctx.decode(code)!r}")
         if all(v is None for v in column):
             lines.append(f"y = {ctx.decode(code)!r}")
-    return lines
+    return tuple(lines)

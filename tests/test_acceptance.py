@@ -56,7 +56,7 @@ def test_criterion_1_case_split_table():
     # the boundary case: claimed by the statement, not certified
     edge = conic_bound(5, 1)
     assert edge.claimed_by_statement and not edge.forced_zero
-    assert edge.exact_terms == {"q_minus_1": 4, "four_p_km1": 4}
+    assert edge.exact_terms == (("q_minus_1", 4), ("four_p_km1", 4))
     print("PASS criterion 1: elliptic and conic case splits exact on the "
           "24-cell grid, (5,1) conic boundary fails as computed")
 

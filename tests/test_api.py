@@ -33,6 +33,7 @@ from curvadd import (
     decide_by_hyperplanes,
     ext2_family_check,
     field_domain,
+    hasse_weil_window,
     padic_valuation,
     parse_bipoly,
     singular_points,
@@ -40,7 +41,10 @@ from curvadd import (
     zero_forcing_by_count,
     zero_forcing_inequality,
 )
+from curvadd import cli
 from curvadd.claims import CURVE_CLAIMS
+from curvadd.curve import fibre_scan
+from curvadd.fields import code_tables
 from conftest import CUSTOM_MODULI
 
 
@@ -95,6 +99,8 @@ def _values():
         CURVE_CLAIMS[0],
         verify_valuation_axioms(sample_count=2, seed=1),
         family,
+        fibre_scan(circle),
+        code_tables(f9),
     ]
 
 
@@ -162,16 +168,17 @@ def test_six_value_types_refuse_new_attributes():
     _assert_refuses_new_attributes(_values()[:10])
 
 
-def test_nine_record_types_stay_immutable():
+def test_eleven_record_types_stay_immutable():
     records = _values()[10:]
     assert [type(r).__name__ for r in records] == [
         "PointSet", "CoverVerdict", "AnalysisReport", "Curve", "HWWindow",
         "BoundReport", "CurveClaim", "AxiomCheckReport", "FamilyCheckReport",
+        "FibreScan", "CodeTables",
     ]
     _assert_immutable(records)
 
 
-def test_nine_record_types_refuse_new_attributes():
+def test_eleven_record_types_refuse_new_attributes():
     _assert_refuses_new_attributes(_values()[10:])
 
 
@@ -213,11 +220,14 @@ def test_sparse_poly_terms_are_read_only():
     assert dict(f.terms) == {(1, 1): ctx.one(), (0, 0): ctx.constant(-1)}
 
 
-def test_bound_report_hash_ignores_exact_terms():
-    a = BoundReport("by_count", True, {"m": 1})
-    b = BoundReport("by_count", True, {"m": 2})
-    assert a != b and hash(a) == hash(b)
-    assert hash(a) != hash(BoundReport("by_count", False, {"m": 1}))
+def test_bound_report_exact_terms_are_read_only():
+    report = analyze(_hyperbola_f7())
+    b = report.inequality1
+    before = hash(b)
+    with pytest.raises(TypeError):
+        b.exact_terms["A"] = 0
+    assert dict(b.exact_terms)["A"] == 2 and hash(b) == before
+    assert cli.report_json(report)["bounds"]["inequality1"]["exact_terms"]["A"] == 2
 
 
 def test_records_print_their_fields():
@@ -237,8 +247,8 @@ def test_records_print_their_fields():
         "genus_bound=0, lower=10, upper=10, verdict='consistent')"
     )
     assert repr(report.inequality1) == (
-        "BoundReport(name='inequality1', forced_zero=False, exact_terms={'q': 9, "
-        "'d': 2, 'A': -4, 'A_squared': 16, 'B': 0, 'B_squared_times_q': 0}, "
+        "BoundReport(name='inequality1', forced_zero=False, exact_terms=(('q', 9), "
+        "('d', 2), ('A', -4), ('A_squared', 16), ('B', 0), ('B_squared_times_q', 0)), "
         "m=None, d=2, cover_lower_bound=None, claimed_by_statement=None)"
     )
     assert repr(CURVE_CLAIMS[0]) == (
@@ -286,7 +296,7 @@ def test_records_construct_by_position_or_keyword_with_defaults():
     assert (verdict.witness_map, verdict.method) == (1, "exhaustive-oracle")
     assert verdict == CoverVerdict(True, method="exhaustive-oracle", witness_map=1)
     assert PointSet() == PointSet(None, ()) and PointSet().count == 0
-    bound = BoundReport("by_count", True, {}, d=2)
+    bound = BoundReport("by_count", True, (), d=2)
     assert (bound.m, bound.d, bound.claimed_by_statement) == (None, 2, None)
     f9 = FqContext(3, 2)
     defining = parse_bipoly("x*y - 1", f9)
@@ -319,9 +329,14 @@ def test_records_refuse_missing_or_unknown_arguments(build):
 
 
 def _cross_type_values():
-    """Constants of each value type over Q, F_3, F_5 and F_9, and the
-    ints and Fractions they could be taken to stand for."""
+    """Constants of each value type over Q, F_3, F_5 and F_9, the ints
+    and Fractions they could be taken to stand for, and the fields of a
+    scan and of code tables as plain tuples."""
+    f9 = FqContext(3, 2)
+    scan = fibre_scan(Curve(parse_bipoly("x^2 + y^2 - 1", f9)))
+    tables = code_tables(f9)
     out = [0, 1, 2, -1, Fraction(1, 2), Fraction(2), True, False]
+    out += [(scan.points, scan.singular, scan.lines), (tables.exp, tables.log, tables.zech)]
     for ctx in (FqContext(3), FqContext(5), FqContext(3, 2)):
         domain = field_domain(ctx)
         for c in (0, 1, 2):
@@ -340,10 +355,11 @@ def _ours(value):
 
 
 def test_equal_values_hash_equal():
-    """Any two equal values among the six value types, the nine
+    """Any two equal values among the six value types, the eleven
     records, the field contexts and coefficient domains, their pickled
     twins and the cross-type constants hash equal.  No value of the
-    package equals an int, a Fraction or a value of another type."""
+    package equals an int, a Fraction, a tuple or a value of another
+    type."""
     values = _values() + _contexts() + _domains() + [QQ] + _cross_type_values()
     values += [pickle.loads(pickle.dumps(v)) for v in values]
     equal_pairs = 0
@@ -373,6 +389,10 @@ NON_INTEGRAL = {
     "zero_forcing_inequality d": lambda: zero_forcing_inequality(5, 1, 2.5),
     "zero_forcing_by_count m": lambda: zero_forcing_by_count(4.5, 2, 5, 1),
     "conjectural_by_count d": lambda: conjectural_by_count(4, 2.0, 5, 1),
+    "hasse_weil_window affine_count": lambda: hasse_weil_window(
+        _hyperbola_f7(), affine_count=6.5),
+    "hasse_weil_window infinity_count": lambda: hasse_weil_window(
+        _hyperbola_f7(), infinity_count=Fraction(2)),
     "singular_points ext": lambda: singular_points(_hyperbola_f7(), 2.5),
     "analyze singular_ext": lambda: analyze(_hyperbola_f7(), singular_ext=1.5),
 }
@@ -424,6 +444,16 @@ REFUSALS = {
         "oracle must be auto|on|off, got 'x'"),
     "zero_forcing_by_count d": (
         lambda: zero_forcing_by_count(4, 0, 3, 1), ValueError, "d must be >= 1, got 0"),
+    "conjectural_by_count d": (
+        lambda: conjectural_by_count(4, 0, 3, 1), ValueError, "d must be >= 1, got 0"),
+    "conjectural_by_count m": (
+        lambda: conjectural_by_count(-1, 2, 3, 1), ValueError, "m must be >= 0, got -1"),
+    "hasse_weil_window affine_count": (
+        lambda: hasse_weil_window(_hyperbola_f7(), affine_count=-3), ValueError,
+        "affine_count must be >= 0, got -3"),
+    "hasse_weil_window infinity_count": (
+        lambda: hasse_weil_window(_hyperbola_f7(), 6, -1), ValueError,
+        "infinity_count must be >= 0, got -1"),
     "points of another field": (
         lambda: decide_by_hyperplanes(affine_points(_hyperbola_f7()), FqContext(5)),
         ContextMismatch, "point from a different context"),
@@ -471,7 +501,9 @@ def test_curve_refuses_zero_and_constant_polynomials():
 def test_import_generates_no_code():
     """A fresh process importing the CLI loads none of the modules that
     generate classes at run time.  -S keeps site-packages' start-up
-    hooks out, so the check sees only what the package imports."""
+    hooks out, so the check sees only what the package imports.  No
+    class of the package subclasses tuple: a namedtuple equals the
+    plain tuple of its fields and builds its __new__ with eval."""
     src = os.path.dirname(os.path.dirname(curvadd.__file__))
     code = (
         "import sys; import curvadd.cli; "
@@ -485,3 +517,11 @@ def test_import_generates_no_code():
         check=True,
     ).stdout
     assert out == "[]\n"
+    tuples = [
+        f"{name}.{cls.__name__}"
+        for name, module in list(sys.modules.items())
+        if name.startswith("curvadd.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name and issubclass(cls, tuple)
+    ]
+    assert tuples == []

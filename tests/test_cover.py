@@ -40,10 +40,10 @@ from oracle_reference import map_walk_oracle, prefix_walk_oracle
 def test_inequality_exact_values():
     b = zero_forcing_inequality(7, 1, 2)
     assert b.forced_zero
-    assert b.exact_terms == {
-        "q": 7, "d": 2, "A": 2, "A_squared": 4, "B": 0,
-        "B_squared_times_q": 0,
-    }
+    assert b.exact_terms == (
+        ("q", 7), ("d", 2), ("A", 2), ("A_squared", 4), ("B", 0),
+        ("B_squared_times_q", 0),
+    )
     # d = 3 over F_7: A = 8 - 3 - 6 = -1, fails on sign alone
     assert not zero_forcing_inequality(7, 1, 3).forced_zero
     # large field, degree 3: A = 344, B = 2, A^2 > 4 * 343
@@ -54,7 +54,7 @@ def test_inequality_resolved_case_5_2_2():
     # q = 25, d = 2: A = 25 + 1 - 2 - 20 = 4 > 0 and 16 > 0.
     b = zero_forcing_inequality(5, 2, 2)
     assert b.forced_zero
-    assert b.exact_terms["A"] == 4
+    assert dict(b.exact_terms)["A"] == 4
 
 
 def test_inequality_strictness():
@@ -64,7 +64,7 @@ def test_inequality_strictness():
     # p=3, k=1, d=4/3 is not integral; use the A^2 vs B^2 q edge instead:
     # p=11, k=1, d=3: A = 12 - 3 - 6 = 3, B = 2, 9 > 44 false.
     b = zero_forcing_inequality(11, 1, 3)
-    assert b.exact_terms["A"] == 3 and not b.forced_zero
+    assert dict(b.exact_terms)["A"] == 3 and not b.forced_zero
 
 
 def test_inequality_validation():
@@ -111,7 +111,7 @@ def test_conic_bound_and_claim():
     # inequality itself fails at (5, 1): 4 > 4.
     b = conic_bound(5, 1)
     assert not b.forced_zero and b.claimed_by_statement
-    assert b.exact_terms == {"q_minus_1": 4, "four_p_km1": 4}
+    assert b.exact_terms == (("q_minus_1", 4), ("four_p_km1", 4))
     assert conic_bound(7, 1).forced_zero
     assert conic_bound(5, 2).forced_zero
     assert not conic_bound(3, 1).forced_zero

@@ -131,12 +131,12 @@ def test_window_uses_exact_integers():
 
 def test_axis_parallel_lines():
     c = build_curve(5, 1, "(x - 2)*(y + 1)")
-    assert axis_parallel_lines(c) == ["x = 2", "y = 4"]
-    assert axis_parallel_lines(build_curve(5, 1, "x*y - 1")) == []
-    assert axis_parallel_lines(build_curve(5, 1, "x^2 - y^2")) == []
-    assert axis_parallel_lines(build_curve(3, 1, "y^2 + 2*x*y + 2*y + x")) == [
-        "y = 1"
-    ]
+    assert axis_parallel_lines(c) == ("x = 2", "y = 4")
+    assert axis_parallel_lines(build_curve(5, 1, "x*y - 1")) == ()
+    assert axis_parallel_lines(build_curve(5, 1, "x^2 - y^2")) == ()
+    assert axis_parallel_lines(build_curve(3, 1, "y^2 + 2*x*y + 2*y + x")) == (
+        "y = 1",
+    )
 
 
 def test_parse_curve_file_full():
@@ -343,7 +343,7 @@ def test_full_rows_and_columns_without_a_line():
     c = build_curve(3, 1, "x^3 - x + y^3 - y")
     scan = fibre_scan(c)
     assert scan.points.codes == tuple(itertools.product(range(3), repeat=2))
-    assert scan.lines == scan_reference.axis_lines(c) == []
+    assert scan.lines == scan_reference.axis_lines(c) == ()
     assert scan.singular.count == 0
 
 
@@ -360,7 +360,7 @@ def test_code_paths_decode_no_point(monkeypatch):
         (affine_points(c).codes, singular_points(c, 1).codes, axis_parallel_lines(c))
         for c in curves
     ]
-    assert [len(e[1]) for e in expected] == [1, 1, 0] and expected[0][2] == ["x = 2", "y = 4"]
+    assert [len(e[1]) for e in expected] == [1, 1, 0] and expected[0][2] == ("x = 2", "y = 4")
     report = cover.analyze(curves[-1])
     assert report.decision.exists_nonzero
     report_json = cli.report_json(report)

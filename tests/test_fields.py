@@ -6,7 +6,13 @@ import math
 import pytest
 
 from curvadd import CapExceeded, ContextMismatch, FqContext, FqElement, embed, fields, is_prime
-from curvadd.fields import _ppowmod, _row_roots, _vanishing_logs, code_tables
+from curvadd.fields import (
+    CodeTables,
+    _ppowmod,
+    _row_roots,
+    _vanishing_logs,
+    code_tables,
+)
 
 from conftest import CUSTOM_MODULI, odd_prime_powers, seeded_rng
 from field_reference import frobenius, trace
@@ -255,7 +261,8 @@ def test_eq_hash_contract_with_ints():
 
 
 def check_code_tables(ctx):
-    exp, log, zech = code_tables(ctx)
+    tables = code_tables(ctx)
+    exp, log, zech = tables.exp, tables.log, tables.zech
     q = ctx.order
     n = q - 1
     assert len(exp) == 2 * n and len(log) == q and len(zech) == n
@@ -329,7 +336,7 @@ def element_code_tables(ctx):
         log[code] = i
         cur = cur * gen
     zech = tuple(log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:n])
-    return tuple(exp), tuple(log), zech
+    return CodeTables(tuple(exp), tuple(log), zech)
 
 
 @pytest.mark.parametrize(
@@ -338,7 +345,7 @@ def element_code_tables(ctx):
 def test_code_tables_match_element_builder(p, k, modulus):
     ctx = FqContext(p, k, modulus)
     assert fields._first_primitive(ctx) == int(element_first_primitive(ctx))
-    assert tuple(code_tables(ctx)) == element_code_tables(ctx)
+    assert code_tables(ctx) == element_code_tables(ctx)
 
 
 def test_code_tables_build_without_element_products(monkeypatch):
@@ -439,7 +446,7 @@ def test_ppowmod_squares_no_more_than_the_exponent_needs(monkeypatch):
 def horner_roots(row, tables):
     """Roots of a row by trying every log, plus 0 iff the constant term
     is zero: the scan that rows of degree >= 3 still use."""
-    exp, _, zech = tables
+    exp, zech = tables.exp, tables.zech
     n = len(zech)
     if all(c is None for c in row):
         return list(range(n + 1))

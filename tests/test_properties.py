@@ -151,7 +151,7 @@ def reference_axis_lines(c):
             lines.append(f"x = {v!r}")
         if c.defining.substitute(1, v).is_zero():
             lines.append(f"y = {v!r}")
-    return lines
+    return tuple(lines)
 
 
 def reference_singular(c, points):
