@@ -31,9 +31,7 @@ from .caps import check_cap
 from .errors import Frozen, ParseError
 from .fields import (
     FqContext,
-    _dense_terms,
-    _digits,
-    _render_sum,
+    _code_str,
     _row_roots,
     _vanishing_logs,
     code_tables,
@@ -112,8 +110,8 @@ class FibreScan(Frozen):
 
 
 def _log_terms(f, log):
-    """The terms of f with each coefficient replaced by its log."""
-    return {exps: log[int(coeff)] for exps, coeff in f.terms.items()}
+    """The terms of f with each coefficient code replaced by its log."""
+    return {exps: log[code] for exps, code in f._terms}
 
 
 def _rows(terms, index, tables, codes):
@@ -161,11 +159,6 @@ def _vanishes(row, y, tables):
     if ly is None:
         return not row or row[-1] is None
     return bool(_vanishing_logs(row, (ly,), tables.zech))
-
-
-def _code_str(ctx, code):
-    """The element with this code as its repr prints it, unbuilt."""
-    return _render_sum(_dense_terms(_digits(code, ctx.p, ctx.k), "g"))
 
 
 def fibre_scan(c):

@@ -1,15 +1,17 @@
 """Exact arithmetic in prime fields F_p and extensions F_{p^k}.
 
-An element of F_{p^k} is a coefficient vector (c_0, ..., c_{k-1}) over
-F_p in the power basis 1, g, ..., g^{k-1}, where g is a root of a monic
-irreducible modulus polynomial of degree k over F_p.  Every operation is
-exact integer arithmetic; nothing here touches floating point.
+An element of F_{p^k} is held as its code, one int: the element
+c_0 + c_1 g + ... + c_{k-1} g^{k-1}, with g a root of a monic
+irreducible modulus polynomial of degree k over F_p, has the code
+sum(c_i * p^i).  The constants of F_p are their own codes, and the
+digits c_i are a view, decoded when arithmetic over F_{p^k} needs
+them.  Every operation is exact integer arithmetic; nothing here
+touches floating point.
 
 The modulus can be supplied explicitly (coefficients low to high,
 including the leading 1) or found deterministically: the search takes
 the monic irreducible polynomial whose non-leading coefficients form the
-smallest integer under the encoding sum(c_i * p^i).  For k = 1 the
-modulus is the polynomial g itself and elements are bare residues.
+smallest code.  For k = 1 the modulus is the polynomial g itself.
 
 Contexts and elements are immutable and hashable.  FqContext.coerce
 is the one rule for what belongs to a field: an int is its constant, an
@@ -21,6 +23,7 @@ declines an operand of an unrelated type with NotImplemented.
 """
 
 from functools import lru_cache, wraps
+from itertools import zip_longest
 from operator import index, mul
 
 from .caps import check_cap
@@ -134,6 +137,11 @@ def _render_sum(terms):
     return out or "0"
 
 
+def _code_str(ctx, code):
+    """The repr of the element with this code, without building it."""
+    return _render_sum(_dense_terms(_digits(code, ctx.p, ctx.k), "g"))
+
+
 def _dense_terms(coeffs, var):
     """The (coefficient text, monomial text) pairs of a dense polynomial
     in var with coefficients low to high, highest power first, zero
@@ -145,7 +153,9 @@ def _dense_terms(coeffs, var):
 
 def _digits(code, p, k):
     """The k base-p digits of an element code, low to high: the
-    coefficients of the element it encodes (see FqElement.__int__)."""
+    coefficients of the element it encodes (see FqElement)."""
+    if k == 1:
+        return (code,)
     out = []
     for _ in range(k):
         code, digit = divmod(code, p)
@@ -157,7 +167,8 @@ def _digits(code, p, k):
 # Coefficient-list polynomial helpers over F_p.  Lists are low-to-high
 # and trimmed; [] is the zero polynomial.  These are private plumbing
 # for modulus handling, element inversion and UniPoly's arithmetic over
-# prime fields (poly._PrimeFieldDomain).
+# prime fields (poly._PrimeFieldDomain); _mac and _convolve, on
+# unreduced ints, also serve Q and the digit vectors below.
 
 
 def _trim(c):
@@ -166,25 +177,29 @@ def _trim(c):
     return c
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _trim(out)
+def _mac(acc, a, b):
+    """Add the product of int lists a and b into acc, unreduced."""
+    for s, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b, s):
+                acc[t] += x * y
 
 
-def _pmul(a, b, p):
+def _convolve(a, b):
+    """The product of int lists a and b, unreduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] = (out[i + j] + av * bv) % p
-    return _trim(out)
+    _mac(out, a, b)
+    return out
+
+
+def _psub(a, b, p):
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _pmul(a, b, p):
+    return _trim([x % p for x in _convolve(a, b)])
 
 
 def _pdivmod(a, b, p):
@@ -209,11 +224,9 @@ def _pmod(a, b, p):
 
 
 def _pgcd(a, b, p):
+    """A gcd, not made monic: the irreducibility test reads its degree."""
     while b:
         a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [v * inv % p for v in a]
     return a
 
 
@@ -264,6 +277,50 @@ def _find_modulus(p, k):
         if _is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible modulus found for p={p}, k={k}")
+
+
+# ---------------------------------------------------------------------------
+# Digit vectors: the arithmetic of F_{p^k} on the k digits of a code,
+# low to high (_digits, _encode).  Products are summed unreduced (_mac)
+# and reduced by the monic modulus once (_vreduce).
+
+
+def _encode(digits, p):
+    """The code sum(d_i * p^i) of digits in [0, p), low to high."""
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d
+    return code
+
+
+def _vreduce(v, modulus, p):
+    """The k digits of sum(v_i g^i) for an int list v of any length,
+    entries unreduced: g^m, m >= k, folded down by the modulus from the
+    top.  Consumes v."""
+    k = len(modulus) - 1
+    for m in range(len(v) - 1, k - 1, -1):
+        c = v[m] % p
+        if c:
+            for i in range(k):
+                v[m - k + i] -= c * modulus[i]
+    return [x % p for x in v[:k]] + [0] * (k - len(v))
+
+
+def _vmul(a, b, modulus, p):
+    return _vreduce(_convolve(a, b), modulus, p)
+
+
+def _vinv(a, modulus, p):
+    """The digits of 1/a, a nonzero: the extended Euclid against the
+    modulus, whose gcd with a is a constant as it is irreducible."""
+    r0, r1 = list(modulus), _trim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+    inv_c = pow(r0[0], -1, p)
+    return _vreduce([v * inv_c for v in s0], modulus, p)
 
 
 # ---------------------------------------------------------------------------
@@ -332,82 +389,71 @@ class FqContext(Frozen):
             raise ValueError(
                 f"too many coefficients: {len(coeffs)} > k = {self.k}"
             )
-        coeffs.extend([0] * (self.k - len(coeffs)))
-        return FqElement(self, tuple(coeffs))
+        return FqElement(self, _encode(coeffs, self.p))
 
     def constant(self, c):
         """The image of the integer c under F_p -> F_{p^k}."""
-        return self.element([index(c)])
+        return FqElement(self, index(c) % self.p)
 
     def zero(self):
-        return self.element([])
+        return FqElement(self, 0)
 
     def one(self):
-        return self.element([1])
+        return FqElement(self, 1)
 
     def gen(self):
         """The generator g (root of the modulus).  Undefined for k = 1."""
         if self.k == 1:
             raise ValueError("F_p has no extension generator; g needs k >= 2")
-        return self.element([0, 1])
+        return FqElement(self, self.p)
 
     def decode(self, code):
-        """Inverse of int(element): base-p digits of code, low to high."""
+        """The element whose code is int(code) (see FqElement)."""
         code = index(code)
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} out of range [0, {self.order})")
-        return FqElement(self, _digits(code, self.p, self.k))
+        return FqElement(self, code)
 
     def elements(self):
         """All field elements in code order (0, 1, ..., p-1, g, 1+g, ...)."""
         check_cap(f"enumerating F_{self.p}^{self.k}", self.order)
         for code in range(self.order):
-            yield self.decode(code)
+            yield FqElement(self, code)
 
 
 class FqElement(Frozen):
-    """An element of an FqContext.  Immutable.
+    """An element of an FqContext, held as its code: a Frozen value
+    whose fields are ctx and code.  int(x) is the code, which defines
+    the canonical enumeration order, and coeffs is its digits.
 
     Integers coerce to constants on the prime subfield, so ``x + 1`` and
     ``3 * x`` work; comparison does not coerce, so ``x == 1`` is always
-    False (use ``x == ctx.one()``).  int(x) returns the code
-    sum(c_i * p^i), which also defines the canonical enumeration order.
+    False (use ``x == ctx.one()``).
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "code")
 
-    # The hot paths: construction stores the two slots through their
-    # descriptors (below the class), and equality and hashing read them
-    # directly, not through Frozen's attrgetter; equality compares the
-    # coefficients first, where elements differ.
-    def __init__(self, ctx, coeffs):
+    # the hot path: stores the slots through their descriptors (below)
+    def __init__(self, ctx, code):
         _set_ctx(self, ctx)
-        _set_coeffs(self, coeffs)
+        _set_code(self, code)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
-
-    # -- basic protocol ------------------------------------------------------
+    @property
+    def coeffs(self):
+        ctx = self.ctx
+        return _digits(self.code, ctx.p, ctx.k)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.code
 
     def __int__(self):
-        code = 0
-        for c in reversed(self.coeffs):
-            code = code * self.ctx.p + c
-        return code
+        return self.code
 
     def __repr__(self):
-        return _render_sum(_dense_terms(self.coeffs, "g"))
+        return _code_str(self.ctx, self.code)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -419,25 +465,23 @@ class FqElement(Frozen):
 
     @_coerced
     def __add__(self, other):
-        p = self.ctx.p
-        return FqElement(
-            self.ctx,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        ctx = self.ctx
+        if ctx.k == 1:
+            return FqElement(ctx, (self.code + other.code) % ctx.p)
+        pairs = zip(self.coeffs, other.coeffs)
+        return FqElement(ctx, _encode([(x + y) % ctx.p for x, y in pairs], ctx.p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ctx.p
-        return FqElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        if ctx.k == 1:
+            return FqElement(ctx, -self.code % ctx.p)
+        return FqElement(ctx, _encode([-d % ctx.p for d in self.coeffs], ctx.p))
 
     @_coerced
     def __sub__(self, other):
-        p = self.ctx.p
-        return FqElement(
-            self.ctx,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + -other
 
     @_coerced
     def __rsub__(self, other):
@@ -447,34 +491,18 @@ class FqElement(Frozen):
     def __mul__(self, other):
         ctx = self.ctx
         if ctx.k == 1:
-            return FqElement(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
-        prod = _pmul(list(self.coeffs), list(other.coeffs), ctx.p)
-        red = _pmod(prod, list(ctx.modulus), ctx.p)
-        red.extend([0] * (ctx.k - len(red)))
-        return FqElement(ctx, tuple(red))
+            return FqElement(ctx, self.code * other.code % ctx.p)
+        return FqElement(ctx, _encode(_vmul(self.coeffs, other.coeffs, ctx.modulus, ctx.p), ctx.p))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not any(self.coeffs):
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
         if ctx.k == 1:
-            return FqElement(ctx, (pow(self.coeffs[0], -1, ctx.p),))
-        # extended Euclid on coefficient polynomials
-        p = ctx.p
-        r0, r1 = list(ctx.modulus), _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        inv_c = pow(r0[0], -1, p)
-        out = [v * inv_c % p for v in s0]
-        out = _pmod(out, list(ctx.modulus), p)
-        out.extend([0] * (ctx.k - len(out)))
-        return FqElement(ctx, tuple(out))
+            return FqElement(ctx, pow(self.code, -1, ctx.p))
+        return FqElement(ctx, _encode(_vinv(self.coeffs, ctx.modulus, ctx.p), ctx.p))
 
     @_coerced
     def __truediv__(self, other):
@@ -492,7 +520,7 @@ class FqElement(Frozen):
 
 
 _set_ctx = FqElement.ctx.__set__
-_set_coeffs = FqElement.coeffs.__set__
+_set_code = FqElement.code.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +586,12 @@ def _first_primitive(ctx):
     raise RuntimeError(f"no primitive element in {ctx!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def code_tables(ctx):
     """The CodeTables of ctx, built on first use and cached per context
     (tuples, since every caller shares them): O(q) entries, so callers
-    check their caps before asking.
+    check their caps before asking.  Only the 32 contexts used last stay
+    cached, so the tables of every field a process met do not.
 
     Multiplying by the generator g is F_p-linear on coefficient
     vectors, so each power g^(i+1) is the k x k matrix of that map
@@ -581,12 +610,8 @@ def code_tables(ctx):
             log[code] = i
             code = code * gen % p
     else:
-        g, modulus = list(_digits(gen, p, k)), list(ctx.modulus)
-        columns = []
-        for j in range(k):
-            column = _pmod(_pmul(g, [0] * j + [1], p), modulus, p)
-            columns.append(column + [0] * (k - len(column)))
-        rows = list(zip(*columns))
+        g = list(_digits(gen, p, k))
+        rows = list(zip(*[_vreduce([0] * j + g, ctx.modulus, p) for j in range(k)]))
         weights = [p**i for i in range(k)]
         digits = [1] + [0] * (k - 1)
         for i in range(n):
@@ -690,11 +715,12 @@ def _row_roots(row, tables):
 # Embeddings between contexts over the same prime.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _embedding_root(src, dst):
     """First root (code order) of src's modulus inside dst, found by
     _row_roots on dst's code tables: the modulus's coefficients are F_p
-    constants, whose codes are themselves."""
+    constants, whose codes are themselves.  Cached for the 32 pairs
+    used last."""
     if src.p != dst.p:
         raise ContextMismatch(
             f"no embedding between characteristics {src.p} and {dst.p}"

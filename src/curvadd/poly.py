@@ -10,8 +10,8 @@ Three layers live here:
   coefficients in the domain's kernel form, and the domain runs the
   arithmetic on it: over QQ integer numerators over one common
   denominator (pseudo-division and the primitive remainder sequence),
-  over a prime field F_p residues mod p, over F_{p^k} with k >= 2 the
-  field elements themselves.  Fractions and FqElements appear only at
+  over a finite field the element codes, as int lists over F_p and as
+  digit vectors over F_{p^k}.  Fractions and FqElements appear only at
   the edges: the constructor packs them, coeffs, coeff and leading
   build them.
 * RationalFunction: quotients of UniPoly over the same domain, always
@@ -22,8 +22,8 @@ Three layers live here:
   need no gcd at all.
 * SparsePoly: sparse polynomials in x and y over a finite field
   context, the curve-defining polynomials.  Terms map exponent pairs
-  to nonzero coefficients; substituting a value for one variable gives
-  a UniPoly in the other.
+  to nonzero coefficient codes; substituting a value for one variable
+  gives a UniPoly in the other.
 
 All three take operands by the one rule of fields._coerced, and every
 field element they meet, operand or coefficient, goes through
@@ -50,6 +50,7 @@ character position of the offending input.
 
 import math
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -59,42 +60,37 @@ from .errors import ContextMismatch, Frozen, ParseError
 from .fields import (
     FqContext,
     FqElement,
+    _code_str,
     _coerced,
+    _convolve,
     _dense_terms,
+    _digits,
+    _encode,
+    _mac,
     _pdivmod,
-    _pgcd,
     _pmul,
     _power,
     _render_sum,
     _trim,
+    _vinv,
+    _vmul,
+    _vreduce,
 )
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
 # ---------------------------------------------------------------------------
-# Integer kernels.  Over QQ and over prime fields, UniPoly arithmetic
-# runs on Python ints, coefficients low to high: the helpers below over
-# Z, and the F_p list helpers of fields (_pmul, _pdivmod, _pgcd), which
-# also serve its modulus search and element inversion.
+# Integer kernels.  UniPoly arithmetic runs on Python ints, coefficients
+# low to high: the helpers below over Z, and the list and digit-vector
+# helpers of fields (_convolve, _pmul, _pdivmod, _mac, _vreduce), which
+# also serve its modulus search and element arithmetic.
 
 
 def _lincomb(a, sa, b, sb):
     """sa*a + sb*b for int lists a, b and int scalars sa, sb, unreduced
     and untrimmed."""
     return [sa * x + sb * y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _convolve(a, b):
-    """Product of two int lists, unreduced."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
 
 
 def _pseudo_divmod(a, b):
@@ -261,10 +257,11 @@ QQ = _RationalDomain()
 class _FieldDomain(Frozen):
     """A finite field context used as a coefficient domain.
 
-    This class runs the generic kernel: the form is the tuple of
-    FqElement coefficients itself, a kernel scalar is an FqElement, and
-    every coefficient step is one element operation.  field_domain
-    gives it to F_{p^k} with k >= 2.  A Frozen value whose fields are
+    The kernel form is the tuple of the coefficients' element codes,
+    and a kernel scalar is a code; only unpack and element build
+    FqElements.  The class runs the F_{p^k} kernel, which field_domain
+    gives to k >= 2: an operation decodes its operands to digit vectors
+    once and encodes its result once.  A Frozen value whose fields are
     the context and the form of 1; copy and pickle give back the cached
     field_domain(ctx).
     """
@@ -273,7 +270,7 @@ class _FieldDomain(Frozen):
 
     def __init__(self, ctx):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "one_form", self.pack((1,)))
+        object.__setattr__(self, "one_form", (1,))
 
     @property
     def zero(self):
@@ -287,75 +284,85 @@ class _FieldDomain(Frozen):
         return self.ctx.coerce(value)
 
     def pack(self, values):
-        cs = [self.coerce(v) for v in values]
-        while cs and not cs[-1]:
-            cs.pop()
-        return tuple(cs)
+        p = self.ctx.p
+        # an int is the constant it names, whose code is its residue
+        codes = [v % p if isinstance(v, int) else self.coerce(v).code for v in values]
+        return tuple(_trim(codes))
 
-    @staticmethod
-    def unpack(form):
-        return form
+    def unpack(self, form):
+        ctx = self.ctx
+        return tuple([FqElement(ctx, c) for c in form])
 
-    @staticmethod
-    def element(form, i):
-        return form[i]
+    def element(self, form, i):
+        return FqElement(self.ctx, form[i])
 
     length = staticmethod(len)
 
     @staticmethod
     def scalars(form):
-        return [c if c else None for c in form]
+        return [c or None for c in form]
 
-    def monic_scalar(self, form):
-        one = self.one
-        return None if form[-1] == one else one / form[-1]
+    def neg(self, a):
+        return self.scale(a, self.ctx.p - 1)  # the code of -1
 
-    def add(self, a, b):
-        out = [x + y for x, y in zip_longest(a, b, fillvalue=self.zero)]
-        while out and out[-1].is_zero():
-            out.pop()
-        return tuple(out)
-
-    @staticmethod
-    def neg(a):
-        return tuple([-c for c in a])
-
-    def mul(self, a, b):
-        if not a or not b:
-            return ()
-        zero = self.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return tuple(out)
-
-    @staticmethod
-    def scale(a, c):
-        return tuple([x * c for x in a]) if c else ()
-
-    def divmod(self, a, b):
-        zero = self.zero
-        rem = list(a)
-        db = len(b) - 1
-        inv_lead = self.one / b[-1]
-        q = [zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            factor = rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
-            q[shift] = factor
-            for i, y in enumerate(b):
-                rem[shift + i] = rem[shift + i] - factor * y
-            while rem and rem[-1] == zero:
-                rem.pop()
-        return tuple(q), tuple(rem)
+    def scale(self, a, c):
+        return self.mul(a, (c,))
 
     def gcd(self, a, b):
         while b:
             a, b = b, self.divmod(a, b)[1]
-        return self.scale(a, self.one / a[-1]) if a else ()
+        s = self.monic_scalar(a) if a else None
+        return a if s is None else self.scale(a, s)
+
+    # -- the F_{p^k} kernel ----------------------------------------------------
+
+    def _vectors(self, form):
+        p, k = self.ctx.p, self.ctx.k
+        return [_digits(c, p, k) for c in form]
+
+    def _codes(self, vectors):
+        """The form of int lists, each reduced by _vreduce."""
+        ctx = self.ctx
+        return tuple(_trim([_encode(_vreduce(v, ctx.modulus, ctx.p), ctx.p) for v in vectors]))
+
+    def monic_scalar(self, form):
+        ctx = self.ctx
+        if form[-1] == 1:
+            return None
+        return _encode(_vinv(_digits(form[-1], ctx.p, ctx.k), ctx.modulus, ctx.p), ctx.p)
+
+    def add(self, a, b):
+        zero = (0,) * self.ctx.k
+        pairs = zip_longest(self._vectors(a), self._vectors(b), fillvalue=zero)
+        return self._codes([list(map(operator.add, x, y)) for x, y in pairs])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        acc = [[0] * (2 * self.ctx.k - 1) for _ in range(len(a) + len(b) - 1)]
+        ys = self._vectors(b)
+        for i, x in enumerate(self._vectors(a)):
+            for j, y in enumerate(ys, i):
+                _mac(acc[j], x, y)
+        return self._codes(acc)
+
+    def divmod(self, a, b):
+        """Long division; the remainder's sums are reduced at its top."""
+        ctx = self.ctx
+        p, k, modulus = ctx.p, ctx.k, ctx.modulus
+        rem = [list(x) + [0] * (k - 1) for x in self._vectors(a)]
+        b = self._vectors(b)
+        inv_lead = _vinv(b[-1], modulus, p)
+        q = [0] * max(len(a) - len(b) + 1, 0)
+        for shift in range(len(q) - 1, -1, -1):
+            top = _vreduce(rem.pop(), modulus, p)
+            if any(top):
+                factor = _vmul(top, inv_lead, modulus, p)
+                q[shift] = _encode(factor, p)
+                minus = [-d for d in factor]
+                for i, y in enumerate(b[:-1], shift):
+                    _mac(rem[i], minus, y)
+        return tuple(q), self._codes(rem)
 
     def __reduce__(self):
         return field_domain, (self.ctx,)
@@ -365,29 +372,12 @@ class _FieldDomain(Frozen):
 
 
 class _PrimeFieldDomain(_FieldDomain):
-    """F_p as a coefficient domain.  The kernel form is a tuple of ints
-    in [0, p), and a kernel scalar is one such int.  Arithmetic runs on
-    int lists: one modular inverse per division, Euclid made monic at
-    the end.  Only unpack and element build FqElements.  Nothing is
-    tabulated, since p may be as large as MAX_PRIME."""
+    """F_p as a coefficient domain, where a code is a residue in
+    [0, p).  Arithmetic runs on int lists: one modular inverse per
+    division.  Nothing is tabulated, since p may be as large as
+    MAX_PRIME."""
 
     __slots__ = ()
-
-    def pack(self, values):
-        p = self.ctx.p
-        xs = [v % p if isinstance(v, int) else self.coerce(v).coeffs[0] for v in values]
-        return tuple(_trim(xs))
-
-    def unpack(self, form):
-        ctx = self.ctx
-        return tuple([FqElement(ctx, (x,)) for x in form])
-
-    def element(self, form, i):
-        return FqElement(self.ctx, (form[i],))
-
-    @staticmethod
-    def scalars(form):
-        return [x or None for x in form]
 
     def monic_scalar(self, form):
         return None if form[-1] == 1 else pow(form[-1], -1, self.ctx.p)
@@ -396,23 +386,16 @@ class _PrimeFieldDomain(_FieldDomain):
         p = self.ctx.p
         return tuple(_trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]))
 
-    def neg(self, a):
-        p = self.ctx.p
-        return tuple([-x % p for x in a])
-
     def mul(self, a, b):
         return tuple(_pmul(a, b, self.ctx.p))
 
     def scale(self, a, c):
         p = self.ctx.p
-        return tuple([x * c % p for x in a]) if c else ()
+        return tuple([x * c % p for x in a])
 
     def divmod(self, a, b):
         q, r = _pdivmod(list(a), b, self.ctx.p)
         return tuple(q), tuple(r)
-
-    def gcd(self, a, b):
-        return tuple(_pgcd(list(a), list(b), self.ctx.p))
 
 
 @lru_cache(maxsize=None)
@@ -793,9 +776,12 @@ def _check_index(index):
 class SparsePoly(Frozen):
     """Sparse polynomial in x and y over a finite field context.
 
-    terms maps exponent pairs (i, j), for x^i y^j, to nonzero FqElement
-    coefficients: a read-only view of the _terms field.  Immutable.
-    Display order is graded lexicographic, highest first.
+    The _terms field holds the nonzero terms as ((i, j), code) pairs,
+    for code * x^i y^j, sorted once in graded lexicographic order,
+    highest first: ints, which Frozen compares and hashes.  terms maps
+    exponent pairs to FqElement coefficients, read-only.  Arithmetic
+    runs on the digit vectors of the codes, decoded once per operation.
+    Immutable.
     """
 
     __slots__ = ("ctx", "_terms")
@@ -808,15 +794,30 @@ class SparsePoly(Frozen):
                 raise ValueError(f"exponent tuple {exps} needs 2 entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coeff = ctx.coerce(coeff)
-            if not coeff.is_zero():
-                clean[exps] = coeff
+            clean[exps] = ctx.coerce(coeff).code
+        self._store(ctx, clean.items())
+
+    def _store(self, ctx, terms):
+        terms = sorted([t for t in terms if t[1]], key=lambda t: (sum(t[0]), t[0]), reverse=True)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", tuple(terms))
+
+    @classmethod
+    def _of(cls, ctx, vectors):
+        """The polynomial of exponent pairs -> int lists, by _vreduce."""
+        self = object.__new__(cls)
+        p, modulus = ctx.p, ctx.modulus
+        self._store(ctx, [(e, _encode(_vreduce(v, modulus, p), p)) for e, v in vectors.items()])
+        return self
+
+    def _vectors(self):
+        """The terms as a dict from exponent pairs to digit vectors."""
+        p, k = self.ctx.p, self.ctx.k
+        return {e: _digits(c, p, k) for e, c in self._terms}
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType(dict(self.sorted_terms()))
 
     @classmethod
     def zero(cls, ctx):
@@ -833,25 +834,18 @@ class SparsePoly(Frozen):
 
     @property
     def total_degree(self):
-        if not self._terms:
-            return NEG_INF
-        return max(sum(e) for e in self._terms)
+        return sum(self._terms[0][0]) if self._terms else NEG_INF
 
     def degree_in(self, index):
-        if not self._terms:
-            return NEG_INF
-        return max(e[index] for e in self._terms)
+        return max((e[index] for e, _ in self._terms), default=NEG_INF)
 
     def is_zero(self):
         return not self._terms
 
     def sorted_terms(self):
-        """Terms in graded lexicographic order, highest first."""
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (sum(item[0]), item[0]),
-            reverse=True,
-        )
+        """The (exponent pair, FqElement) terms, graded lex, highest first."""
+        ctx = self.ctx
+        return [(e, FqElement(ctx, c)) for e, c in self._terms]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -867,15 +861,15 @@ class SparsePoly(Frozen):
 
     @_coerced
     def __add__(self, other):
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            out[exps] = out[exps] + coeff if exps in out else coeff
-        return SparsePoly(self.ctx, out)
+        out = self._vectors()
+        for e, v in other._vectors().items():
+            out[e] = list(map(operator.add, out[e], v)) if e in out else v
+        return SparsePoly._of(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.ctx, {e: -c for e, c in self._terms.items()})
+        return SparsePoly._of(self.ctx, {e: [-d for d in v] for e, v in self._vectors().items()})
 
     @_coerced
     def __sub__(self, other):
@@ -887,13 +881,13 @@ class SparsePoly(Frozen):
 
     @_coerced
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1])
-                c = c1 * c2
-                out[exps] = out[exps] + c if exps in out else c
-        return SparsePoly(self.ctx, out)
+        width = 2 * self.ctx.k - 1
+        out = defaultdict(lambda: [0] * width)
+        right = other._vectors().items()
+        for (i1, j1), x in self._vectors().items():
+            for (i2, j2), y in right:
+                _mac(out[i1 + i2, j1 + j2], x, y)
+        return SparsePoly._of(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -901,7 +895,7 @@ class SparsePoly(Frozen):
         e = operator.index(e)
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(SparsePoly.constant(self.ctx, 1), self, e)
+        return _power(SparsePoly._of(self.ctx, {(0, 0): [1]}), self, e)
 
     # -- evaluation and calculus ----------------------------------------------
 
@@ -909,14 +903,8 @@ class SparsePoly(Frozen):
         values = tuple(map(self.ctx.coerce, values))
         if len(values) != 2:
             raise ValueError(f"need 2 values, got {len(values)}")
-        acc = self.ctx.zero()
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            acc = acc + term
-        return acc
+        x, y = values
+        return sum((c * x**i * y**j for (i, j), c in self.sorted_terms()), self.ctx.zero())
 
     def substitute(self, index, value):
         """Plug a field element into one variable: a UniPoly in the
@@ -924,7 +912,7 @@ class SparsePoly(Frozen):
         _check_index(index)
         value = self.ctx.coerce(value)
         coeffs = [self.ctx.zero()] * (1 + max(self.degree_in(1 - index), -1))
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.sorted_terms():
             e, i = exps[index], exps[1 - index]
             coeffs[i] = coeffs[i] + (coeff * value**e if e else coeff)
         return UniPoly(field_domain(self.ctx), coeffs)
@@ -933,43 +921,31 @@ class SparsePoly(Frozen):
         """Formal partial derivative; char-p annihilation applies."""
         _check_index(index)
         out = {}
-        for exps, coeff in self._terms.items():
+        for exps, v in self._vectors().items():
             e = exps[index]
-            if e == 0:
-                continue
-            c = coeff * e  # exponent reduced mod p by element arithmetic
-            if c.is_zero():
-                continue
-            new = exps[:index] + (e - 1,) + exps[index + 1 :]
-            out[new] = c
-        return SparsePoly(self.ctx, out)
+            if e:
+                out[exps[:index] + (e - 1,) + exps[index + 1 :]] = [d * e for d in v]
+        return SparsePoly._of(self.ctx, out)
 
     def leading_form(self):
         """The top homogeneous part (terms of maximal total degree)."""
-        if not self._terms:
-            return self
         d = self.total_degree
-        return SparsePoly(
-            self.ctx, {e: c for e, c in self._terms.items() if sum(e) == d}
-        )
+        return SparsePoly(self.ctx, {e: c for e, c in self.sorted_terms() if sum(e) == d})
 
     # -- protocol ------------------------------------------------------------
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(self.sorted_terms())))
 
     def render(self):
         """Canonical text in the expression grammar; reparses to self."""
         return _render_sum(
             (
-                repr(coeff),
+                _code_str(self.ctx, code),
                 "*".join(
                     name if e == 1 else f"{name}^{e}"
                     for name, e in zip("xy", exps)
                     if e
                 ),
             )
-            for exps, coeff in self.sorted_terms()
+            for exps, code in self._terms
         )
 
     def __repr__(self):

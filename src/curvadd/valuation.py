@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from operator import index
 
 from .errors import ContextMismatch, Frozen, Inconsistent
@@ -64,8 +65,10 @@ def check_x_or_inverse(x):
 
 
 def padic_valuation(x, p):
-    """Exponent of the prime p in the rational x; INFINITY for 0.  p is
-    at most MAX_PRIME, the range where is_prime is a proof."""
+    """Exponent of the prime p in x, an int or a Fraction; INFINITY for
+    0.  p is at most MAX_PRIME, the range where is_prime is a proof."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"x must be an int or a Fraction, got {x!r}")
     p = index(p)
     if p > MAX_PRIME:
         raise ValueError(f"p too large: {p} > {MAX_PRIME}")

@@ -330,13 +330,16 @@ def test_records_refuse_missing_or_unknown_arguments(build):
 
 def _cross_type_values():
     """Constants of each value type over Q, F_3, F_5 and F_9, the ints
-    and Fractions they could be taken to stand for, and the fields of a
-    scan and of code tables as plain tuples."""
+    and Fractions they could be taken to stand for, the fields of a
+    scan and of code tables as plain tuples, and one SparsePoly built
+    from the same terms in two dict orders."""
     f9 = FqContext(3, 2)
     scan = fibre_scan(Curve(parse_bipoly("x^2 + y^2 - 1", f9)))
     tables = code_tables(f9)
     out = [0, 1, 2, -1, Fraction(1, 2), Fraction(2), True, False]
     out += [(scan.points, scan.singular, scan.lines), (tables.exp, tables.log, tables.zech)]
+    terms = {(2, 0): 1, (0, 1): f9.gen(), (1, 1): 2, (0, 0): f9.decode(5)}
+    out += [SparsePoly(f9, terms), SparsePoly(f9, dict(reversed(terms.items())))]
     for ctx in (FqContext(3), FqContext(5), FqContext(3, 2)):
         domain = field_domain(ctx)
         for c in (0, 1, 2):
@@ -385,6 +388,8 @@ NON_INTEGRAL = {
     "SparsePoly exponent 1.5": lambda: SparsePoly(FqContext(7), {(1.5, 0): 1}),
     "SparsePoly exponent '2'": lambda: SparsePoly(FqContext(7), {("2", 0): 1}),
     "padic_valuation p": lambda: padic_valuation(12, 2.9),
+    "padic_valuation x 0.1": lambda: padic_valuation(0.1, 5),
+    "padic_valuation x inf": lambda: padic_valuation(float("inf"), 2),
     "verify_valuation_axioms": lambda: verify_valuation_axioms(2.5),
     "zero_forcing_inequality d": lambda: zero_forcing_inequality(5, 1, 2.5),
     "zero_forcing_by_count m": lambda: zero_forcing_by_count(4.5, 2, 5, 1),

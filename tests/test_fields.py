@@ -308,6 +308,15 @@ def test_code_tables_non_default_modulus(p, k, modulus):
     assert code_tables(ctx) != code_tables(FqContext(p, k))
 
 
+def test_code_tables_cache_is_bounded():
+    # O(q) tables per field: the cache keeps the 32 fields used last
+    for p, k in FIELDS_TO_2_10[:33]:
+        code_tables(FqContext(p, k))
+    info = code_tables.cache_info()
+    assert info.maxsize == 32 and info.currsize <= 32
+    assert fields._embedding_root.cache_info().maxsize == 32
+
+
 def element_first_primitive(ctx):
     """The generator search on element powers, as code_tables did it
     before it moved to coefficient lists."""

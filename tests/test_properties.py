@@ -25,14 +25,15 @@ reference builds the unreduced numerator and denominator and reduces
 them with the full gcd of the public constructor.  Operands over Q,
 F_3, F_5 and F_9 share a denominator factor in most draws.
 
-UniPoly arithmetic runs on int lists over Q and prime fields; it must
-match the element loops of unipoly_reference.py result for result,
-over Q with heights up to 10^6, F_3, F_5, F_7, F_(2^61 - 1), and F_9
-under a non-default modulus (the generic loop, as a control).  Every
-kernel result must repack from its coefficients to an equal polynomial
-with an equal hash, and over Q its stored form must be canonical.
-RationalFunction arithmetic over Q and F_p must build no Fraction and
-no FqElement once its operands exist.
+UniPoly arithmetic runs on int lists over Q and prime fields and on
+digit vectors over F_{p^k}; it must match the element loops of
+unipoly_reference.py result for result, over Q with heights up to
+10^6, F_3, F_5, F_7, F_(2^61 - 1), F_9 under a non-default modulus
+and F_27.  Every kernel result must repack from its coefficients to
+an equal polynomial with an equal hash, and its stored form must be
+canonical.  RationalFunction arithmetic over every one of these
+domains, and SparsePoly arithmetic over F_9, must build no Fraction
+and no FqElement once the operands exist.
 
 Runs are derandomized, so the suite stays deterministic.
 """
@@ -331,8 +332,10 @@ KERNEL_DOMAINS = (
     field_domain(FqContext(5)),
     field_domain(FqContext(7)),
     field_domain(FqContext(2**61 - 1)),
-    # the generic element loop, untouched by the integer kernels
+    # the F_{p^k} kernel on digit vectors, under a non-default modulus
+    # and under the default one
     field_domain(FqContext(*CUSTOM_MODULI[0])),
+    field_domain(FqContext(3, 3)),
 )
 HEIGHT = 10**6
 
@@ -398,11 +401,9 @@ def assert_canonical_form(x):
     if domain == QQ:
         nums, den = x._form
         assert den > 0 and math.gcd(den, *nums) == 1
-    elif domain.ctx.k == 1:
-        nums = x._form
-        assert all(0 <= v < domain.ctx.p for v in nums)
     else:
-        return
+        nums = x._form
+        assert all(0 <= v < domain.ctx.order for v in nums)
     assert not nums or nums[-1] != 0
 
 
@@ -444,7 +445,7 @@ def rational_results(x, y, P):
     )
 
 
-@pytest.mark.parametrize("domain", KERNEL_DOMAINS[:-1], ids=repr)
+@pytest.mark.parametrize("domain", KERNEL_DOMAINS, ids=repr)
 def test_rational_function_arithmetic_builds_no_coefficients(domain, monkeypatch):
     cases = sample_pairs(domain, random.Random(12), 20)
     want = [rational_results(*case) for case in cases]
@@ -459,3 +460,27 @@ def test_rational_function_arithmetic_builds_no_coefficients(domain, monkeypatch
     got = [rational_results(*case) for case in cases]
     monkeypatch.undo()
     assert got == want
+
+
+def test_sparse_poly_arithmetic_builds_no_elements(monkeypatch):
+    ctx = FqContext(3, 2)
+    f = parse_bipoly("(x + g*y + 1)^3 - g*x*y^2 + 2", ctx)
+    h = parse_bipoly("g*x^2 - y + x*y", ctx)
+
+    def results():
+        return f + h, f - h, -f, f * h, h**4, f.partial(0), f.partial(1), h.partial(0)
+
+    want = results()
+
+    def built(*args, **kwargs):
+        raise AssertionError("an FqElement was built")
+
+    monkeypatch.setattr(poly, "FqElement", built)
+    monkeypatch.setattr(FqElement, "__init__", built)
+    got = results()
+    monkeypatch.undo()
+    assert got == want
+    # and the code arithmetic agrees with element arithmetic pointwise
+    for pt in itertools.product(ctx.elements(), repeat=2):
+        fv, hv = f.evaluate(pt), h.evaluate(pt)
+        assert [r.evaluate(pt) for r in want[:5]] == [fv + hv, fv - hv, -fv, fv * hv, hv**4]

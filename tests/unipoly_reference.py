@@ -1,13 +1,14 @@
-"""UniPoly's element loops, kept as the reference for the integer
-kernels under UniPoly.
+"""UniPoly's element loops, kept as the reference for the kernels under
+UniPoly over every domain.
 
-Over QQ and prime fields, UniPoly runs its arithmetic on plain int
-lists (poly._RationalDomain, poly._PrimeFieldDomain).  The functions
-here are the loops it ran before: one Fraction or FqElement operation
-per coefficient step, every result built through the public, coercing
-UniPoly constructor, and evaluation by Horner's rule.  The kernels must
-return exactly the same polynomials and values, since canonical forms
-are unique.
+UniPoly runs its arithmetic on plain int lists over Q and prime fields
+(poly._RationalDomain, poly._PrimeFieldDomain) and on the digit
+vectors of element codes over F_{p^k} (poly._FieldDomain).  The
+functions here are the loops it ran before: one Fraction or FqElement
+operation per coefficient step, every result built through the public,
+coercing UniPoly constructor, and evaluation by Horner's rule.  The
+kernels must return exactly the same polynomials and values, since
+canonical forms are unique.
 """
 
 from curvadd.poly import UniPoly
