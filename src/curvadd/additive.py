@@ -78,7 +78,11 @@ class Subspace(Frozen):
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx, rows):
-        canon, _ = rref_mod_p([list(r) for r in rows], ctx.p)
+        rows = [list(r) for r in rows]
+        for r in rows:
+            if len(r) != ctx.k:
+                raise ValueError(f"need k = {ctx.k} coordinates per row, got {len(r)}")
+        canon, _ = rref_mod_p(rows, ctx.p)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in canon))
 

@@ -53,8 +53,8 @@ from .caps import check_cap, effective_cap
 from .errors import ContextMismatch, Frozen, Inconsistent
 from .curve import (
     PointSet,
+    _hw_window,
     fibre_scan,
-    hasse_weil_window,
     points_at_infinity_count,
     singular_points,
     singular_scan_steps,
@@ -563,7 +563,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
     scan = fibre_scan(c)
     points = scan.points
     inf_count = points_at_infinity_count(c)
-    hw = hasse_weil_window(c, affine_count=points.count, infinity_count=inf_count)
+    hw = _hw_window(c, points.count, inf_count)
 
     ext_used = _feasible_singular_ext(ctx, requested_ext)
     if ext_used == 1:

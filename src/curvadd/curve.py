@@ -34,6 +34,7 @@ from .fields import (
     _code_str,
     _row_roots,
     _vanishing_logs,
+    check_pk,
     code_tables,
     embed,
 )
@@ -79,10 +80,18 @@ class PointSet(Frozen):
     codes holds each point as its pair of element codes
     (int(x), int(y)), in increasing order; iteration decodes the pairs
     to FqElements of ctx one at a time.  Consumers that count, compare
-    or print codes read codes and build no element."""
+    or print codes read codes and build no element.  A code outside
+    [0, q) raises ValueError."""
 
     ctx: FqContext = None
     codes: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        q = 0 if self.ctx is None else self.ctx.order
+        for x, y in self.codes:
+            if not (0 <= x < q and 0 <= y < q):
+                raise ValueError(f"point code pair {(x, y)} out of range [0, {q})")
 
     @property
     def count(self):
@@ -161,6 +170,12 @@ def _vanishes(row, y, tables):
     return bool(_vanishing_logs(row, (ly,), tables.zech))
 
 
+def _check_affine_scan(p, k):
+    """Refuse the affine scan over F_{p^k}, whose cap counts its
+    q^2 = p^(2k) pairs, when they pass the cap in force."""
+    check_cap("affine point scan", p ** (2 * k))
+
+
 def fibre_scan(c):
     """One pass over the rows f(x, .) of c, x in code order, on code
     logs throughout; it decodes no point.
@@ -184,7 +199,7 @@ def fibre_scan(c):
     """
     ctx = c.ctx
     q, p = ctx.order, ctx.p
-    check_cap("affine point scan", q**2)
+    _check_affine_scan(p, ctx.k)
     tables = code_tables(ctx)
     log = tables.log
     terms = _log_terms(c.defining, log)
@@ -373,28 +388,14 @@ class HWWindow(Frozen):
     verdict: str
 
 
-def hasse_weil_window(c, affine_count=None, infinity_count=None):
-    """Exact window check for N = affine count + infinity count.
+def hasse_weil_window(c):
+    """Exact window check for N = affine count + infinity count, both
+    counted here."""
+    return _hw_window(c, affine_points(c).count, points_at_infinity_count(c))
 
-    Counts are enumerated unless supplied by the caller (analyze passes
-    them in to avoid re-scanning); a supplied count goes through
-    operator.index and must be >= 0.
-    """
-    given = []
-    for name, count in (
-        ("affine_count", affine_count),
-        ("infinity_count", infinity_count),
-    ):
-        if count is not None:
-            count = operator.index(count)
-            if count < 0:
-                raise ValueError(f"{name} must be >= 0, got {count}")
-        given.append(count)
-    affine_count, infinity_count = given
-    if affine_count is None:
-        affine_count = affine_points(c).count
-    if infinity_count is None:
-        infinity_count = points_at_infinity_count(c)
+
+def _hw_window(c, affine_count, infinity_count):
+    """The HWWindow of c for counts already taken (analyze has them)."""
     q = c.ctx.order
     d = c.degree
     g_bound = (d - 1) * (d - 2) // 2
@@ -444,7 +445,10 @@ _BOOL_KEYS = ("assert_smooth", "assert_abs_irreducible")
 
 
 def parse_curve_file(text):
-    """Parse the line-oriented curve file format into a Curve."""
+    """Parse the line-oriented curve file format into a Curve.  The
+    affine scan, where analyze and search start, has its cap checked on
+    p and k before the field is built: the default modulus search alone
+    takes seconds from k = 300 on."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -497,7 +501,8 @@ def parse_curve_file(text):
             raise ParseError(f"line {lineno}: {key} must be true or false")
         flags[key] = raw == "true"
 
-    ctx = FqContext(p, k, modulus)  # ValueError on bad field parameters
+    _check_affine_scan(*check_pk(p, k))  # ValueError on bad p or k
+    ctx = FqContext(p, k, modulus)  # ValueError on a bad modulus
     defining = parse_bipoly(values["f"][1], ctx)
     if defining.is_zero() or defining.total_degree < 1:
         raise ParseError("f must be a nonconstant polynomial")

@@ -29,10 +29,16 @@ class ParseError(CurvaddError, ValueError):
 
 
 class CapExceeded(CurvaddError, RuntimeError):
-    """An enumeration would exceed its cap; nothing was computed."""
+    """An enumeration would exceed its cap; nothing was computed.  A
+    count past Python's int string-conversion limit is printed as the
+    power of ten it exceeds (log10 2 > 0.30102)."""
 
     def __init__(self, what, needed, cap):
-        super().__init__(f"{what} needs {needed} steps, cap is {cap}")
+        try:
+            count = str(needed)
+        except ValueError:
+            count = f"more than 10^{(needed.bit_length() - 1) * 30102 // 100000}"
+        super().__init__(f"{what} needs {count} steps, cap is {cap}")
         self.what = what
         self.needed = needed
         self.cap = cap

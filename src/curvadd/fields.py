@@ -19,7 +19,10 @@ element of an equal context is itself, one of another context raises
 ContextMismatch rather than guessing an embedding, and anything else is
 a TypeError.  Every binary operator of FqElement, and of UniPoly,
 RationalFunction and SparsePoly in poly, goes through _coerced, which
-declines an operand of an unrelated type with NotImplemented.
+declines an operand of an unrelated type with NotImplemented.  Each of
+the four defines +, unary -, * and, for FqElement and RationalFunction,
+inverse(); the operators derived from those are written once, in
+_RingOps and _FieldOps.
 """
 
 from functools import lru_cache, wraps
@@ -81,20 +84,6 @@ def check_pk(p, k):
     return p, k
 
 
-def _power(one, base, e):
-    """base**e for an int e >= 0 by square-and-multiply, starting from
-    `one`; the base is not squared after the last exponent bit.  Field
-    elements and both polynomial classes share it."""
-    result = one
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
 def _coerced(op):
     """The operand rule of every binary operator of the value types:
     the operand goes through the type's _coerce first, and an operand
@@ -111,6 +100,66 @@ def _coerced(op):
         return op(self, other)
 
     return method
+
+
+class _RingOps:
+    """The operators a ring's value type derives from its own _coerce,
+    __add__, __neg__, __mul__ and _one (the value 1): reflected sums and
+    products, and differences both ways round.  A reflected operator
+    calls the type's own dunder, not the operator, which would hand a
+    pair of types that decline each other back and forth until
+    RecursionError instead of TypeError."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    @_coerced
+    def __sub__(self, other):
+        return self + -other
+
+    @_coerced
+    def __rsub__(self, other):
+        return other - self
+
+    def __pow__(self, e):
+        """self**e for an int e >= 0 by square-and-multiply; the base is
+        not squared after the last exponent bit."""
+        e = index(e)
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        result, base = self._one(), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+
+class _FieldOps(_RingOps):
+    """_RingOps for a field's value type, which adds inverse():
+    quotients both ways round, and a negative power as a power of the
+    inverse."""
+
+    __slots__ = ()
+
+    @_coerced
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    @_coerced
+    def __rtruediv__(self, other):
+        return other * self.inverse()
+
+    def __pow__(self, e):
+        e = index(e)
+        return self.inverse() ** -e if e < 0 else super().__pow__(e)
 
 
 def _render_sum(terms):
@@ -421,7 +470,7 @@ class FqContext(Frozen):
             yield FqElement(self, code)
 
 
-class FqElement(Frozen):
+class FqElement(Frozen, _FieldOps):
     """An element of an FqContext, held as its code: a Frozen value
     whose fields are ctx and code.  int(x) is the code, which defines
     the canonical enumeration order, and coeffs is its digits.
@@ -471,21 +520,11 @@ class FqElement(Frozen):
         pairs = zip(self.coeffs, other.coeffs)
         return FqElement(ctx, _encode([(x + y) % ctx.p for x, y in pairs], ctx.p))
 
-    __radd__ = __add__
-
     def __neg__(self):
         ctx = self.ctx
         if ctx.k == 1:
             return FqElement(ctx, -self.code % ctx.p)
         return FqElement(ctx, _encode([-d % ctx.p for d in self.coeffs], ctx.p))
-
-    @_coerced
-    def __sub__(self, other):
-        return self + -other
-
-    @_coerced
-    def __rsub__(self, other):
-        return other - self
 
     @_coerced
     def __mul__(self, other):
@@ -494,7 +533,8 @@ class FqElement(Frozen):
             return FqElement(ctx, self.code * other.code % ctx.p)
         return FqElement(ctx, _encode(_vmul(self.coeffs, other.coeffs, ctx.modulus, ctx.p), ctx.p))
 
-    __rmul__ = __mul__
+    def _one(self):
+        return self.ctx.one()
 
     def inverse(self):
         if not self.code:
@@ -503,20 +543,6 @@ class FqElement(Frozen):
         if ctx.k == 1:
             return FqElement(ctx, pow(self.code, -1, ctx.p))
         return FqElement(ctx, _encode(_vinv(self.coeffs, ctx.modulus, ctx.p), ctx.p))
-
-    @_coerced
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    @_coerced
-    def __rtruediv__(self, other):
-        return other * self.inverse()
-
-    def __pow__(self, e):
-        e = index(e)
-        if e < 0:
-            return self.inverse() ** (-e)
-        return _power(self.ctx.one(), self, e)
 
 
 _set_ctx = FqElement.ctx.__set__

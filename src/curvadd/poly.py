@@ -25,7 +25,11 @@ Three layers live here:
   to nonzero coefficient codes; substituting a value for one variable
   gives a UniPoly in the other.
 
-All three take operands by the one rule of fields._coerced, and every
+All three take operands by the one rule of fields._coerced, and take
+their derived operators (subtraction, reflected + and *, powers, the
+quotients of RationalFunction) from fields._RingOps and _FieldOps;
+UniPoly's quotient builds a RationalFunction, RationalFunction**e is
+num**e / den**e, and SparsePoly has no quotient.  Every
 field element they meet, operand or coefficient, goes through
 FqContext.coerce: an int is a constant, an unrelated operand is declined
 with NotImplemented, and an element or value of their own kind over
@@ -60,6 +64,8 @@ from .errors import ContextMismatch, Frozen, ParseError
 from .fields import (
     FqContext,
     FqElement,
+    _FieldOps,
+    _RingOps,
     _code_str,
     _coerced,
     _convolve,
@@ -69,7 +75,6 @@ from .fields import (
     _mac,
     _pdivmod,
     _pmul,
-    _power,
     _render_sum,
     _trim,
     _vinv,
@@ -410,7 +415,7 @@ def field_domain(ctx):
 # ---------------------------------------------------------------------------
 
 
-class UniPoly(Frozen):
+class UniPoly(Frozen, _RingOps):
     """Univariate polynomial over a domain; coefficients low to high.
 
     Immutable.  The coefficients are held once, in the domain's kernel
@@ -488,33 +493,18 @@ class UniPoly(Frozen):
     def __add__(self, other):
         return UniPoly._trusted(self.domain, self.domain.add(self._form, other._form))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly._trusted(self.domain, self.domain.neg(self._form))
-
-    @_coerced
-    def __sub__(self, other):
-        return self + (-other)
-
-    @_coerced
-    def __rsub__(self, other):
-        return other - self
 
     @_coerced
     def __mul__(self, other):
         return UniPoly._trusted(self.domain, self.domain.mul(self._form, other._form))
 
-    __rmul__ = __mul__
+    def _one(self):
+        return UniPoly.one(self.domain)
 
     def scale(self, c):
         return self * UniPoly(self.domain, (c,))
-
-    def __pow__(self, e):
-        e = operator.index(e)
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(UniPoly.one(self.domain), self, e)
 
     @_coerced
     def __truediv__(self, other):
@@ -604,7 +594,7 @@ def _nontrivial_gcd(a, b):
     return None if g.degree == 0 else g
 
 
-class RationalFunction(Frozen):
+class RationalFunction(Frozen, _FieldOps):
     """Quotient of two UniPoly over one domain, canonical form.
 
     Invariants: den != 0, gcd(num, den) = 1, den monic; the zero
@@ -707,18 +697,8 @@ class RationalFunction(Frozen):
             t, d = t // g2, d // g2
         return RationalFunction._coprime(t, b_g * d)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunction._coprime(-self.num, self.den)
-
-    @_coerced
-    def __sub__(self, other):
-        return self + (-other)
-
-    @_coerced
-    def __rsub__(self, other):
-        return other - self
 
     @_coerced
     def __mul__(self, other):
@@ -733,20 +713,10 @@ class RationalFunction(Frozen):
             c, b = c // g2, b // g2
         return RationalFunction._coprime(a * c, b * d)
 
-    __rmul__ = __mul__
-
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero rational function")
         return RationalFunction._coprime(self.den, self.num)
-
-    @_coerced
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    @_coerced
-    def __rtruediv__(self, other):
-        return other * self.inverse()
 
     def __pow__(self, e):
         e = operator.index(e)
@@ -773,7 +743,7 @@ def _check_index(index):
         raise ValueError(f"variable index {index} out of range")
 
 
-class SparsePoly(Frozen):
+class SparsePoly(Frozen, _RingOps):
     """Sparse polynomial in x and y over a finite field context.
 
     The _terms field holds the nonzero terms as ((i, j), code) pairs,
@@ -866,18 +836,8 @@ class SparsePoly(Frozen):
             out[e] = list(map(operator.add, out[e], v)) if e in out else v
         return SparsePoly._of(self.ctx, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SparsePoly._of(self.ctx, {e: [-d for d in v] for e, v in self._vectors().items()})
-
-    @_coerced
-    def __sub__(self, other):
-        return self + (-other)
-
-    @_coerced
-    def __rsub__(self, other):
-        return other - self
 
     @_coerced
     def __mul__(self, other):
@@ -889,13 +849,8 @@ class SparsePoly(Frozen):
                 _mac(out[i1 + i2, j1 + j2], x, y)
         return SparsePoly._of(self.ctx, out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        e = operator.index(e)
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(SparsePoly._of(self.ctx, {(0, 0): [1]}), self, e)
+    def _one(self):
+        return SparsePoly._of(self.ctx, {(0, 0): [1]})
 
     # -- evaluation and calculus ----------------------------------------------
 

@@ -26,6 +26,7 @@ from curvadd import (
     PointSet,
     RationalFunction,
     SparsePoly,
+    Subspace,
     UniPoly,
     affine_points,
     analyze,
@@ -33,7 +34,6 @@ from curvadd import (
     decide_by_hyperplanes,
     ext2_family_check,
     field_domain,
-    hasse_weil_window,
     padic_valuation,
     parse_bipoly,
     singular_points,
@@ -394,10 +394,6 @@ NON_INTEGRAL = {
     "zero_forcing_inequality d": lambda: zero_forcing_inequality(5, 1, 2.5),
     "zero_forcing_by_count m": lambda: zero_forcing_by_count(4.5, 2, 5, 1),
     "conjectural_by_count d": lambda: conjectural_by_count(4, 2.0, 5, 1),
-    "hasse_weil_window affine_count": lambda: hasse_weil_window(
-        _hyperbola_f7(), affine_count=6.5),
-    "hasse_weil_window infinity_count": lambda: hasse_weil_window(
-        _hyperbola_f7(), infinity_count=Fraction(2)),
     "singular_points ext": lambda: singular_points(_hyperbola_f7(), 2.5),
     "analyze singular_ext": lambda: analyze(_hyperbola_f7(), singular_ext=1.5),
 }
@@ -405,6 +401,9 @@ NON_INTEGRAL = {
 
 def _hyperbola_f7():
     return Curve(parse_bipoly("x*y - 1", FqContext(7)))
+
+
+_F9 = FqContext(3, 2)
 
 
 @pytest.mark.parametrize("call", NON_INTEGRAL.values(), ids=NON_INTEGRAL)
@@ -453,15 +452,21 @@ REFUSALS = {
         lambda: conjectural_by_count(4, 0, 3, 1), ValueError, "d must be >= 1, got 0"),
     "conjectural_by_count m": (
         lambda: conjectural_by_count(-1, 2, 3, 1), ValueError, "m must be >= 0, got -1"),
-    "hasse_weil_window affine_count": (
-        lambda: hasse_weil_window(_hyperbola_f7(), affine_count=-3), ValueError,
-        "affine_count must be >= 0, got -3"),
-    "hasse_weil_window infinity_count": (
-        lambda: hasse_weil_window(_hyperbola_f7(), 6, -1), ValueError,
-        "infinity_count must be >= 0, got -1"),
     "points of another field": (
         lambda: decide_by_hyperplanes(affine_points(_hyperbola_f7()), FqContext(5)),
         ContextMismatch, "point from a different context"),
+    # the deciders took these for points, and verify_witness read 99 as 0
+    "PointSet code q": (
+        lambda: PointSet(_F9, ((9, 0), (0, 10))), ValueError,
+        "point code pair (9, 0) out of range [0, 9)"),
+    "PointSet code -1": (
+        lambda: PointSet(_F9, ((-1, -1),)), ValueError,
+        "point code pair (-1, -1) out of range [0, 9)"),
+    "PointSet code 99": (
+        lambda: PointSet(_F9, ((1, 99),)), ValueError,
+        "point code pair (1, 99) out of range [0, 9)"),
+    "Subspace row width": (
+        lambda: Subspace(_F9, [[1, 0, 0]]), ValueError, "need k = 2 coordinates per row, got 3"),
     "composition across domains": (
         lambda: UniPoly.variable(field_domain(FqContext(5)))(
             RationalFunction(UniPoly.variable(field_domain(FqContext(7))))),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvadd import LinearizedMap, claims, cli, cover
+from curvadd import LinearizedMap, claims, cli, cover, fields
 from curvadd.cli import main
 
 HYPERBOLA_F7 = "p = 7\nk = 1\nf = x*y - 1\n"
@@ -175,6 +175,27 @@ def test_analyze_cap_exit_2(tmp_path, capsys, monkeypatch):
     path = write_curve(tmp_path, HYPERBOLA_F7)
     assert main(["analyze", "--curve", path]) == 2
     assert "cap" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command", ["analyze", "search"])
+def test_a_curve_file_past_the_cap_is_refused_before_its_field_is_built(
+        tmp_path, capsys, monkeypatch, command):
+    def no_modulus_search(*args):
+        raise AssertionError("the field was built before the refusal")
+
+    # the default modulus search of F_3^1000 alone would take minutes
+    monkeypatch.setattr(fields, "_is_irreducible", no_modulus_search)
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
+    path = write_curve(tmp_path, "p = 3\nk = 1000\nf = x*y - 1\n")
+    assert main([command, "--curve", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: affine point scan needs {3**2000} steps, cap is {1 << 20}\n"
+    # 3^20000 has more digits than Python converts to a string
+    path = write_curve(tmp_path, "p = 3\nk = 10000\nf = x*y - 1\n")
+    assert main([command, "--curve", path]) == 2
+    err = capsys.readouterr().err
+    assert "affine point scan needs more than 10^" in err and "cap is" in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

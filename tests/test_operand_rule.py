@@ -6,8 +6,12 @@ of every binary operator through fields._coerced: an int is the
 constant it names, an operand of an unrelated type is declined with
 NotImplemented (so the operator itself raises TypeError), and an
 operand of the same type over another context or domain, or an element
-of another field, raises ContextMismatch.  The exponent of ** is an
-int, not an operand, so __pow__ is not covered here.
+of another field, raises ContextMismatch.  Their reflected sums and
+products, differences and quotients come from the two bases in fields,
+fields._RingOps and fields._FieldOps, so two of these types that
+decline each other end in TypeError in either order, not in a
+RecursionError of reflected calls.  The exponent of ** is an int, not
+an operand, so __pow__ is not covered here.
 
 FqContext.coerce decides what every field element the package takes
 stands for, also the coefficients of SparsePoly and LinearizedMap and
@@ -131,6 +135,20 @@ def test_unrelated_operand_is_declined(label, value, const, others):
         assert getattr(value, name)(stranger) is NotImplemented, name
         with pytest.raises(TypeError):
             op(stranger, value) if reflected else op(value, stranger)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [UniPoly.variable(field_domain(F5)), RationalFunction.variable(field_domain(F5))],
+    ids=["UniPoly", "RationalFunction"],
+)
+def test_types_that_decline_each_other_raise_type_error(other):
+    sparse = parse_bipoly("x + y", F5)
+    for name, op, reflected in OPERATORS:
+        if not reflected:
+            for left, right in ((sparse, other), (other, sparse)):
+                with pytest.raises(TypeError):
+                    op(left, right)
 
 
 @pytest.mark.parametrize("label,value,const,others", CASES, ids=IDS)
