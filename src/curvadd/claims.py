@@ -88,21 +88,20 @@ def identity_defeater(codes):
     return next((pt for pt in codes if pt[0] and pt[1]), None)
 
 
-def claim_flags(curve, points, decision, singular=None):
+def claim_flags(curve, points, decision, singular):
     """Discrepancy notices comparing the computation to the claims;
     points and singular are PointSets, read as codes."""
     claim = claim_for_curve(curve)
     if claim is None:
         return []
     flags = []
-    computed_codes = points.codes
     if points.count != claim.claimed_count:
         flags.append(
             f"{claim.label}: paper claims {claim.claimed_count} affine "
             f"points; exhaustive enumeration finds {points.count}"
         )
     claimed = set(claim.claimed_point_codes)
-    computed = set(computed_codes)
+    computed = set(points.codes)
     for pt in sorted(claimed - computed):
         flags.append(
             f"{claim.label}: claimed point {pt} is not on the curve"
@@ -113,7 +112,7 @@ def claim_flags(curve, points, decision, singular=None):
             "from the paper's list"
         )
     if claim.claims_identity_witness:
-        defeating = identity_defeater(computed_codes)
+        defeating = identity_defeater(points.codes)
         if not decision.exists_nonzero:
             where = f"; point {defeating} defeats it" if defeating else ""
             flags.append(
@@ -126,7 +125,7 @@ def claim_flags(curve, points, decision, singular=None):
                 f"{claim.label}: paper claims f(x) = x works, but point "
                 f"{defeating} defeats f(x) = x (another witness exists)"
             )
-    if claim.claimed_smooth and singular is not None and singular.count:
+    if claim.claimed_smooth and singular.count:
         x, y = next(iter(singular))
         flags.append(
             f"{claim.label}: paper calls this curve smooth, but "

@@ -95,11 +95,6 @@ def report_json(report):
     """
     ctx = report.curve.ctx
     affine = [list(pt) for pt in report.points.codes[:AFFINE_LIST_CAP]]
-    singular = (
-        [list(pt) for pt in report.singular.codes]
-        if report.singular is not None
-        else []
-    )
     decision = report.decision
     witness_coeffs = None
     witness_basis = None
@@ -121,7 +116,7 @@ def report_json(report):
             "affine_count": report.points.count,
             "affine_list": affine,
             "infinity_count": report.infinity_count,
-            "singular_found": singular,
+            "singular_found": [list(pt) for pt in report.singular.codes],
             "singular_search_degree": report.singular_ext_used,
         },
         "hw": {
@@ -241,12 +236,8 @@ def _print_analysis(report, out):
     )
     if report.points.count and report.points.count <= 12:
         w("  " + ", ".join(_point_str(pt) for pt in report.points) + "\n")
-    if report.singular_ext_used == 0:
-        # the affine scan passed the cap, and extension 1 costs the same
-        w("singular points: scan not requested (--singular-ext 0)\n")
-    elif report.singular is None or not report.singular.count:
-        ext = ctx.k * report.singular_ext_used
-        w(f"singular points: none over F_{ctx.p}^{ext}\n")
+    if not report.singular.count:
+        w(f"singular points: none over F_{ctx.p}^{report.singular.ctx.k}\n")
     else:
         shown = ", ".join(_point_str(pt) for pt in list(report.singular)[:6])
         w(f"singular points: {shown}\n")
@@ -573,7 +564,7 @@ def cmd_verify_paper(args):
                     "the condition   MISMATCH"
                 )
         if claim.claimed_smooth:
-            n_singular = report.singular.count if report.singular else 0
+            n_singular = report.singular.count
             print("  smoothness claimed : smooth")
             print(
                 f"  smoothness computed: {n_singular} singular point(s)"
@@ -656,7 +647,7 @@ def build_parser():
         "--singular-ext",
         type=int,
         default=2,
-        help="extension degree for the singular point scan (default 2)",
+        help="extension degree >= 1 for the singular point scan, capped (default 2)",
     )
     p_analyze.add_argument(
         "--json",

@@ -37,9 +37,9 @@ statement's case splits, as claimed_by_statement.  analyze() bundles
 everything and hard-errors if any applicable forcing bound contradicts
 the search verdict.
 
-A verdict holds its witness map and nothing derived from it: the
-deciders compute no kernel, and CoverVerdict.witness_subspace takes it
-from the map when a report asks.
+A verdict is its witness map and holds nothing derived from it: the
+answer is whether there is a map, the deciders compute no kernel, and
+CoverVerdict.witness_subspace takes it from the map when a report asks.
 """
 
 from __future__ import annotations
@@ -68,13 +68,16 @@ from .curve import affine_points, axis_parallel_lines  # noqa: F401
 
 class CoverVerdict(Frozen):
     """Outcome of a search for a nonzero f with f(x)f(y) = 0 on all
-    points.  If exists_nonzero, witness_map is such an f; method names
-    the decider.  The kernel is not stored: witness_subspace derives
-    it from the map."""
+    points: witness_map is such an f, or None when only f = 0 works;
+    method names the decider.  The answer and the kernel are read from
+    the map, so a "yes" cannot come without its witness."""
 
-    exists_nonzero: bool
     witness_map: object = None
     method: str = "hyperplane-search"
+
+    @property
+    def exists_nonzero(self):
+        return self.witness_map is not None
 
     @property
     def witness_subspace(self):
@@ -276,8 +279,8 @@ def decide_by_hyperplanes(points, ctx):
                 if sum(map(mul, digits, wy)) % p:
                     break
         else:
-            return CoverVerdict(True, additive.trace_functional(a), "hyperplane-search")
-    return CoverVerdict(False, method="hyperplane-search")
+            return CoverVerdict(additive.trace_functional(a), "hyperplane-search")
+    return CoverVerdict(method="hyperplane-search")
 
 
 def _subspace_walk(pairs, ctx):
@@ -432,9 +435,9 @@ def decide_by_exhaustion(points, ctx):
     check_cap("exhaustive oracle", ctx.order)
     codes, _ = _subspace_walk(_point_codes(points, ctx), ctx)
     if codes is None:
-        return CoverVerdict(False, method="exhaustive-oracle")
+        return CoverVerdict(method="exhaustive-oracle")
     witness = LinearizedMap(ctx, [ctx.decode(c) for c in codes])
-    return CoverVerdict(True, witness, "exhaustive-oracle")
+    return CoverVerdict(witness, "exhaustive-oracle")
 
 
 def verify_witness(verdict, points):
@@ -446,10 +449,10 @@ def verify_witness(verdict, points):
     digits of its code; f itself is evaluated only on the k basis
     elements, and no point is decoded.
     """
-    if not verdict.exists_nonzero:
-        return True
     f = verdict.witness_map
-    if f is None or f.is_zero():
+    if f is None:
+        return True
+    if f.is_zero():
         return False
     ctx = f.ctx
     pairs = _point_codes(points, ctx)
@@ -501,13 +504,11 @@ def check_verdicts(verdicts, points, c):
 
 
 class AnalysisReport(Frozen):
-    """Everything analyze() established about one curve."""
+    """Everything analyze() established about one curve, each fact once."""
 
     curve: object
     points: object  # PointSet
-    infinity_count: int
-    singular: object  # PointSet over the searched extension, or None
-    singular_ext_used: int  # 0 only when singular_ext=0 asked for no scan
+    singular: object  # PointSet over F_{q^m}, m = singular_ext_used
     hw: object  # HWWindow
     inequality1: BoundReport
     by_count: BoundReport
@@ -515,9 +516,21 @@ class AnalysisReport(Frozen):
     elliptic: BoundReport
     conjectural_flag: bool
     decision: CoverVerdict
-    oracle_verdict: CoverVerdict = None
-    oracle_agreement: str = "skipped"  # "agree", or "skipped" for oracle="off"
+    oracle_verdict: CoverVerdict = None  # None for oracle="off"
     paper_flags: tuple = ()
+
+    @property
+    def infinity_count(self):
+        return self.hw.infinity_count
+
+    @property
+    def singular_ext_used(self):
+        return self.singular.ctx.k // self.curve.ctx.k
+
+    @property
+    def oracle_agreement(self):
+        # analyze raises when the deciders disagree
+        return "skipped" if self.oracle_verdict is None else "agree"
 
     @property
     def forcing_bounds(self):
@@ -527,11 +540,11 @@ class AnalysisReport(Frozen):
 
 
 def _feasible_singular_ext(ctx, requested):
-    """Largest extension degree <= requested whose singular scan fits
-    the cap in force (0 when even degree 1 does not fit).  The scan
+    """Largest extension degree m in [1, requested] whose singular scan
+    fits the cap in force, m = 1 being the affine scan's own.  The scan
     grows with m, so the search stops at the first m that does not fit,
     however large `requested` is."""
-    best = 0
+    best = 1
     while best < requested and singular_scan_steps(ctx, best + 1) <= effective_cap():
         best += 1
     return best
@@ -540,6 +553,7 @@ def _feasible_singular_ext(ctx, requested):
 def analyze(c, singular_ext=2, oracle="auto"):
     """Run the whole pipeline on one curve.
 
+    singular_ext >= 1: the singular scan's extension degree, capped.
     oracle: "auto" and "on" cross-check the hyperplane decider with the
     exhaustive oracle, "off" skips it.  Bad arguments are refused before
     any scan starts.  The deciders' own refusals, on q, cannot fire
@@ -554,24 +568,17 @@ def analyze(c, singular_ext=2, oracle="auto"):
     if oracle not in ("auto", "on", "off"):
         raise ValueError(f"oracle must be auto|on|off, got {oracle!r}")
     requested_ext = index(singular_ext)
-    if requested_ext < 0:
-        raise ValueError(f"singular_ext must be >= 0, got {requested_ext}")
+    if requested_ext < 1:
+        raise ValueError(f"singular_ext must be >= 1, got {requested_ext}")
     ctx = c.ctx
     p, k, d = ctx.p, ctx.k, c.degree
-    run_oracle = oracle != "off"
 
     scan = fibre_scan(c)
     points = scan.points
-    inf_count = points_at_infinity_count(c)
-    hw = _hw_window(c, points.count, inf_count)
+    hw = _hw_window(c, points.count, points_at_infinity_count(c))
 
     ext_used = _feasible_singular_ext(ctx, requested_ext)
-    if ext_used == 1:
-        singular = scan.singular
-    elif ext_used:
-        singular = singular_points(c, ext_used)
-    else:
-        singular = None
+    singular = scan.singular if ext_used == 1 else singular_points(c, ext_used)
 
     ineq1 = zero_forcing_inequality(p, k, d)
     by_count = zero_forcing_by_count(points.count, d, p, k)
@@ -581,14 +588,12 @@ def analyze(c, singular_ext=2, oracle="auto"):
 
     decision = decide_by_hyperplanes(points, ctx)
 
-    oracle_verdict = decide_by_exhaustion(points, ctx) if run_oracle else None
+    oracle_verdict = None if oracle == "off" else decide_by_exhaustion(points, ctx)
 
     notes = []
-    if singular is not None and singular.count:
+    if singular.count:
         shown = ", ".join(f"({x!r}, {y!r})" for x, y in list(singular)[:4])
-        notes.append(
-            f"singular point(s) over F_{p}^{ctx.k * ext_used}: {shown}"
-        )
+        notes.append(f"singular point(s) over F_{p}^{singular.ctx.k}: {shown}")
     if hw.verdict == "violates-window":
         notes.append(
             f"point count N = {hw.n_points} falls outside the window "
@@ -604,7 +609,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
 
     check_verdicts([v for v in (decision, oracle_verdict) if v is not None], points, c)
 
-    flags = list(claims.claim_flags(c, points, decision, singular=singular))
+    flags = list(claims.claim_flags(c, points, decision, singular))
     for bound in (conic, elliptic):
         if bound.d == d and (flag := claims.uncertified_flag(bound, p, k)):
             flags.append(flag)
@@ -613,9 +618,7 @@ def analyze(c, singular_ext=2, oracle="auto"):
     report = AnalysisReport(
         curve=c,
         points=points,
-        infinity_count=inf_count,
         singular=singular,
-        singular_ext_used=ext_used,
         hw=hw,
         inequality1=ineq1,
         by_count=by_count,
@@ -624,7 +627,6 @@ def analyze(c, singular_ext=2, oracle="auto"):
         conjectural_flag=conjectural,
         decision=decision,
         oracle_verdict=oracle_verdict,
-        oracle_agreement="agree" if run_oracle else "skipped",
         paper_flags=tuple(flags),
     )
 

@@ -173,7 +173,7 @@ def _vanishes(row, y, tables):
 def _check_affine_scan(p, k):
     """Refuse the affine scan over F_{p^k}, whose cap counts its
     q^2 = p^(2k) pairs, when they pass the cap in force."""
-    check_cap("affine point scan", p ** (2 * k))
+    check_cap("affine point scan", p, exp=2 * k)
 
 
 def fibre_scan(c):
@@ -355,10 +355,8 @@ def singular_points(c, ext_degree=2):
     if ext_degree < 1:
         raise ValueError(f"ext_degree must be >= 1, got {ext_degree}")
     ctx = c.ctx
-    check_cap(
-        f"singular scan over F_{ctx.p}^{ctx.k * ext_degree}",
-        singular_scan_steps(ctx, ext_degree),
-    )
+    what = f"singular scan over F_{ctx.p}^{ctx.k * ext_degree}"
+    check_cap(what, ctx.order, exp=2 * ext_degree)
     if ext_degree > 1:
         ext = FqContext(ctx.p, ctx.k * ext_degree)
         if _no_singular_point(c, ext.order):
@@ -369,7 +367,8 @@ def singular_points(c, ext_degree=2):
 
 
 class HWWindow(Frozen):
-    """The point-count window |N - (q+1)| <= 2 * g_bound * sqrt(q).
+    """The point-count window |N - (q+1)| <= 2 * g_bound * sqrt(q),
+    N = n_points = affine_count + infinity_count, read from the counts.
 
     The comparison is done exactly by squaring: (N - q - 1)^2 against
     4 * g_bound^2 * q; lower/upper are the integer-rounded endpoints
@@ -379,41 +378,41 @@ class HWWindow(Frozen):
     """
 
     q: int
-    n_points: int
     affine_count: int
     infinity_count: int
     genus_bound: int
-    lower: int
-    upper: int
-    verdict: str
+
+    @property
+    def n_points(self):
+        return self.affine_count + self.infinity_count
+
+    @property
+    def _radius_sq(self):
+        return 4 * self.genus_bound**2 * self.q
+
+    @property
+    def lower(self):
+        return self.q + 1 - math.isqrt(self._radius_sq)
+
+    @property
+    def upper(self):
+        return self.q + 1 + math.isqrt(self._radius_sq)
+
+    @property
+    def verdict(self):
+        ok = (self.n_points - self.q - 1) ** 2 <= self._radius_sq
+        return "consistent" if ok else "violates-window"
 
 
 def hasse_weil_window(c):
-    """Exact window check for N = affine count + infinity count, both
-    counted here."""
+    """The HWWindow of c, with both point counts taken here."""
     return _hw_window(c, affine_points(c).count, points_at_infinity_count(c))
 
 
 def _hw_window(c, affine_count, infinity_count):
     """The HWWindow of c for counts already taken (analyze has them)."""
-    q = c.ctx.order
     d = c.degree
-    g_bound = (d - 1) * (d - 2) // 2
-    n = affine_count + infinity_count
-    center = q + 1
-    radius_sq = 4 * g_bound * g_bound * q
-    ok = (n - center) ** 2 <= radius_sq
-    half = math.isqrt(radius_sq)
-    return HWWindow(
-        q=q,
-        n_points=n,
-        affine_count=affine_count,
-        infinity_count=infinity_count,
-        genus_bound=g_bound,
-        lower=center - half,
-        upper=center + half,
-        verdict="consistent" if ok else "violates-window",
-    )
+    return HWWindow(c.ctx.order, affine_count, infinity_count, (d - 1) * (d - 2) // 2)
 
 
 def axis_parallel_lines(c):

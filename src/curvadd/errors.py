@@ -29,15 +29,18 @@ class ParseError(CurvaddError, ValueError):
 
 
 class CapExceeded(CurvaddError, RuntimeError):
-    """An enumeration would exceed its cap; nothing was computed.  A
-    count past Python's int string-conversion limit is printed as the
-    power of ten it exceeds (log10 2 > 0.30102)."""
+    """An enumeration would exceed its cap; nothing was computed.  A count
+    past Python's int string-conversion limit, or too large to build
+    (needed None, 2^low_bits or more), is printed as a power of ten it
+    exceeds (log10 2 > 0.30102)."""
 
-    def __init__(self, what, needed, cap):
+    def __init__(self, what, needed, cap, low_bits=None):
         try:
-            count = str(needed)
+            count = str(needed) if low_bits is None else None
         except ValueError:
-            count = f"more than 10^{(needed.bit_length() - 1) * 30102 // 100000}"
+            low_bits = needed.bit_length() - 1
+        if low_bits is not None:
+            count = f"more than 10^{low_bits * 30102 // 100000}"
         super().__init__(f"{what} needs {count} steps, cap is {cap}")
         self.what = what
         self.needed = needed

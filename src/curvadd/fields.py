@@ -559,9 +559,9 @@ class CodeTables(Frozen):
     field name.
 
     With g the first primitive element in code order and n = q - 1:
-    exp[i] is the code of g^(i mod n) for 0 <= i < 2n (doubled, so a
-    sum of two logs indexes it directly); log[c] is the log of the
-    element with code c; zech[i] is Zech's logarithm log(1 + g^i).
+    exp[i] is the code of g^i for 0 <= i < n, read at logs reduced
+    mod n; log[c] is the log of the element with code c; zech[i] is
+    Zech's logarithm log(1 + g^i).
     None stands for the log of zero: log[0] is None, and zech[i] is
     None exactly at i = n/2, where g^i = -1.
 
@@ -627,12 +627,12 @@ def code_tables(ctx):
     q, p, k = ctx.order, ctx.p, ctx.k
     n = q - 1
     gen = _first_primitive(ctx)
-    exp = [0] * (2 * n)
+    exp = [0] * n
     log = [None] * q
     if k == 1:
         code = 1
         for i in range(n):
-            exp[i] = exp[i + n] = code
+            exp[i] = code
             log[code] = i
             code = code * gen % p
     else:
@@ -642,13 +642,11 @@ def code_tables(ctx):
         digits = [1] + [0] * (k - 1)
         for i in range(n):
             code = sum(map(mul, digits, weights))
-            exp[i] = exp[i + n] = code
+            exp[i] = code
             log[code] = i
             digits = [sum(map(mul, row, digits)) % p for row in rows]
     # adding 1 changes only the lowest base-p digit of a code
-    zech = tuple(
-        log[code + 1 if code % p != p - 1 else code + 1 - p] for code in exp[:n]
-    )
+    zech = tuple(log[code + 1 if code % p != p - 1 else code + 1 - p] for code in exp)
     return CodeTables(tuple(exp), tuple(log), zech)
 
 

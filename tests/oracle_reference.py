@@ -70,8 +70,8 @@ def map_walk_oracle(points, ctx):
             witness = LinearizedMap(
                 ctx, [ctx.decode(0 if a is None else exp[a]) for a in alogs]
             )
-            return CoverVerdict(True, witness, "exhaustive-oracle")
-    return CoverVerdict(False, method="exhaustive-oracle")
+            return CoverVerdict(witness, "exhaustive-oracle")
+    return CoverVerdict(method="exhaustive-oracle")
 
 
 def prefix_walk_oracle(points, ctx):
@@ -136,7 +136,7 @@ def prefix_walk_oracle(points, ctx):
             [ctx.decode(0 if a is None else exp[a]) for a in alogs]
             + [ctx.decode(last)],
         )
-        return CoverVerdict(True, witness, "exhaustive-oracle")
+        return CoverVerdict(witness, "exhaustive-oracle")
 
     # log lists the logs in code order, so this is code order too
     prefixes = itertools.product(log, repeat=k - 1)
@@ -154,4 +154,4 @@ def prefix_walk_oracle(points, ctx):
                 break
         else:
             return found(alogs, min(alive))
-    return CoverVerdict(False, method="exhaustive-oracle")
+    return CoverVerdict(method="exhaustive-oracle")

@@ -238,13 +238,11 @@ def test_records_print_their_fields():
         "(0, 2), (1, 0), (2, 0), (3, 3), (3, 6), (6, 3), (6, 6)))"
     )
     assert repr(report.decision) == (
-        "CoverVerdict(exists_nonzero=True, witness_map=LinearizedMap(x + x^3), "
-        "method='hyperplane-search')"
+        "CoverVerdict(witness_map=LinearizedMap(x + x^3), method='hyperplane-search')"
     )
     assert repr(report.decision.witness_subspace) == "Subspace(dim=1, basis=[[0, 1]])"
     assert repr(report.hw) == (
-        "HWWindow(q=9, n_points=10, affine_count=8, infinity_count=2, "
-        "genus_bound=0, lower=10, upper=10, verdict='consistent')"
+        "HWWindow(q=9, affine_count=8, infinity_count=2, genus_bound=0)"
     )
     assert repr(report.inequality1) == (
         "BoundReport(name='inequality1', forced_zero=False, exact_terms=(('q', 9), "
@@ -271,30 +269,63 @@ def test_records_print_their_fields():
         "modulus=[1, 0, 1])), points=PointSet("
     )
     assert repr(report).endswith(
-        "oracle_agreement='agree', paper_flags=())"
+        "oracle_verdict=CoverVerdict(witness_map=LinearizedMap(x + x^3), "
+        "method='exhaustive-oracle'), paper_flags=())"
     )
 
 
-def test_cover_verdict_derives_its_kernel_from_the_map():
-    assert CoverVerdict._fields == ("exists_nonzero", "witness_map", "method")
+def test_cover_verdict_derives_its_answer_and_kernel_from_the_map():
+    assert CoverVerdict._fields == ("witness_map", "method")
     verdict = analyze(Curve(parse_bipoly("x^2 + y^2 - 1", FqContext(3, 2)))).decision
+    assert verdict.exists_nonzero and verdict.witness_map is not None
     assert verdict.witness_subspace == verdict.witness_map.kernel()
-    with pytest.raises(AttributeError):
-        verdict.witness_subspace = None
-    with pytest.raises(TypeError):
-        CoverVerdict(True, verdict.witness_map, witness_subspace=None)
+    none = CoverVerdict(method=verdict.method)
+    assert not none.exists_nonzero and none.witness_subspace is None
+    for name in ("exists_nonzero", "witness_subspace"):
+        with pytest.raises(AttributeError):
+            setattr(verdict, name, None)
+    for derived in ("exists_nonzero", "witness_subspace"):
+        with pytest.raises(TypeError):
+            CoverVerdict(verdict.witness_map, **{derived: None})
+
+
+def test_analysis_report_stores_no_derived_fact():
+    assert HWWindow._fields == ("q", "affine_count", "infinity_count", "genus_bound")
+    assert not {"singular_ext_used", "oracle_agreement", "infinity_count"} & set(
+        curvadd.AnalysisReport._fields
+    )
+    c = Curve(parse_bipoly("x*y - 1", FqContext(3, 2)))
+    on, off = analyze(c), analyze(c, singular_ext=1, oracle="off")
+    for report, ext, agreement in ((on, 2, "agree"), (off, 1, "skipped")):
+        assert report.singular.ctx.k == 2 * ext and report.singular_ext_used == ext
+        assert report.oracle_agreement == agreement
+        assert report.infinity_count == report.hw.infinity_count == 2
+
+
+@pytest.mark.parametrize(
+    "counts,n_points,lower,upper,verdict",
+    [
+        ((9, 8, 2, 0), 10, 10, 10, "consistent"),
+        ((5, 9, 2, 0), 11, 6, 6, "violates-window"),
+        # 2 g sqrt(q) = 2 sqrt(7) = 5.29...: the endpoints round inwards
+        ((7, 3, 1, 1), 4, 3, 13, "consistent"),
+        ((7, 1, 1, 1), 2, 3, 13, "violates-window"),
+        # (N - q - 1)^2 = 4 g^2 q exactly: on the window's edge
+        ((9, 4, 0, 1), 4, 4, 16, "consistent"),
+        ((9, 3, 0, 1), 3, 4, 16, "violates-window"),
+    ],
+)
+def test_hw_window_reads_its_verdict_from_the_counts(counts, n_points, lower, upper, verdict):
+    hw = HWWindow(*counts)
+    assert (hw.n_points, hw.lower, hw.upper, hw.verdict) == (n_points, lower, upper, verdict)
 
 
 def test_records_construct_by_position_or_keyword_with_defaults():
-    assert CoverVerdict(False) == CoverVerdict(
-        exists_nonzero=False,
-        witness_map=None,
-        method="hyperplane-search",
-    )
-    assert CoverVerdict(False).witness_subspace is None
-    verdict = CoverVerdict(True, 1, "exhaustive-oracle")
+    assert CoverVerdict() == CoverVerdict(witness_map=None, method="hyperplane-search")
+    assert CoverVerdict().witness_subspace is None
+    verdict = CoverVerdict(1, "exhaustive-oracle")
     assert (verdict.witness_map, verdict.method) == (1, "exhaustive-oracle")
-    assert verdict == CoverVerdict(True, method="exhaustive-oracle", witness_map=1)
+    assert verdict == CoverVerdict(method="exhaustive-oracle", witness_map=1)
     assert PointSet() == PointSet(None, ()) and PointSet().count == 0
     bound = BoundReport("by_count", True, (), d=2)
     assert (bound.m, bound.d, bound.claimed_by_statement) == (None, 2, None)
@@ -309,11 +340,11 @@ def test_records_construct_by_position_or_keyword_with_defaults():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: CoverVerdict(),
-        lambda: CoverVerdict(True, bogus=1),
-        lambda: CoverVerdict(True, None, "hyperplane-search", 5),
-        lambda: CoverVerdict(True, exists_nonzero=False),
-        lambda: HWWindow(9, 10, 8, 2, 0, 10, 10),
+        lambda: HWWindow(),
+        lambda: CoverVerdict(None, bogus=1),
+        lambda: CoverVerdict(None, "hyperplane-search", 5),
+        lambda: CoverVerdict(None, witness_map=None),
+        lambda: HWWindow(9, 8, 2),
         lambda: BoundReport("by_count", True),
         lambda: Curve(),
         lambda: Curve(parse_bipoly("x", FqContext(3)), smooth=True),

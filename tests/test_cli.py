@@ -38,12 +38,12 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "paper_flags: none" in out
 
 
-def test_analyze_singular_ext_0_is_not_blamed_on_the_cap(tmp_path, capsys):
+def test_analyze_refuses_singular_ext_0(tmp_path, capsys):
     path = write_curve(tmp_path, HYPERBOLA_F7)
-    assert main(["analyze", "--curve", path, "--singular-ext", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "singular points: scan not requested (--singular-ext 0)\n" in out
-    assert "cap" not in out
+    assert main(["analyze", "--curve", path, "--singular-ext", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: singular_ext must be >= 1, got 0\n"
 
 
 def test_analyze_tags_bounds_of_another_degree(tmp_path, capsys):
@@ -196,6 +196,18 @@ def test_a_curve_file_past_the_cap_is_refused_before_its_field_is_built(
     err = capsys.readouterr().err
     assert "affine point scan needs more than 10^" in err and "cap is" in err
     assert "set_int_max_str_digits" not in err
+    # 3^9034 is built, then found one percent too long to print;
+    # 3^(2 * 10^9) has ~10^9 digits and is never built: both refuse at
+    # once, by a power of ten below the count
+    for k, power in ((4517, ((3**9034).bit_length() - 1) * 30102 // 100000),
+                     (10**9, 950094375)):
+        path = write_curve(tmp_path, f"p = 3\nk = {k}\nf = x*y - 1\n")
+        start = time.perf_counter()
+        assert main([command, "--curve", path]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: affine point scan needs more than 10^{power} steps, cap is {1 << 20}\n"
 
 
 @pytest.mark.parametrize(
@@ -347,7 +359,7 @@ def test_search_refuses_a_witness_that_fails_verification(tmp_path, capsys, monk
     # the identity vanishes at no point of x*y = 1, so this witness is bogus
     def bogus(points, ctx):
         f = LinearizedMap.identity(ctx)
-        return cover.CoverVerdict(True, f, "hyperplane-search")
+        return cover.CoverVerdict(f, "hyperplane-search")
 
     path = write_curve(tmp_path, HYPERBOLA_F7)
     message = "hyperplane-search returned a witness that fails re-verification"
@@ -489,7 +501,7 @@ def test_verify_paper_hyperbola_row_checks_the_claim(capsys, monkeypatch):
 
     def analyze_with_witness(curve):
         witness = LinearizedMap.identity(curve.ctx)
-        verdict = cover.CoverVerdict(True, witness)
+        verdict = cover.CoverVerdict(witness)
         report = real_analyze(curve)
         fields = {name: getattr(report, name) for name in report._fields}
         return cover.AnalysisReport(**{**fields, "decision": verdict})
@@ -508,7 +520,7 @@ def test_verify_paper_hyperbola_row_checks_the_claim(capsys, monkeypatch):
 
 def test_search_refuses_deciders_that_disagree(tmp_path, capsys, monkeypatch):
     def no_witness(points, ctx):
-        return cover.CoverVerdict(False, method="exhaustive-oracle")
+        return cover.CoverVerdict(method="exhaustive-oracle")
 
     path = write_curve(tmp_path, "p = 5\nk = 1\nf = y^2 - x^3 - x\n")
     monkeypatch.setattr(cli, "decide_by_exhaustion", no_witness)
@@ -542,7 +554,7 @@ def test_analyze_refusals_exit_2_before_scanning(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cover, "fibre_scan", no_scan)
     path = write_curve(tmp_path, "p = 7\nk = 3\nf = x*y - 1\n")
     assert main(["analyze", "--curve", path, "--singular-ext", "-1"]) == 2
-    assert "singular_ext must be >= 0, got -1" in capsys.readouterr().err
+    assert "singular_ext must be >= 1, got -1" in capsys.readouterr().err
     # 343^3 maps, more than 2^24, and the oracle runs at the default caps
     monkeypatch.undo()
     monkeypatch.delenv("CURVADD_CAP", raising=False)

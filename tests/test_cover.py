@@ -419,14 +419,10 @@ def test_verify_witness_detects_corruption():
         if not e.is_zero() and not v.witness_map(e).is_zero()
     )
     assert not verify_witness(v, pts + [(c, c)])
-    # zeroed or missing witness fails; a negative verdict is vacuous
-    zero_map = LinearizedMap(ctx, [0] * ctx.k)
-    zeroed = cover.CoverVerdict(v.exists_nonzero, zero_map, v.method)
+    # a zeroed witness fails; a verdict without a witness is vacuous
+    zeroed = cover.CoverVerdict(LinearizedMap(ctx, [0] * ctx.k), v.method)
     assert not verify_witness(zeroed, pts)
-    missing = cover.CoverVerdict(v.exists_nonzero, None, v.method)
-    assert not verify_witness(missing, pts)
-    negative = cover.CoverVerdict(False, v.witness_map, v.method)
-    assert verify_witness(negative, pts)
+    assert verify_witness(cover.CoverVerdict(method=v.method), pts + [(c, c)])
 
 
 def test_verify_witness_rejects_on_repeated_coordinates():
@@ -436,7 +432,7 @@ def test_verify_witness_rejects_on_repeated_coordinates():
     # evaluated at earlier points
     pts = [(a, zero), (b, zero), (a, b)]
     found = decide_by_hyperplanes(pts[:2], ctx)
-    v = cover.CoverVerdict(True, LinearizedMap.identity(ctx), found.method)
+    v = cover.CoverVerdict(LinearizedMap.identity(ctx), found.method)
     assert verify_witness(v, pts[:2])
     assert not verify_witness(v, pts)
     # same code, other modulus: refused, not answered from the cache
@@ -484,7 +480,7 @@ def test_analyze_refuses_deciders_that_disagree(monkeypatch):
     c = build_curve(5, 1, "y^2 - x^3 - x")
     assert analyze(c, oracle="on").decision.exists_nonzero
     def no_witness(points, ctx):
-        return cover.CoverVerdict(False, method="exhaustive-oracle")
+        return cover.CoverVerdict(method="exhaustive-oracle")
 
     monkeypatch.setattr(cover, "decide_by_exhaustion", no_witness)
     message = "hyperplane-search says exists_nonzero=True but exhaustive-oracle says False"
@@ -522,19 +518,16 @@ def test_check_verdicts_verifies_each_distinct_witness(monkeypatch):
     f = decide_by_hyperplanes(points, ctx).witness_map
     g = LinearizedMap(ctx, [2 * a for a in f.coeffs])
     calls = counting_verify_witness(monkeypatch)
-    both = [cover.CoverVerdict(True, f, "first"), cover.CoverVerdict(True, g, "second")]
+    both = [cover.CoverVerdict(f, "first"), cover.CoverVerdict(g, "second")]
     cover.check_verdicts(both, points, c)
     assert calls == [f, g]
     # a corrupted second map is still re-verified, and refused
-    corrupted = cover.CoverVerdict(True, LinearizedMap.identity(ctx), "second")
+    corrupted = cover.CoverVerdict(LinearizedMap.identity(ctx), "second")
     with pytest.raises(Inconsistent, match="second returned a witness that fails"):
         cover.check_verdicts([both[0], corrupted], points, c)
-    missing = cover.CoverVerdict(True, None, "second")
-    with pytest.raises(Inconsistent, match="second returned a witness that fails"):
-        cover.check_verdicts([both[0], missing], points, c)
     # agreement on exists_nonzero is checked for every verdict
     with pytest.raises(Inconsistent, match="first says exists_nonzero=True but no says False"):
-        cover.check_verdicts([both[0], cover.CoverVerdict(False, method="no")], points, c)
+        cover.check_verdicts([both[0], cover.CoverVerdict(method="no")], points, c)
 
 
 @pytest.mark.parametrize(
@@ -676,8 +669,9 @@ def test_analyze_refuses_before_any_scan(monkeypatch):
     # every scan starts by building the code tables its rows run on
     monkeypatch.setattr("curvadd.curve.code_tables", no_scan)
     monkeypatch.setattr("curvadd.curve._rows", no_scan)
-    with pytest.raises(ValueError, match=r"^singular_ext must be >= 0, got -1$"):
-        analyze(c, singular_ext=-1)
+    for ext in (-1, 0):
+        with pytest.raises(ValueError, match=rf"^singular_ext must be >= 1, got {ext}$"):
+            analyze(c, singular_ext=ext)
     monkeypatch.setenv("CURVADD_CAP", "3")
     for oracle in ("auto", "on", "off"):
         with pytest.raises(CapExceeded) as err:
@@ -692,7 +686,7 @@ def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
 
     def stub_singular_points(c, ext_degree=2):
         degrees.append(ext_degree)
-        return PointSet()
+        return PointSet(FqContext(c.ctx.p, c.ctx.k * ext_degree))
 
     monkeypatch.setattr(cover, "singular_points", stub_singular_points)
     c = build_curve(3, 1, "x*y - 1")
@@ -701,9 +695,10 @@ def test_singular_ext_search_stops_at_first_misfit(monkeypatch):
     assert small.singular_ext_used == huge.singular_ext_used == 6
     assert degrees == [6, 6]
     assert cover._feasible_singular_ext(c.ctx, 10**9) == 6
-    assert cover._feasible_singular_ext(c.ctx, 0) == 0
+    assert cover._feasible_singular_ext(c.ctx, 1) == 1
+    # extension 1 is the affine scan's own, so the cap never rules it out
     monkeypatch.setenv("CURVADD_CAP", "8")
-    assert cover._feasible_singular_ext(c.ctx, 10**9) == 0
+    assert cover._feasible_singular_ext(c.ctx, 10**9) == 1
 
 
 @pytest.mark.parametrize("slack", (0, 1))

@@ -1,6 +1,7 @@
 """Point enumeration, singularity detection, windows, files."""
 
 import itertools
+import time
 
 import pytest
 
@@ -182,6 +183,28 @@ def test_affine_scan_cap():
     c = build_curve(2147483647, 1, "x*y - 1")
     with pytest.raises(CapExceeded):
         affine_points(c)
+
+
+def test_singular_scan_cap_refuses_a_huge_extension_unbuilt(monkeypatch):
+    # (3^m)^2 at m = 10^9 has ~10^9 digits: the refusal names a power of
+    # ten below it instead of building it, from 3^64 >= 2^101, so that
+    # 3^(2 * 10^9) >= 2^b, b = 2 * 10^9 * 101 // 64, and 2^b > 10^(0.30102 b);
+    # a printable count is stated exactly
+    monkeypatch.delenv("CURVADD_CAP", raising=False)
+    c = build_curve(3, 1, "x*y - 1")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        singular_points(c, 10**9)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == (
+        f"singular scan over F_3^{10**9} needs more than 10^950094375 steps, cap is {1 << 20}"
+    )
+    assert err.value.needed is None
+    monkeypatch.setenv("CURVADD_CAP", "3")
+    with pytest.raises(CapExceeded) as err:
+        singular_points(c, 3)
+    assert str(err.value) == "singular scan over F_3^3 needs 729 steps, cap is 3"
+    assert err.value.needed == 729
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,9 @@ def check_code_tables(ctx):
     exp, log, zech = tables.exp, tables.log, tables.zech
     q = ctx.order
     n = q - 1
-    assert len(exp) == 2 * n and len(log) == q and len(zech) == n
-    # exp is a bijection onto the nonzero codes, doubled; log inverts it
-    assert sorted(exp[:n]) == list(range(1, q))
-    assert exp[n:] == exp[:n]
+    assert len(exp) == n and len(log) == q and len(zech) == n
+    # exp is a bijection onto the nonzero codes; log inverts it
+    assert sorted(exp) == list(range(1, q))
     assert log[0] is None
     assert all(log[exp[i]] == i for i in range(n))
     # successive powers of the generator, by element arithmetic
@@ -276,7 +275,7 @@ def check_code_tables(ctx):
     one = ctx.one()
     for i in range(n):
         a = ctx.decode(exp[i])
-        assert exp[i + 1] == int(a * g)
+        assert exp[(i + 1) % n] == int(a * g)
         s = a + one
         assert zech[i] == (None if s.is_zero() else log[int(s)])
     # 1 + g^i = 0 exactly at g^i = -1
@@ -336,15 +335,15 @@ def element_code_tables(ctx):
     q, p = ctx.order, ctx.p
     n = q - 1
     gen = element_first_primitive(ctx)
-    exp = [0] * (2 * n)
+    exp = [0] * n
     log = [None] * q
     cur = ctx.one()
     for i in range(n):
         code = int(cur)
-        exp[i] = exp[i + n] = code
+        exp[i] = code
         log[code] = i
         cur = cur * gen
-    zech = tuple(log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:n])
+    zech = tuple(log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp)
     return CodeTables(tuple(exp), tuple(log), zech)
 
 

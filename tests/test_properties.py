@@ -225,8 +225,8 @@ def reference_decider(points, ctx):
     for a in hyperplane_functionals(ctx):
         functional = trace_functional(a)
         if all(vanishes(functional.coeffs, fx) or vanishes(functional.coeffs, fy) for fx, fy in pairs):
-            return CoverVerdict(True, functional, "hyperplane-search")
-    return CoverVerdict(False, method="hyperplane-search")
+            return CoverVerdict(functional, "hyperplane-search")
+    return CoverVerdict(method="hyperplane-search")
 
 
 def reference_verify(f, points):
@@ -244,7 +244,7 @@ def test_deciders_and_witness_check_match_references(case):
     assert oracle.exists_nonzero == verdict.exists_nonzero
     assert verify_witness(oracle, pts)
     assert verify_witness(verdict, pts)
-    claimed = CoverVerdict(True, f, "test")
+    claimed = CoverVerdict(f, "test")
     assert verify_witness(claimed, pts) == reference_verify(f, pts)
 
 
